@@ -428,22 +428,19 @@ def build_config(raw: dict) -> ExperimentConfig:
     if train_kwargs:
         train = replace(train, **train_kwargs)
 
-    try:
-        return ExperimentConfig(
-            d_grid=d_grid,
-            seeds=parse_int("seeds", need("seeds")),
-            n_1=parse_int("n1", raw.get("n1", "800")),
-            n_2=parse_int("n2", raw.get("n2", "100")),
-            theta_1=parse_float("theta1", raw.get("theta1", "1.0")),
-            theta_2=parse_float("theta2", raw.get("theta2", "0.0")),
-            r_c=parse_float("rc", raw.get("rc", "1.0")),
-            r_s=parse_float("rs", raw.get("rs", "2.0")),
-            sigma_rule=rule,
-            methods=methods,
-            train=train,
-            output_path=str(raw.get("out", "sweep.csv")),
-            seed_base=parse_int("seed_base", raw.get("seed_base", "0")),
-            svm_tol=parse_float("svm_tol", raw.get("svm_tol", "1e-8")),
-        )
-    except TwoEnvError:
-        raise
+    return ExperimentConfig(
+        d_grid=d_grid,
+        seeds=parse_int("seeds", need("seeds")),
+        n_1=parse_int("n1", raw.get("n1", "800")),
+        n_2=parse_int("n2", raw.get("n2", "100")),
+        theta_1=parse_float("theta1", raw.get("theta1", "1.0")),
+        theta_2=parse_float("theta2", raw.get("theta2", "0.0")),
+        r_c=parse_float("rc", raw.get("rc", "1.0")),
+        r_s=parse_float("rs", raw.get("rs", "2.0")),
+        sigma_rule=rule,
+        methods=methods,
+        train=train,
+        output_path=str(raw.get("out", "sweep.csv")),
+        seed_base=parse_int("seed_base", raw.get("seed_base", "0")),
+        svm_tol=parse_float("svm_tol", raw.get("svm_tol", "1e-8")),
+    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .errors import DegenerateLabelsError, TwoEnvError
 from .model import LabeledDataset, LinearModel
@@ -36,24 +36,10 @@ def gaussian_tail(t):
 
 
 def gaussian_tail_inv(p: float) -> float:
-    """Inverse of :func:`gaussian_tail` by bracketed bisection to ~1e-15.
-
-    The root is bracketed in [-40, 40], which covers every probability
-    representable in double precision, and bisected to the floating-point
-    floor; the monotonicity of Q makes this unconditionally safe.
-    """
+    """Inverse of :func:`gaussian_tail`: the ``t`` with ``P(N(0,1) > t) = p``."""
     if not 0.0 < p < 1.0:
         raise TwoEnvError(f"probability must be in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0  # Q(lo) ~ 1, Q(hi) ~ 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gaussian_tail(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -float(ndtri(p))
 
 
 def _alignments(model: LinearModel, mu_c, mu_s) -> tuple[float, float, float]:

@@ -5,7 +5,11 @@ optional invariance penalty and an optional ridge term.  Every objective
 piece except the ridge depends on ``w`` only through the signed margins
 ``m = Z w`` (``Z`` stacks ``y_i x_i``), so when ``d`` greatly exceeds ``N``
 the same iterates are computed in the N-dimensional span of the data via
-the Gram matrix; descent from zero never leaves that span.
+the Gram matrix; descent from zero never leaves that span.  Margins are
+linear in the iterate, so they are carried from step to step: each
+accepted step costs one product with the data operator (``Z Z'`` on the
+span path, ``Z'`` and ``Z`` on the direct path) and a backtracking halving
+costs none.
 
 The hard-margin program ``min ||w||^2 s.t. y_i <w, x_i> >= 1`` is solved in
 its dual over the Gram matrix: accelerated projected gradient ascent plus
@@ -131,8 +135,12 @@ class TrainTrace:
     penalty: list[float] = field(default_factory=list)
     train_err: list[float] = field(default_factory=list)
     margin: list[float] = field(default_factory=list)
-    converged: bool = False
+    stop_reason: str = "max_iters"  # "converged", "stalled" or "max_iters"
     final_grad_norm: float = math.nan
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def log(self, it: int, loss: float, penalty: float, err: float, margin: float) -> None:
         self.iters.append(it)
@@ -143,34 +151,32 @@ class TrainTrace:
 
 
 class _WSpace:
-    """Direct parameterization; gradient cost O(N d) per iteration."""
+    """Direct parameterization ``state = w``; two O(N d) products per step."""
 
     def __init__(self, Z: np.ndarray):
         self.Z = Z
-        self.state = np.zeros(Z.shape[1])
 
-    def margins(self, state: np.ndarray) -> np.ndarray:
-        return self.Z @ state
+    def start(self, w0: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        if w0 is None:
+            return np.zeros(self.Z.shape[1]), np.zeros(self.Z.shape[0])
+        return w0.copy(), self.Z @ w0
 
-    def step(self, state: np.ndarray, coeff: np.ndarray, l2_grad: np.ndarray, lr: float):
-        return state - lr * (self.Z.T @ coeff + l2_grad)
+    def direction(self, coeff: np.ndarray, ridge: Optional[np.ndarray]):
+        """Descent direction ``g``, its margin image ``Z g`` and ``||g||^2``."""
+        g = self.Z.T @ coeff
+        if ridge is not None:
+            g = g + ridge
+        return g, self.Z @ g, float(g @ g)
 
-    def grad_norm_sq(self, coeff: np.ndarray, state: np.ndarray, l2_weight: float) -> float:
-        g = self.Z.T @ coeff + 2.0 * l2_weight * state
-        return float(g @ g)
-
-    def sq_norm(self, state: np.ndarray) -> float:
+    def sq_norm(self, state: np.ndarray, m: np.ndarray) -> float:
         return float(state @ state)
-
-    def l2_grad(self, state: np.ndarray, l2_weight: float) -> np.ndarray:
-        return 2.0 * l2_weight * state
 
     def weights(self, state: np.ndarray) -> np.ndarray:
         return state
 
 
 class _SpanSpace:
-    """Span parameterization ``w = Z^T beta``; identical iterates, O(N^2) cost.
+    """Span parameterization ``w = Z^T beta``; one O(N^2) product per step.
 
     A w-space step ``w - lr (Z^T c + 2 l2 w)`` with ``w = Z^T beta`` equals
     ``Z^T (beta - lr (c + 2 l2 beta))``, so descent-from-zero trajectories
@@ -180,23 +186,24 @@ class _SpanSpace:
     def __init__(self, Z: np.ndarray, gram: Optional[np.ndarray] = None):
         self.Z = Z
         self.K = Z @ Z.T if gram is None else gram
-        self.state = np.zeros(Z.shape[0])
 
-    def margins(self, state: np.ndarray) -> np.ndarray:
-        return self.K @ state
+    def start(self, w0: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        n = self.K.shape[0]
+        if w0 is None:
+            return np.zeros(n), np.zeros(n)
+        # least-squares span coefficients of the warm start
+        state = np.linalg.lstsq(self.K, self.Z @ w0, rcond=None)[0]
+        return state, self.K @ state
 
-    def step(self, state: np.ndarray, coeff: np.ndarray, l2_grad: np.ndarray, lr: float):
-        return state - lr * (coeff + l2_grad)
+    def direction(self, coeff: np.ndarray, ridge: Optional[np.ndarray]):
+        """Descent direction ``c``, its margin image ``K c`` and ``c' K c``."""
+        c = coeff if ridge is None else coeff + ridge
+        Kc = self.K @ c
+        return c, Kc, float(c @ Kc)
 
-    def grad_norm_sq(self, coeff: np.ndarray, state: np.ndarray, l2_weight: float) -> float:
-        g = coeff + 2.0 * l2_weight * state
-        return float(g @ (self.K @ g))
-
-    def sq_norm(self, state: np.ndarray) -> float:
-        return float(state @ (self.K @ state))
-
-    def l2_grad(self, state: np.ndarray, l2_weight: float) -> np.ndarray:
-        return 2.0 * l2_weight * state
+    def sq_norm(self, state: np.ndarray, m: np.ndarray) -> float:
+        # ||Z^T beta||^2 = beta' K beta, and K beta is the margin vector
+        return float(state @ m)
 
     def weights(self, state: np.ndarray) -> np.ndarray:
         return self.Z.T @ state
@@ -214,10 +221,18 @@ def gd_train(
     The step size starts at ``config.learning_rate`` and is halved whenever
     a step would increase the objective, so the objective is non-increasing
     between penalty-activation boundaries.  Stops when the gradient norm
-    falls below ``config.tolerance`` (never before the penalty activates)
-    or after ``max_iters``.  ``sigma`` only scales the margin column of the
-    trace; ``w0`` warm-starts the iteration; a precomputed ``gram`` of the
-    signed samples skips the one expensive product of the span path.
+    falls below ``config.tolerance`` (never before the penalty activates),
+    when no halved step down to ``2**-60`` of the rate is accepted, or after
+    ``max_iters``; ``trace.stop_reason`` says which.
+
+    Each accepted step applies the data operator once: ``K = Z Z'`` on the
+    span path, ``Z'`` then ``Z`` on the direct path.  Margins are linear in
+    the state, so a candidate's margins are the current ones minus the step
+    times that product, and a backtracking halving costs no product at all.
+    ``sigma`` only scales the margin column of the trace; ``w0``
+    warm-starts the iteration at the cost of one product for its margins;
+    a precomputed ``gram`` of the signed samples skips the one-time Gram
+    product of the span path.
     """
     if data.n == 0:
         raise TwoEnvError("empty dataset")
@@ -227,17 +242,11 @@ def gd_train(
 
     Z = data.signed()
     space = _SpanSpace(Z, gram) if data.d > 2 * data.n else _WSpace(Z)
-    state = space.state
-    if w0 is not None:
-        w0 = np.asarray(w0, dtype=np.float64)
-        if isinstance(space, _SpanSpace):
-            # least-squares span coefficients of the warm start
-            state = np.linalg.lstsq(space.K, Z @ w0, rcond=None)[0]
-        else:
-            state = w0.copy()
+    state, m = space.start(None if w0 is None else np.asarray(w0, dtype=np.float64))
 
     margin_scale = 1.0 if sigma is None else math.sqrt(sigma**2 * data.d)
     n = data.n
+    l2 = config.l2_weight
     trace = TrainTrace()
 
     def effective_lambda(it: int) -> float:
@@ -245,16 +254,24 @@ def gd_train(
             return 0.0
         return config.penalty_weight
 
+    def ridge(st: np.ndarray) -> Optional[np.ndarray]:
+        return 2.0 * l2 * st if l2 else None
+
     def evaluate(m: np.ndarray, st: np.ndarray, lam: float):
         loss = float(_loss(m).mean())
         pen, pen_dm = penalty_value_and_slope(config.penalty_kind, m, masks)
-        total = loss + lam * pen + config.l2_weight * space.sq_norm(st)
+        total = loss + lam * pen
+        if l2:
+            total += l2 * space.sq_norm(st, m)
         coeff = _slope(m) / n + lam * pen_dm
         return loss, pen, total, coeff
 
+    def log(it: int) -> None:
+        wnorm = math.sqrt(max(space.sq_norm(state, m), 1e-300))
+        trace.log(it, loss, pen, float((m <= 0).mean()), float(m.min()) / (wnorm * margin_scale))
+
     min_stop_iter = config.anneal_schedule or 0
     lr = config.learning_rate
-    m = space.margins(state)
     lam = effective_lambda(0)
     loss, pen, total, coeff = evaluate(m, state, lam)
     if not math.isfinite(total):
@@ -266,45 +283,42 @@ def gd_train(
         if new_lam != lam:
             lam = new_lam
             loss, pen, total, coeff = evaluate(m, state, lam)
-        gnorm = math.sqrt(space.grad_norm_sq(coeff, state, config.l2_weight))
+        direction, moved, gnorm_sq = space.direction(coeff, ridge(state))
+        gnorm = math.sqrt(gnorm_sq)
         if it % config.log_every == 0:
-            wnorm = math.sqrt(max(space.sq_norm(state), 1e-300))
-            trace.log(
-                it, loss, pen, float((m <= 0).mean()), float(m.min()) / (wnorm * margin_scale)
-            )
+            log(it)
         if gnorm <= config.tolerance and it >= min_stop_iter:
-            trace.converged = True
+            trace.stop_reason = "converged"
             break
 
         step = lr
-        l2_grad = space.l2_grad(state, config.l2_weight)
-        stalled = False
         while True:
-            cand = space.step(state, coeff, l2_grad, step)
-            m_cand = space.margins(cand)
+            cand = state - step * direction
+            m_cand = m - step * moved
             loss_c, pen_c, total_c, coeff_c = evaluate(m_cand, cand, lam)
             if math.isfinite(total_c) and total_c <= total:
                 break
             step *= 0.5
             if step < config.learning_rate * 2.0**-60:
-                stalled = True
+                trace.stop_reason = "stalled"
                 break
-        if stalled:
-            trace.converged = True
+        if trace.stop_reason == "stalled":
             break
         state, m = cand, m_cand
         loss, pen, total, coeff = loss_c, pen_c, total_c, coeff_c
         lr = min(config.learning_rate, step * 2.0)
+    else:
+        # the last accepted step moved the state; measure its gradient once
+        gnorm = math.sqrt(space.direction(coeff, ridge(state))[2])
 
-    gnorm = math.sqrt(space.grad_norm_sq(coeff, state, config.l2_weight))
     trace.final_grad_norm = gnorm
-    wnorm = math.sqrt(max(space.sq_norm(state), 1e-300))
-    trace.log(it, loss, pen, float((m <= 0).mean()), float(m.min()) / (wnorm * margin_scale))
+    log(it)
 
     w = space.weights(state)
     if float(np.linalg.norm(w)) == 0.0:
         raise TwoEnvError("training made no progress from the zero initializer")
-    return LinearModel(w, meta={"iters": it, "grad_norm": gnorm}), trace
+    meta = {"iters": it, "grad_norm": gnorm, "stop_reason": trace.stop_reason}
+    return LinearModel(w, meta=meta), trace
 
 
 def objective_gradient(data: LabeledDataset, config: TrainConfig, w: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ def _desk_preset():
                           constants=CONSTANTS, strict=False)
 
 
+@pytest.mark.slow
 def test_c01_closed_form_error_oracle():
     started = time.time()
     rng = stream(2024, "c1")
@@ -82,6 +83,7 @@ def test_c01_closed_form_error_oracle():
              started)
 
 
+@pytest.mark.slow
 def test_c02_mean_estimator_margin():
     started = time.time()
     preset = _desk_preset()
@@ -91,6 +93,7 @@ def test_c02_mean_estimator_margin():
              started)
 
 
+@pytest.mark.slow
 def test_c03_max_margin_indicted():
     started = time.time()
     preset = _desk_preset()
@@ -100,6 +103,7 @@ def test_c03_max_margin_indicted():
              started)
 
 
+@pytest.mark.slow
 def test_c04_two_phase_robustness():
     started = time.time()
     preset = _desk_preset()
@@ -152,6 +156,7 @@ def _all_flag(records, method, d, value=True):
     return all(f == value for f in flags)
 
 
+@pytest.mark.slow
 def test_c06_qualitative_reproduction(qualitative_sweep):
     started = time.time()
     cfg, records = qualitative_sweep
@@ -175,6 +180,7 @@ def test_c06_qualitative_reproduction(qualitative_sweep):
              f"(>=0.15, non-interpolating {tp_no_interp})", started)
 
 
+@pytest.mark.slow
 def test_c07_invariant_interpolator_exists(qualitative_sweep):
     started = time.time()
     cfg, records = qualitative_sweep
@@ -185,6 +191,7 @@ def test_c07_invariant_interpolator_exists(qualitative_sweep):
              f"interpolating {interp}, median robust accuracy {med:.3f} (>= 0.9)", started)
 
 
+@pytest.mark.slow
 def test_c08_ridge_path_max_margin_alignment():
     started = time.time()
     d, n_1, n_2 = 5120, 160, 20

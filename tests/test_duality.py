@@ -261,6 +261,7 @@ class TestSpectralEvents:
         expected = expected_gram(n_1, n_2, 1.0, -0.5, 0.3, 0.6, sigma, d)
         assert np.all(np.abs(mean - expected) <= 4 * se + 1e-12)
 
+    @pytest.mark.slow
     def test_event_failure_frequency(self):
         # noise-event failure budget: 6 exp(-t^2/2) + slack at t = 3; the
         # observed rate sits far below it, so 800 draws decide cleanly

@@ -5,12 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from twoenv import stream
+from twoenv import stream, training
 from twoenv.errors import NonSeparableError, TwoEnvError
 from twoenv.estimators import mean_estimator
+from twoenv.experiments import SigmaRule, resolve_sigma
 from twoenv.metrics import normalized_margin
-from twoenv.model import LabeledDataset
+from twoenv.model import LabeledDataset, ProblemInstance, sample_dataset, sample_orthogonal_means
+from twoenv.presets import load_constants
 from twoenv.training import (
+    PENALTY_KINDS,
     TrainConfig,
     cosine_similarity,
     gd_train,
@@ -22,7 +25,7 @@ from twoenv.training import (
     _slope,
 )
 
-from helpers import random_dataset
+from helpers import random_dataset, reference_gd
 
 
 class TestGdTrain:
@@ -102,20 +105,90 @@ class TestGdTrain:
             gd_train(single, TrainConfig(penalty_kind="vrex", penalty_weight=1.0))
 
     def test_span_path_matches_direct_path(self):
-        # d > 2N triggers the Gram parameterization; trajectories coincide
+        # d > 2N triggers the Gram parameterization, d <= 2N the direct one;
+        # both must follow the same explicit fixed-step descent
         rng = stream(31)
         data = random_dataset(rng, n=6, d=20)
+        direct = LabeledDataset(data.X[:, :11], data.y, data.env)
         cfg = TrainConfig(max_iters=300)
-        span_model, _ = gd_train(data, cfg)
-        direct = LabeledDataset(data.X[:, :11], data.y, data.env)  # d < 2N: direct path
-        # compare the span path against an explicit direct-space rerun
-        w = np.zeros(20)
-        Z = data.signed()
-        for _ in range(300):
-            mrg = Z @ w
-            coeff = _slope(mrg) / data.n
-            w = w - 0.1 * (Z.T @ coeff)
-        assert np.linalg.norm(span_model.w - w) <= 1e-8 * np.linalg.norm(w)
+        for ds in (data, direct):
+            model, _ = gd_train(ds, cfg)
+            w = np.zeros(ds.d)
+            Z = ds.signed()
+            for _ in range(300):
+                mrg = Z @ w
+                coeff = _slope(mrg) / ds.n
+                w = w - 0.1 * (Z.T @ coeff)
+            assert np.linalg.norm(model.w - w) <= 1e-8 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("d", [8, 30])  # N=12: direct path at 8, span path at 30
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_matches_reference_descent(self, kind, d):
+        data = random_dataset(stream(59, kind, d), n=12, d=d)
+        cfg = TrainConfig(penalty_kind=kind, penalty_weight=1.0, anneal_schedule=100,
+                          max_iters=300, log_every=1000)
+        model, _ = gd_train(data, cfg)
+        w = reference_gd(data, cfg)
+        assert np.linalg.norm(model.w - w) <= 1e-10 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("d", [8, 30])
+    def test_ridge_warm_start_matches_reference(self, d):
+        # the ridge route of irm_margin_alignment: each level warm-starts
+        # from the previous level's weights
+        data = random_dataset(stream(61, d), n=12, d=d)
+        w_warm = None
+        for lam2 in (1e-1, 1e-2):
+            cfg = TrainConfig(penalty_kind="irmv1", penalty_weight=1.0, l2_weight=lam2,
+                              max_iters=200, log_every=1000)
+            model, _ = gd_train(data, cfg, w0=w_warm)
+            w = reference_gd(data, cfg, w0=w_warm)
+            assert np.linalg.norm(model.w - w) <= 1e-10 * np.linalg.norm(w)
+            w_warm = model.w
+
+    def test_acceptance_sweep_run_hits_cap_with_exact_margins(self, monkeypatch):
+        # a wide (d > 2N) run at the sweep settings never meets the gradient
+        # tolerance; after 3,000 carried updates the margins the objective
+        # sees must still equal Z @ w
+        d, n_1, n_2 = 5120, 800, 100
+        sigma = resolve_sigma(SigmaRule("scaling", float(load_constants()["kappa"])),
+                              d, n_1 + n_2, 1.0)
+        mu_c, mu_s = sample_orthogonal_means(d, 1.0, 2.0, stream(63, "means"))
+        data = sample_dataset(ProblemInstance(mu_c, mu_s, 1.0, 0.0, n_1, n_2, sigma, 63),
+                              stream(63, "data"))
+        seen = []
+
+        def spy(kind, m, masks):
+            seen.append(m)
+            return penalty_value_and_slope(kind, m, masks)
+
+        monkeypatch.setattr(training, "penalty_value_and_slope", spy)
+        cfg = TrainConfig(penalty_kind="vrex", penalty_weight=100.0, anneal_schedule=500,
+                          max_iters=3000, log_every=3000)
+        model, trace = gd_train(data, cfg, sigma=sigma)
+        assert trace.stop_reason == "max_iters" and not trace.converged
+        assert model.meta["stop_reason"] == "max_iters"
+        assert model.meta["iters"] == 2999
+        exact = data.signed() @ model.w
+        assert np.linalg.norm(seen[-1] - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    def test_stall_is_not_convergence(self):
+        # the worst-group objective has its minimum at the kink w = 0, where
+        # the gradient never vanishes: backtracking runs out of halvings
+        data = random_dataset(stream(71, 1), n=8, d=2)
+        cfg = TrainConfig(penalty_kind="groupdro", penalty_weight=1.0, tolerance=1e-300,
+                          max_iters=3000)
+        model, trace = gd_train(data, cfg)
+        assert trace.stop_reason == "stalled" and not trace.converged
+        assert model.meta["stop_reason"] == "stalled"
+        assert model.meta["iters"] < 3000 - 1
+        assert trace.final_grad_norm > 1e-3
+
+    def test_easy_run_converges(self):
+        data = random_dataset(stream(79), n=30, d=2)  # non-separable: finite minimizer
+        model, trace = gd_train(data, TrainConfig(tolerance=1e-6, max_iters=3000))
+        assert trace.stop_reason == "converged" and trace.converged
+        assert model.meta["stop_reason"] == "converged"
+        assert trace.final_grad_norm <= 1e-6
 
     def test_anneal_defers_penalty(self):
         data = random_dataset(stream(33), n=10, d=4)
