@@ -36,6 +36,7 @@ from .model import (
     pool,
     sample_dataset,
     sample_orthogonal_means,
+    sample_reduced,
 )
 from .presets import PresetParams, load_constants, theorem_preset
 from .rng import stream

@@ -30,34 +30,24 @@ from .model import (
     ProblemInstance,
     pool,
     sample_dataset,
-    sample_environment,
     sample_orthogonal_means,
+    sample_reduced,
 )
 from .presets import PresetParams, theorem_preset
 from .training import max_margin
 
 
-def preset_instance(preset: PresetParams, theta_1: float, theta_2: float, seed: int) -> ProblemInstance:
-    mu_c, mu_s = sample_orthogonal_means(
-        preset.d, preset.r_c, preset.r_s, rngmod.stream(seed, "preset-means")
-    )
-    return ProblemInstance(
-        mu_c, mu_s, theta_1, theta_2, preset.n_1, preset.n_2, preset.sigma, seed
-    )
-
-
 def preset_environments(preset: PresetParams, theta_1: float, theta_2: float, seed: int):
-    """Per-environment draws matching ``sample_dataset`` on the same stream.
+    """One exact reduced draw at the preset (:func:`sample_reduced`), split by environment.
 
-    Returns ``(instance, s_1, s_2)``; pooling the parts reproduces the
-    pooled dataset byte for byte, so callers that only need one view skip
-    the copies the other would cost.
+    Returns ``(instance, s_1, s_2)`` in the reduced coordinates; pooling the
+    parts gives back the draw byte for byte.
     """
-    inst = preset_instance(preset, theta_1, theta_2, seed)
-    rng = rngmod.stream(seed, "preset-data")
-    s_1 = sample_environment(inst.environment(1), inst.n_1, rng, env_tag=1)
-    s_2 = sample_environment(inst.environment(2), inst.n_2, rng, env_tag=2)
-    return inst, s_1, s_2
+    inst, data = sample_reduced(
+        preset.d, preset.r_c, preset.r_s, theta_1, theta_2, preset.n_1, preset.n_2,
+        preset.sigma, seed, rngmod.stream(seed, "preset-data"),
+    )
+    return inst, data.by_env(1), data.by_env(2)
 
 
 def mean_margin_rate(preset: PresetParams, seeds: int, theta_1=1.0, theta_2=0.0) -> float:
@@ -249,7 +239,7 @@ def kappa_interpolation_rate(
     theta_1: float = 1.0,
     theta_2: float = 0.0,
 ) -> float:
-    """Fraction of draws where the signed mean interpolates at ``d_max``.
+    """Fraction of exact reduced draws where the signed mean interpolates at ``d_max``.
 
     The noise-scaling default is accepted only if this rate clears 0.95 at
     the top of the sweep grid (the benign-overfitting regime check)."""
@@ -259,11 +249,10 @@ def kappa_interpolation_rate(
     sigma = resolve_sigma(SigmaRule("scaling", kappa), d_max, n, r_c)
     hits = 0
     for seed in range(seeds):
-        mu_c, mu_s = sample_orthogonal_means(
-            d_max, r_c, r_s, rngmod.stream(seed, "kappa-means")
+        _, data = sample_reduced(
+            d_max, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed,
+            rngmod.stream(seed, "kappa-data"),
         )
-        inst = ProblemInstance(mu_c, mu_s, theta_1, theta_2, n_1, n_2, sigma, seed)
-        data = sample_dataset(inst, rngmod.stream(seed, "kappa-data"))
         model = mean_estimator(data)
         margins = data.y * model.scores(data.X)
         if margins.min() > 0:

@@ -330,19 +330,8 @@ def min_weighted_beta(
 
 
 # ---------------------------------------------------------------------------
-# Concentration events and span decomposition
+# Concentration events
 # ---------------------------------------------------------------------------
-
-
-def expected_gram(
-    n_1: int, n_2: int, theta_1: float, theta_2: float, r_c: float, r_s: float,
-    sigma: float, d: int,
-) -> np.ndarray:
-    """``E[Z Z'] = sigma^2 d I + r_c^2 11' + r_s^2 vv'`` with v the theta profile."""
-    n = n_1 + n_2
-    v = np.concatenate([np.full(n_1, theta_1), np.full(n_2, theta_2)])
-    ones = np.ones(n)
-    return sigma**2 * d * np.eye(n) + r_c**2 * np.outer(ones, ones) + r_s**2 * np.outer(v, v)
 
 
 @dataclass(frozen=True)
@@ -399,10 +388,11 @@ def check_spectral_events(
     ``G = Z - 1 mu_c' - (theta_1 e_1 + theta_2 e_2) mu_s'``.  With
     ``Z = G + M`` and rank-2 ``M``, the sample gram expands as
     ``GG' + GM' + MG' + MM'``, so a single N-by-d product plus two
-    matrix-vector products covers every event.
+    matrix-vector products covers every event.  ``d`` is the data's
+    ambient dimension, so a reduced draw is checked exactly too.
     """
     Z = data.signed()
-    n, d = Z.shape
+    n, d = data.n, data.ambient_d
     theta_vec = np.where(data.env == 1, theta_1, theta_2).astype(np.float64)
     scale = sigma * math.sqrt(d)
     Gn = Z - theta_vec[:, None] * np.asarray(mu_s)[None, :]
@@ -460,29 +450,3 @@ def check_spectral_events(
         gram_eig_max=float(gram_eigs[-1]),
         gram_bounds_ok=bool(0.5 <= gram_eigs[0] and gram_eigs[-1] <= 2.0),
     )
-
-
-def orthogonal_complement_stats(
-    model_w: np.ndarray, data: LabeledDataset, mu: np.ndarray
-) -> float:
-    """Normalized alignment of the off-span part of ``w`` with ``mu``.
-
-    Projects ``w`` onto span{z_i} through a Gram solve and returns
-    ``|<w_perp, mu>| / (||w|| ||mu||)``.  Requires ``d > N`` and a
-    full-rank sample matrix.
-    """
-    w = np.asarray(model_w, dtype=np.float64)
-    Z = data.signed()
-    n, d = Z.shape
-    if d <= n:
-        raise TwoEnvError("orthogonal complement is trivial unless d > N")
-    K = Z @ Z.T
-    evals = np.linalg.eigvalsh(K)
-    if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-        raise IllConditionedGramError("sample matrix is numerically rank deficient")
-    beta = np.linalg.solve(K, Z @ w)
-    w_perp = w - Z.T @ beta
-    denom = float(np.linalg.norm(w) * np.linalg.norm(mu))
-    if denom == 0:
-        raise TwoEnvError("zero vector supplied")
-    return abs(float(w_perp @ np.asarray(mu))) / denom

@@ -124,7 +124,7 @@ class RunRecord:
 def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledDataset:
     theta = np.where(data.env == 1, theta_1, theta_2)
     X = data.X - (data.y * theta)[:, None] * np.asarray(mu_s)[None, :]
-    return LabeledDataset(X, data.y, data.env)
+    return LabeledDataset(X, data.y, data.env, data.ambient_d)
 
 
 def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, sigma: float,

@@ -78,6 +78,7 @@ def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> RobustError:
 def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) -> float:
     """Minimum of ``y <w, x> / ||w||`` over the data, divided by sqrt(sigma^2 d).
 
+    ``d`` is the data's ambient dimension, also for a reduced draw.
     Scale-invariant in ``w``; negative when the model does not separate.
     """
     if data.n == 0:
@@ -85,7 +86,7 @@ def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) ->
     if sigma <= 0:
         raise TwoEnvError("sigma must be positive")
     margins = data.y * model.scores(data.X)
-    return float(margins.min() / (model.norm * math.sqrt(sigma**2 * data.d)))
+    return float(margins.min() / (model.norm * math.sqrt(sigma**2 * data.ambient_d)))
 
 
 def spurious_core_ratio(model: LinearModel, mu_c, mu_s) -> float:

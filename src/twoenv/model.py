@@ -100,11 +100,17 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Rows ``X`` with labels in {-1,+1} and environment tags in {1,2}."""
+    """Rows ``X`` with labels in {-1,+1} and environment tags in {1,2}.
+
+    ``ambient_d`` is the dimension of the space the rows were drawn in.  It
+    defaults to the column count ``d``; a reduced draw (see
+    :func:`sample_reduced`) stores fewer columns than its ambient dimension.
+    """
 
     X: np.ndarray
     y: np.ndarray
     env: np.ndarray
+    ambient_d: int | None = None
 
     def __post_init__(self):
         X = _freeze(self.X)
@@ -117,6 +123,10 @@ class LabeledDataset:
         object.__setattr__(self, "env", env)
         if X.ndim != 2:
             raise TwoEnvError("X must be a 2-d matrix")
+        ambient_d = X.shape[1] if self.ambient_d is None else int(self.ambient_d)
+        if ambient_d < X.shape[1]:
+            raise TwoEnvError(f"ambient_d {ambient_d} is below the column count {X.shape[1]}")
+        object.__setattr__(self, "ambient_d", ambient_d)
         if X.shape[0] != y.shape[0] or X.shape[0] != env.shape[0]:
             raise TwoEnvError("X, y and env must have matching row counts")
         if not np.all(np.isin(y, (-1, 1))):
@@ -137,7 +147,7 @@ class LabeledDataset:
         return self.y[:, None] * self.X
 
     def restrict(self, mask: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.X[mask], self.y[mask], self.env[mask])
+        return LabeledDataset(self.X[mask], self.y[mask], self.env[mask], self.ambient_d)
 
     def by_env(self, env: int) -> "LabeledDataset":
         return self.restrict(self.env == env)
@@ -145,10 +155,14 @@ class LabeledDataset:
 
 def pool(*parts: LabeledDataset) -> LabeledDataset:
     """Concatenate datasets, preserving row order within each part."""
+    dims = sorted({p.ambient_d for p in parts})
+    if len(dims) > 1:
+        raise TwoEnvError(f"cannot pool datasets of different ambient dimensions {dims}")
     return LabeledDataset(
         np.concatenate([p.X for p in parts]),
         np.concatenate([p.y for p in parts]),
         np.concatenate([p.env for p in parts]),
+        parts[0].ambient_d,
     )
 
 
@@ -212,12 +226,16 @@ def sample_orthogonal_means(
     return r_c * u1, r_s * u2
 
 
+def _labels(n: int, rng: np.random.Generator) -> np.ndarray:
+    return np.where(rng.random(n) < 0.5, -1, 1).astype(np.int64)
+
+
 def sample_environment(
     spec: EnvironmentSpec, n: int, rng: np.random.Generator, env_tag: int
 ) -> LabeledDataset:
     if n <= 0:
         raise TwoEnvError("need at least one sample")
-    y = np.where(rng.random(n) < 0.5, -1, 1).astype(np.int64)
+    y = _labels(n, rng)
     mean = spec.mu_c + spec.theta * spec.mu_s
     X = rng.standard_normal((n, spec.d))
     X *= spec.sigma
@@ -234,3 +252,62 @@ def sample_dataset(instance: ProblemInstance, rng: np.random.Generator) -> Label
     s1 = sample_environment(instance.environment(1), instance.n_1, rng, env_tag=1)
     s2 = sample_environment(instance.environment(2), instance.n_2, rng, env_tag=2)
     return pool(s1, s2)
+
+
+def sample_reduced(
+    d: int,
+    r_c: float,
+    r_s: float,
+    theta_1: float,
+    theta_2: float,
+    n_1: int,
+    n_2: int,
+    sigma: float,
+    seed: int,
+    rng: np.random.Generator,
+) -> tuple[ProblemInstance, LabeledDataset]:
+    """Draw a ``d``-dimensional instance exactly, in N+2 coordinates.
+
+    The noise is isotropic, so rotate until ``mu_c = r_c e_1`` and
+    ``mu_s = r_s e_2``.  A signed row is then
+    ``z_i = [r_c + sigma g_i1, theta_e r_s + sigma g_i2, sigma G_i]`` with
+    ``G`` an N x (d-2) standard Gaussian matrix.  Write ``G = L Q'`` with
+    ``Q`` orthonormal: by the Bartlett decomposition of the Wishart(d-2, I_N)
+    Gram ``G G'``, ``L`` is lower triangular with independent entries,
+    ``L_ii^2 ~ chi2(d-1-i)`` for i = 1..N and N(0,1) below the diagonal.
+    Dropping ``Q`` is a rotation that fixes both means.  So a learner that
+    is rotation-equivariant and returns weights in the span of the rows
+    (the signed mean, the hard-margin fit, the two-stage learner), scored by
+    ``<w, mu_c>``, ``<w, mu_s>``, ``||w||`` and margins, has the same law
+    on this draw as on :func:`sample_dataset`'s dense one.
+
+    Rows are ``x_i = y_i z_i``, environment-1 rows first.  The returned
+    instance lives in the reduced coordinates (its ``d`` is N+2); the
+    dataset's ``ambient_d`` is ``d``, which margin normalizations read.
+    Draw order on ``rng``: environment-1 labels, environment-2 labels (each
+    as :func:`sample_environment` draws them), the N x 2 normals ``g`` in
+    row-major order, the N chi-square variates, then the N(N-1)/2
+    below-diagonal normals of ``L`` in row-major order.
+    """
+    n = n_1 + n_2
+    if n_1 <= 0 or n_2 <= 0 or r_c <= 0 or r_s <= 0:
+        raise TwoEnvError("sample sizes and radii must be positive")
+    if d < n + 2:
+        raise TwoEnvError(f"reduced sampling needs d >= N + 2 = {n + 2}, got d = {d}")
+    basis = np.eye(2, n + 2)
+    instance = ProblemInstance(
+        r_c * basis[0], r_s * basis[1], theta_1, theta_2, n_1, n_2, sigma, seed
+    )
+    y = np.concatenate([_labels(n_1, rng), _labels(n_2, rng)])
+    g = rng.standard_normal((n, 2))
+    L = np.zeros((n, n))
+    L[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
+    L[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
+
+    theta = np.repeat([theta_1, theta_2], [n_1, n_2])
+    Z = np.empty((n, n + 2))
+    Z[:, 0] = r_c + sigma * g[:, 0]
+    Z[:, 1] = theta * r_s + sigma * g[:, 1]
+    Z[:, 2:] = sigma * L
+    env = np.repeat(np.array([1, 2], dtype=np.int64), [n_1, n_2])
+    return instance, LabeledDataset(y[:, None] * Z, y, env, ambient_d=d)

@@ -221,7 +221,7 @@ def gd_train(
     The step size starts at ``config.learning_rate`` and is halved whenever
     a step would increase the objective, so the objective is non-increasing
     between penalty-activation boundaries.  Stops when the gradient norm
-    falls below ``config.tolerance`` (never before the penalty activates),
+    falls below ``config.tolerance`` (never before an active penalty switches on),
     when no halved step down to ``2**-60`` of the rate is accepted, or after
     ``max_iters``; ``trace.stop_reason`` says which.
 
@@ -244,7 +244,7 @@ def gd_train(
     space = _SpanSpace(Z, gram) if data.d > 2 * data.n else _WSpace(Z)
     state, m = space.start(None if w0 is None else np.asarray(w0, dtype=np.float64))
 
-    margin_scale = 1.0 if sigma is None else math.sqrt(sigma**2 * data.d)
+    margin_scale = 1.0 if sigma is None else math.sqrt(sigma**2 * data.ambient_d)
     n = data.n
     l2 = config.l2_weight
     trace = TrainTrace()
@@ -270,7 +270,9 @@ def gd_train(
         wnorm = math.sqrt(max(space.sq_norm(state, m), 1e-300))
         trace.log(it, loss, pen, float((m <= 0).mean()), float(m.min()) / (wnorm * margin_scale))
 
-    min_stop_iter = config.anneal_schedule or 0
+    # a penalty-free objective never changes at the anneal iteration
+    penalized = config.penalty_kind != "none" and config.penalty_weight > 0
+    min_stop_iter = (config.anneal_schedule or 0) if penalized else 0
     lr = config.learning_rate
     lam = effective_lambda(0)
     loss, pen, total, coeff = evaluate(m, state, lam)

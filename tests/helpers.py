@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from twoenv.errors import IllConditionedGramError, TwoEnvError
 from twoenv.model import LabeledDataset
 from twoenv.training import TrainConfig, penalty_value_and_slope
 
@@ -60,11 +61,13 @@ def reference_gd(data: LabeledDataset, config: TrainConfig, w0=None) -> np.ndarr
         coeff = -0.5 * (1.0 - np.tanh(0.5 * m)) / data.n + lam * pen_dm
         return total, Z.T @ coeff + 2.0 * config.l2_weight * w
 
+    penalized = config.penalty_kind != "none" and config.penalty_weight > 0
+    min_stop_iter = (config.anneal_schedule or 0) if penalized else 0
     lr = config.learning_rate
     for it in range(config.max_iters):
         lam = lam_at(it)
         total, grad = objective(w, lam)
-        if np.linalg.norm(grad) <= config.tolerance and it >= (config.anneal_schedule or 0):
+        if np.linalg.norm(grad) <= config.tolerance and it >= min_stop_iter:
             break
         step = lr
         while True:
@@ -78,3 +81,40 @@ def reference_gd(data: LabeledDataset, config: TrainConfig, w0=None) -> np.ndarr
         w = cand
         lr = min(config.learning_rate, 2.0 * step)
     return w
+
+
+def expected_gram(
+    n_1: int, n_2: int, theta_1: float, theta_2: float, r_c: float, r_s: float,
+    sigma: float, d: int,
+) -> np.ndarray:
+    """``E[Z Z'] = sigma^2 d I + r_c^2 11' + r_s^2 vv'`` with v the theta profile."""
+    n = n_1 + n_2
+    v = np.concatenate([np.full(n_1, theta_1), np.full(n_2, theta_2)])
+    ones = np.ones(n)
+    return sigma**2 * d * np.eye(n) + r_c**2 * np.outer(ones, ones) + r_s**2 * np.outer(v, v)
+
+
+def orthogonal_complement_stats(
+    model_w: np.ndarray, data: LabeledDataset, mu: np.ndarray
+) -> float:
+    """Normalized alignment of the off-span part of ``w`` with ``mu``.
+
+    Projects ``w`` onto span{z_i} through a Gram solve and returns
+    ``|<w_perp, mu>| / (||w|| ||mu||)``.  Requires ``d > N`` and a
+    full-rank sample matrix.
+    """
+    w = np.asarray(model_w, dtype=np.float64)
+    Z = data.signed()
+    n, d = Z.shape
+    if d <= n:
+        raise TwoEnvError("orthogonal complement is trivial unless d > N")
+    K = Z @ Z.T
+    evals = np.linalg.eigvalsh(K)
+    if evals[0] <= 1e-12 * max(evals[-1], 1.0):
+        raise IllConditionedGramError("sample matrix is numerically rank deficient")
+    beta = np.linalg.solve(K, Z @ w)
+    w_perp = w - Z.T @ beta
+    denom = float(np.linalg.norm(w) * np.linalg.norm(mu))
+    if denom == 0:
+        raise TwoEnvError("zero vector supplied")
+    return abs(float(w_perp @ np.asarray(mu))) / denom

@@ -83,7 +83,6 @@ def test_c01_closed_form_error_oracle():
              started)
 
 
-@pytest.mark.slow
 def test_c02_mean_estimator_margin():
     started = time.time()
     preset = _desk_preset()
@@ -93,7 +92,6 @@ def test_c02_mean_estimator_margin():
              started)
 
 
-@pytest.mark.slow
 def test_c03_max_margin_indicted():
     started = time.time()
     preset = _desk_preset()
@@ -103,7 +101,6 @@ def test_c03_max_margin_indicted():
              started)
 
 
-@pytest.mark.slow
 def test_c04_two_phase_robustness():
     started = time.time()
     preset = _desk_preset()

@@ -14,10 +14,8 @@ from twoenv.duality import (
     check_spectral_events,
     closed_form_bound,
     dual_value,
-    expected_gram,
     gram_from_dataset,
     min_weighted_beta,
-    orthogonal_complement_stats,
 )
 from twoenv.errors import IllConditionedGramError, InfeasibleMarginError, TwoEnvError
 from twoenv.estimators import mean_estimator
@@ -27,6 +25,8 @@ from twoenv.model import (
     sample_dataset,
     sample_orthogonal_means,
 )
+
+from helpers import expected_gram, orthogonal_complement_stats
 
 
 def _random_gram_instance(seed, n_1=4, n_2=4, d=40, sigma=None, theta_2=0.0, gamma=None,

@@ -17,7 +17,7 @@ from twoenv.metrics import (
     robust_error,
     spurious_core_ratio,
 )
-from twoenv.model import LabeledDataset, LinearModel, sample_orthogonal_means
+from twoenv.model import LabeledDataset, LinearModel, sample_orthogonal_means, sample_reduced
 
 from helpers import noiseless_pair
 
@@ -177,6 +177,13 @@ class TestNormalizedMargin:
         data = LabeledDataset(np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
         with pytest.raises(TwoEnvError):
             normalized_margin(LinearModel(np.ones(3)), data, 1.0)
+
+    def test_reduced_draw_reads_the_ambient_dimension(self):
+        d, sigma = 10_000, 0.01
+        _, data = sample_reduced(d, 1.0, 2.0, 1.0, 0.0, 6, 4, sigma, 0, stream(0, "nm"))
+        w = data.signed().mean(axis=0)
+        expected = (data.y * (data.X @ w)).min() / (np.linalg.norm(w) * sigma * math.sqrt(d))
+        assert normalized_margin(LinearModel(w), data, sigma) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSpuriousCoreRatio:

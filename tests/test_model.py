@@ -12,7 +12,9 @@ from twoenv.model import (
     ProblemInstance,
     sample_dataset,
     sample_environment,
+    pool,
     sample_orthogonal_means,
+    sample_reduced,
 )
 
 
@@ -99,6 +101,59 @@ class TestSampleDataset:
     def test_rejects_empty_environment(self):
         with pytest.raises(TwoEnvError):
             _instance(n_1=0)
+
+
+def _reduced(seed=3, d=500, n_1=6, n_2=4, sigma=0.3, label="reduced"):
+    return sample_reduced(d, 1.0, 2.0, 1.0, -0.5, n_1, n_2, sigma, seed, stream(seed, label))
+
+
+class TestSampleReduced:
+    def test_follows_the_documented_draw_order(self):
+        d, n_1, n_2, sigma = 500, 6, 4, 0.3
+        n = n_1 + n_2
+        inst, data = _reduced(d=d, n_1=n_1, n_2=n_2, sigma=sigma)
+        rng = stream(3, "reduced")
+        y = np.concatenate([np.where(rng.random(k) < 0.5, -1, 1) for k in (n_1, n_2)])
+        g = rng.standard_normal((n, 2))
+        L = np.zeros((n, n))
+        L[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
+        L[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
+        theta = np.array([1.0] * n_1 + [-0.5] * n_2)
+
+        Z = data.signed()
+        np.testing.assert_array_equal(data.y, y)
+        np.testing.assert_array_equal(data.env, [1] * n_1 + [2] * n_2)
+        np.testing.assert_array_equal(Z[:, 0], 1.0 + sigma * g[:, 0])
+        np.testing.assert_array_equal(Z[:, 1], theta * 2.0 + sigma * g[:, 1])
+        np.testing.assert_array_equal(Z[:, 2:], sigma * L)
+        np.testing.assert_array_equal(inst.mu_c, 1.0 * np.eye(n + 2)[0])
+        np.testing.assert_array_equal(inst.mu_s, 2.0 * np.eye(n + 2)[1])
+        assert (data.d, data.ambient_d) == (n + 2, d)
+
+    def test_same_seed_and_labels_give_identical_bytes(self):
+        _, a = _reduced()
+        _, b = _reduced()
+        _, c = _reduced(label="other")
+        assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
+        assert a.X.tobytes() != c.X.tobytes()
+
+    def test_needs_d_at_least_n_plus_2(self):
+        with pytest.raises(TwoEnvError):
+            _reduced(d=11)
+        _, data = _reduced(d=12)  # the last Bartlett diagonal has one degree of freedom
+        assert data.ambient_d == 12 and np.all(np.diag(data.signed()[:, 2:]) > 0)
+
+    def test_ambient_d_is_carried_and_never_mixed(self):
+        _, data = _reduced()
+        parts = data.by_env(1), data.by_env(2), data.restrict(data.y == 1)
+        assert all(p.ambient_d == 500 for p in parts)
+        assert pool(*parts[:2]).ambient_d == 500
+        dense = LabeledDataset(data.X, data.y, data.env)
+        assert dense.ambient_d == dense.d == 12
+        with pytest.raises(TwoEnvError):
+            pool(data, dense)
+        with pytest.raises(TwoEnvError):
+            LabeledDataset(data.X, data.y, data.env, ambient_d=11)
 
 
 class TestDomainTypes:

@@ -1,6 +1,7 @@
 """Gradient descent, penalties, and the hard-margin solver."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from twoenv.errors import NonSeparableError, TwoEnvError
 from twoenv.estimators import mean_estimator
 from twoenv.experiments import SigmaRule, resolve_sigma
 from twoenv.metrics import normalized_margin
-from twoenv.model import LabeledDataset, ProblemInstance, sample_dataset, sample_orthogonal_means
+from twoenv.model import (
+    LabeledDataset,
+    ProblemInstance,
+    sample_dataset,
+    sample_orthogonal_means,
+    sample_reduced,
+)
 from twoenv.presets import load_constants
 from twoenv.training import (
     PENALTY_KINDS,
@@ -189,6 +196,22 @@ class TestGdTrain:
         assert trace.stop_reason == "converged" and trace.converged
         assert model.meta["stop_reason"] == "converged"
         assert trace.final_grad_norm <= 1e-6
+
+    @pytest.mark.parametrize("weight", [0.0, 100.0])
+    def test_penalty_free_run_does_not_wait_for_the_anneal(self, weight):
+        data = random_dataset(stream(79), n=30, d=2)
+        cfg = TrainConfig(penalty_kind="none", penalty_weight=weight, tolerance=1e-4,
+                          max_iters=3000)
+        model, trace = gd_train(data, replace(cfg, anneal_schedule=500))
+        plain, _ = gd_train(data, cfg)
+        assert trace.stop_reason == "converged" and model.meta["iters"] < 500
+        np.testing.assert_array_equal(model.w, plain.w)
+
+    def test_margin_trace_reads_the_ambient_dimension(self):
+        sigma = 0.01
+        _, data = sample_reduced(10_000, 1.0, 2.0, 1.0, 0.0, 6, 4, sigma, 0, stream(0, "tr"))
+        model, trace = gd_train(data, TrainConfig(max_iters=50, log_every=1000), sigma=sigma)
+        assert trace.margin[-1] == pytest.approx(normalized_margin(model, data, sigma), rel=1e-9)
 
     def test_anneal_defers_penalty(self):
         data = random_dataset(stream(33), n=10, d=4)
