@@ -26,13 +26,7 @@ from .duality import (
 from .errors import InfeasibleMarginError, TwoEnvError
 from .estimators import mean_estimator, two_phase_learn
 from .metrics import normalized_margin, robust_error, spurious_core_ratio
-from .model import (
-    ProblemInstance,
-    pool,
-    sample_dataset,
-    sample_orthogonal_means,
-    sample_reduced,
-)
+from .model import pool, sample_reduced
 from .presets import PresetParams, theorem_preset
 from .training import max_margin
 
@@ -139,7 +133,8 @@ class ChainReport:
 
 
 def _chain_instance(seed: int, t: float):
-    """One random span-space instance in the concentration regime.
+    """One random instance in the concentration regime, drawn exactly in
+    reduced coordinates (:func:`sample_reduced`; ``data.ambient_d`` is its d).
 
     Sizes are drawn with N <= 60 and d >= 20 N; the mean norms spend half
     of the spectral budget ``1/2 - (sqrt(N)+t)/sqrt(d)`` so the half-floor
@@ -158,10 +153,9 @@ def _chain_instance(seed: int, t: float):
     total = 0.5 * budget / math.sqrt(n)
     r_s, r_c = 0.75 * total, 0.25 * total
     theta_2 = -0.5 * float(rng.random())
-    mu_c, mu_s = sample_orthogonal_means(d, r_c, r_s, rngmod.stream(seed, "chain-means"))
-    inst = ProblemInstance(mu_c, mu_s, 1.0, theta_2, n_1, n_2, sigma, seed)
-    data = sample_dataset(inst, rngmod.stream(seed, "chain-data"))
-    return inst, data
+    return sample_reduced(
+        d, r_c, r_s, 1.0, theta_2, n_1, n_2, sigma, seed, rngmod.stream(seed, "chain-data")
+    )
 
 
 def bound_chain_study(
@@ -200,13 +194,15 @@ def bound_chain_study(
             continue
         lam = canonical_lambda(gd, inst.r_c, inst.r_s)
         dual = dual_value(gd, lam)
-        cf = closed_form_bound(inst.n_1, inst.n_2, gamma, inst.theta_2, inst.r_c, inst.d, t)
+        cf = closed_form_bound(
+            inst.n_1, inst.n_2, gamma, inst.theta_2, inst.r_c, data.ambient_d, t
+        )
         reports.append(
             ChainReport(
                 seed=inst.seed,
                 n_1=inst.n_1,
                 n_2=inst.n_2,
-                d=inst.d,
+                d=data.ambient_d,
                 theta_2=inst.theta_2,
                 gamma=gamma,
                 events_pass=True,

@@ -203,7 +203,7 @@ def min_weighted_beta(
     u = gd.weights
     gamma = gd.gamma
     n = gd.n
-    _check_conditioning(K)
+    evals = _check_conditioning(K)
     cho = cho_factor(K)
 
     def solve_full(v):
@@ -280,7 +280,7 @@ def min_weighted_beta(
     lam = np.zeros(n)
     g_val, resid, h = dual_at(lam)
     best_dual = (g_val, lam.copy())
-    step = 1.0 / max(1.0, float(np.linalg.eigvalsh(K)[-1]))
+    step = 1.0 / max(1.0, float(evals[-1]))
     beta_best, p_best = repair(beta_feas.copy())
     it = 0
     for it in range(1, max_iters + 1):

@@ -12,7 +12,6 @@ one with the higher held-out score wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,7 +46,7 @@ class TwoPhaseDiagnostics:
     constraint_coeffs: tuple[float, float]
     v_pos: tuple[float, float]
     v_neg: tuple[float, float]
-    chosen: str  # "pos" | "neg" | "vrex"
+    chosen: str  # "pos" | "neg"
     scores: tuple[float, float]  # (score of v_pos, score of v_neg)
     split_seed: int
 
@@ -72,20 +71,8 @@ def two_phase_learn(
     s_2: LabeledDataset,
     rng: np.random.Generator,
     train_fraction: float = 0.5,
-    stage2: str = "eopp",
-    stage2_config: Optional["TrainConfig"] = None,  # noqa: F821 (forward ref)
 ) -> tuple[LinearModel, TwoPhaseDiagnostics]:
-    """Two-stage invariant learning on a pair of per-environment datasets.
-
-    ``stage2`` selects how the 2-d combination is learned: ``"eopp"`` is the
-    canonical equal-opportunity constrained score maximization; ``"vrex"``
-    instead trains the 2-d combination by logistic descent with a
-    between-environment risk-variance penalty (an alternative
-    post-processing stage; the returned diagnostics still report the
-    equal-opportunity quantities).
-    """
-    if stage2 not in ("eopp", "vrex"):
-        raise TwoEnvError(f"unknown stage2 variant {stage2!r}")
+    """Two-stage invariant learning on a pair of per-environment datasets."""
     if not 0.0 < train_fraction < 1.0:
         raise TwoEnvError("train_fraction must be strictly between 0 and 1")
     for name, part in (("1", s_1), ("2", s_2)):
@@ -127,25 +114,13 @@ def two_phase_learn(
     score_pos = float(v_pos @ per_component)
     score_neg = float(v_neg @ per_component)
 
-    if stage2 == "vrex":
-        from .training import TrainConfig, gd_train  # local import avoids a cycle
-
-        features = LabeledDataset(np.column_stack([fine.X @ w_1, fine.X @ w_2]), fine.y, fine.env)
-        cfg = stage2_config or TrainConfig(
-            penalty_kind="vrex", penalty_weight=100.0, max_iters=2000
-        )
-        model_v, _ = gd_train(features, cfg)
-        v_star = np.asarray(model_v.w)
-        chosen = "vrex"
-    elif score_pos > score_neg or (score_pos == score_neg and v_pos[0] + v_pos[1] >= 0):
+    if score_pos > score_neg or (score_pos == score_neg and v_pos[0] + v_pos[1] >= 0):
         v_star, chosen = v_pos, "pos"
     else:
         v_star, chosen = v_neg, "neg"
 
     w = v_star[0] * w_1 + v_star[1] * w_2
-    model = LinearModel(
-        w, meta={"v": (float(v_star[0]), float(v_star[1])), "stage2": stage2}
-    )
+    model = LinearModel(w, meta={"v": (float(v_star[0]), float(v_star[1]))})
     diag = TwoPhaseDiagnostics(
         w_1=w_1,
         w_2=w_2,

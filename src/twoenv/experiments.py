@@ -1,10 +1,11 @@
 """Configuration-driven sweeps over dimension and seed, with CSV/JSON output.
 
-Each (d, seed) cell samples one problem instance and one dataset; every
-requested method is then fit on that same draw so methods are compared on
-identical data.  Cells are independent, execute in any order (optionally
-in parallel, ``TWOENV_WORKERS``), and the records are sorted before
-emission, so output content never depends on scheduling.
+Each (d, seed) cell draws one problem instance and its dataset exactly in
+reduced coordinates (:func:`sample_reduced`); every requested method is
+then fit on that same draw so methods are compared on identical data.
+Cells are independent, execute in any order (optionally in parallel,
+``TWOENV_WORKERS``), and the records are sorted before emission, so output
+content never depends on scheduling.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import rng as rngmod
 from .errors import ConfigError, TwoEnvError
 from .estimators import mean_estimator, two_phase_learn
 from .metrics import invariance_gaps, normalized_margin, robust_error, spurious_core_ratio
-from .model import LabeledDataset, LinearModel, ProblemInstance, sample_dataset, sample_orthogonal_means
+from .model import LabeledDataset, LinearModel, sample_reduced
 from .training import TrainConfig, gd_train, max_margin
 
 METHODS = (
@@ -128,18 +129,16 @@ def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledData
 
 
 def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, sigma: float,
-         mu_s, seed: int, d: int, gram=None,
-         env_views=None) -> tuple[LinearModel, LabeledDataset]:
+         mu_s, seed: int, d: int, env_views=None) -> tuple[LinearModel, LabeledDataset]:
     """Fit one method; returns the model and the dataset its train metrics use."""
     if method == "mean":
         return mean_estimator(data), data
     if method == "erm":
         model, _ = gd_train(data, replace(cfg.train, penalty_kind="none", penalty_weight=0.0),
-                            sigma=sigma, gram=gram)
+                            sigma=sigma)
         return model, data
     if method in ("irmv1", "vrex", "groupdro", "moment_match"):
-        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method), sigma=sigma,
-                            gram=gram)
+        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method), sigma=sigma)
         return model, data
     if method == "two_phase":
         s_1, s_2 = env_views if env_views else (data.by_env(1), data.by_env(2))
@@ -157,28 +156,19 @@ def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, sigma: float,
 
 def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
     """All requested methods on one sampled instance."""
-    n = cfg.n_1 + cfg.n_2
-    mu_c, mu_s = sample_orthogonal_means(d, cfg.r_c, cfg.r_s, rngmod.stream(seed, "means", d))
-    sigma = resolve_sigma(cfg.sigma_rule, d, n, cfg.r_c)
-    instance = ProblemInstance(
-        mu_c, mu_s, cfg.theta_1, cfg.theta_2, cfg.n_1, cfg.n_2, sigma, seed
+    sigma = resolve_sigma(cfg.sigma_rule, d, cfg.n_1 + cfg.n_2, cfg.r_c)
+    instance, data = sample_reduced(
+        d, cfg.r_c, cfg.r_s, cfg.theta_1, cfg.theta_2, cfg.n_1, cfg.n_2, sigma, seed,
+        rngmod.stream(seed, "data", d),
     )
-    data = sample_dataset(instance, rngmod.stream(seed, "data", d))
+    mu_c, mu_s = instance.mu_c, instance.mu_s
     env_views = (data.by_env(1), data.by_env(2))
-
-    # gradient methods on the pooled data share one Gram product
-    gd_methods = {"erm", "irmv1", "vrex", "groupdro", "moment_match"}
-    shared_gram = None
-    if d > 2 * data.n and gd_methods.intersection(cfg.methods):
-        Z = data.signed()
-        shared_gram = Z @ Z.T
 
     records = []
     for method in cfg.methods:
         start = time.perf_counter()
         try:
             model, train_data = _fit(method, data, cfg, sigma, mu_s, seed, d,
-                                     gram=shared_gram if method in gd_methods else None,
                                      env_views=env_views)
             margins = train_data.y * model.scores(train_data.X)
             train_acc = float((margins > 0).mean())

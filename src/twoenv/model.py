@@ -266,46 +266,54 @@ def sample_reduced(
     seed: int,
     rng: np.random.Generator,
 ) -> tuple[ProblemInstance, LabeledDataset]:
-    """Draw a ``d``-dimensional instance exactly, in N+2 coordinates.
+    """Draw a ``d``-dimensional instance exactly, in ``2 + min(d-2, N)`` coordinates.
 
     The noise is isotropic, so rotate until ``mu_c = r_c e_1`` and
     ``mu_s = r_s e_2``.  A signed row is then
     ``z_i = [r_c + sigma g_i1, theta_e r_s + sigma g_i2, sigma G_i]`` with
-    ``G`` an N x (d-2) standard Gaussian matrix.  Write ``G = L Q'`` with
-    ``Q`` orthonormal: by the Bartlett decomposition of the Wishart(d-2, I_N)
-    Gram ``G G'``, ``L`` is lower triangular with independent entries,
-    ``L_ii^2 ~ chi2(d-1-i)`` for i = 1..N and N(0,1) below the diagonal.
-    Dropping ``Q`` is a rotation that fixes both means.  So a learner that
-    is rotation-equivariant and returns weights in the span of the rows
-    (the signed mean, the hard-margin fit, the two-stage learner), scored by
-    ``<w, mu_c>``, ``<w, mu_s>``, ``||w||`` and margins, has the same law
-    on this draw as on :func:`sample_dataset`'s dense one.
+    ``G`` an N x (d-2) standard Gaussian matrix.  When ``d - 2 < N``, ``G``
+    is drawn as it is: this is the dense draw in the rotated frame.
+    Otherwise write ``G = L Q'`` with ``Q`` orthonormal: by the Bartlett
+    decomposition of the Wishart(d-2, I_N) Gram ``G G'``, ``L`` is lower
+    triangular with independent entries, ``L_ii^2 ~ chi2(d-1-i)`` for
+    i = 1..N and N(0,1) below the diagonal.  Dropping ``Q`` is a rotation
+    that fixes both means.  So a learner that is rotation-equivariant and
+    returns weights in the span of the rows (the signed mean, the
+    hard-margin fit, the two-stage learner, gradient descent from zero),
+    scored by ``<w, mu_c>``, ``<w, mu_s>``, ``||w||`` and margins, has the
+    same law on this draw as on :func:`sample_dataset`'s dense one.
 
     Rows are ``x_i = y_i z_i``, environment-1 rows first.  The returned
-    instance lives in the reduced coordinates (its ``d`` is N+2); the
-    dataset's ``ambient_d`` is ``d``, which margin normalizations read.
-    Draw order on ``rng``: environment-1 labels, environment-2 labels (each
-    as :func:`sample_environment` draws them), the N x 2 normals ``g`` in
-    row-major order, the N chi-square variates, then the N(N-1)/2
-    below-diagonal normals of ``L`` in row-major order.
+    instance lives in the reduced coordinates (its ``d`` is the column
+    count); the dataset's ``ambient_d`` is ``d``, which margin
+    normalizations read.  Draw order on ``rng``: environment-1 labels,
+    environment-2 labels (each as :func:`sample_environment` draws them),
+    the N x 2 normals ``g`` in row-major order, then either the N x (d-2)
+    normals of ``G`` in row-major order (``d - 2 < N``) or the N chi-square
+    variates followed by the N(N-1)/2 below-diagonal normals of ``L`` in
+    row-major order.
     """
     n = n_1 + n_2
     if n_1 <= 0 or n_2 <= 0 or r_c <= 0 or r_s <= 0:
         raise TwoEnvError("sample sizes and radii must be positive")
-    if d < n + 2:
-        raise TwoEnvError(f"reduced sampling needs d >= N + 2 = {n + 2}, got d = {d}")
-    basis = np.eye(2, n + 2)
+    if d < 2:
+        raise TwoEnvError("need d >= 2 to place two orthogonal directions")
+    k = min(d - 2, n)
+    basis = np.eye(2, 2 + k)
     instance = ProblemInstance(
         r_c * basis[0], r_s * basis[1], theta_1, theta_2, n_1, n_2, sigma, seed
     )
     y = np.concatenate([_labels(n_1, rng), _labels(n_2, rng)])
     g = rng.standard_normal((n, 2))
-    L = np.zeros((n, n))
-    L[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
-    L[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
+    if k < n:
+        L = rng.standard_normal((n, k))  # G itself, not a factor of its Gram
+    else:
+        L = np.zeros((n, n))
+        L[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
+        L[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
 
     theta = np.repeat([theta_1, theta_2], [n_1, n_2])
-    Z = np.empty((n, n + 2))
+    Z = np.empty((n, 2 + k))
     Z[:, 0] = r_c + sigma * g[:, 0]
     Z[:, 1] = theta * r_s + sigma * g[:, 1]
     Z[:, 2:] = sigma * L

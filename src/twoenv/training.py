@@ -3,9 +3,9 @@
 Trainers run full-batch gradient descent on the mean logistic loss plus an
 optional invariance penalty and an optional ridge term.  Every objective
 piece except the ridge depends on ``w`` only through the signed margins
-``m = Z w`` (``Z`` stacks ``y_i x_i``), so when ``d`` greatly exceeds ``N``
-the same iterates are computed in the N-dimensional span of the data via
-the Gram matrix; descent from zero never leaves that span.  Margins are
+``m = Z w`` (``Z`` stacks ``y_i x_i``), so when ``d`` exceeds ``N`` the
+same iterates are computed in the N-dimensional span of the data via the
+Gram matrix; descent from zero never leaves that span.  Margins are
 linear in the iterate, so they are carried from step to step: each
 accepted step costs one product with the data operator (``Z Z'`` on the
 span path, ``Z'`` and ``Z`` on the direct path) and a backtracking halving
@@ -183,9 +183,9 @@ class _SpanSpace:
     coincide with the direct path up to round-off.
     """
 
-    def __init__(self, Z: np.ndarray, gram: Optional[np.ndarray] = None):
+    def __init__(self, Z: np.ndarray):
         self.Z = Z
-        self.K = Z @ Z.T if gram is None else gram
+        self.K = Z @ Z.T
 
     def start(self, w0: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         n = self.K.shape[0]
@@ -214,7 +214,6 @@ def gd_train(
     config: TrainConfig,
     sigma: Optional[float] = None,
     w0: Optional[np.ndarray] = None,
-    gram: Optional[np.ndarray] = None,
 ) -> tuple[LinearModel, TrainTrace]:
     """Full-batch gradient descent from zero on the penalized logistic objective.
 
@@ -226,13 +225,12 @@ def gd_train(
     ``max_iters``; ``trace.stop_reason`` says which.
 
     Each accepted step applies the data operator once: ``K = Z Z'`` on the
-    span path, ``Z'`` then ``Z`` on the direct path.  Margins are linear in
-    the state, so a candidate's margins are the current ones minus the step
-    times that product, and a backtracking halving costs no product at all.
+    span path (``d > N``), ``Z'`` then ``Z`` on the direct path.  Margins
+    are linear in the state, so a candidate's margins are the current ones
+    minus the step times that product, and a backtracking halving costs no
+    product at all.
     ``sigma`` only scales the margin column of the trace; ``w0``
-    warm-starts the iteration at the cost of one product for its margins;
-    a precomputed ``gram`` of the signed samples skips the one-time Gram
-    product of the span path.
+    warm-starts the iteration at the cost of one product for its margins.
     """
     if data.n == 0:
         raise TwoEnvError("empty dataset")
@@ -241,7 +239,7 @@ def gd_train(
         raise TwoEnvError(f"penalty {config.penalty_kind!r} needs both environments present")
 
     Z = data.signed()
-    space = _SpanSpace(Z, gram) if data.d > 2 * data.n else _WSpace(Z)
+    space = _SpanSpace(Z) if data.d > data.n else _WSpace(Z)
     state, m = space.start(None if w0 is None else np.asarray(w0, dtype=np.float64))
 
     margin_scale = 1.0 if sigma is None else math.sqrt(sigma**2 * data.ambient_d)

@@ -24,6 +24,7 @@ from twoenv.model import (
     ProblemInstance,
     sample_dataset,
     sample_orthogonal_means,
+    sample_reduced,
 )
 
 from helpers import expected_gram, orthogonal_complement_stats
@@ -261,18 +262,17 @@ class TestSpectralEvents:
         expected = expected_gram(n_1, n_2, 1.0, -0.5, 0.3, 0.6, sigma, d)
         assert np.all(np.abs(mean - expected) <= 4 * se + 1e-12)
 
-    @pytest.mark.slow
     def test_event_failure_frequency(self):
         # noise-event failure budget: 6 exp(-t^2/2) + slack at t = 3; the
-        # observed rate sits far below it, so 800 draws decide cleanly
+        # observed rate sits far below it, so 800 draws decide cleanly.  The
+        # events are exact on reduced draws, which keep this test cheap.
         n_e, d, t, seeds = 20, 40_000, 3.0, 800
         sigma = 1.0 / math.sqrt(d)
-        mu_c, mu_s = sample_orthogonal_means(d, 0.05, 0.1, stream(31))
         failures = 0
         for seed in range(seeds):
-            inst = ProblemInstance(mu_c, mu_s, 1.0, 0.0, n_e, n_e, sigma, seed)
-            data = sample_dataset(inst, stream(seed, "freq"))
-            rep = check_spectral_events(data, mu_c, mu_s, sigma, t, 1.0, 0.0)
+            inst, data = sample_reduced(d, 0.05, 0.1, 1.0, 0.0, n_e, n_e, sigma, seed,
+                                        stream(seed, "freq"))
+            rep = check_spectral_events(data, inst.mu_c, inst.mu_s, sigma, t, 1.0, 0.0)
             if not (rep.sval_ok and rep.g_mu_c_ok and rep.g_mu_s_ok):
                 failures += 1
         assert failures / seeds <= 6 * math.exp(-(t**2) / 2) + 0.01

@@ -153,22 +153,6 @@ class TestTwoPhase:
         with pytest.raises(DegenerateConstraintError):
             two_phase_learn(d_1, d_2, stream(9, "tp"))
 
-    def test_vrex_stage2_variant(self):
-        # with noisy (non-separable) 2-d features the variance penalty
-        # binds and suppresses the spurious direction relative to the
-        # pooled signed mean
-        from twoenv.metrics import spurious_core_ratio
-
-        mu_c, mu_s = sample_orthogonal_means(40, 1.0, 2.0, stream(0, "vx"))
-        sigma = 1.2
-        d_1 = sample_environment(EnvironmentSpec(mu_c, mu_s, sigma, 1.0), 60, stream(0, "vx1"), 1)
-        d_2 = sample_environment(EnvironmentSpec(mu_c, mu_s, sigma, 0.0), 60, stream(0, "vx2"), 2)
-        model, diag = two_phase_learn(d_1, d_2, stream(0, "vxtp"), stage2="vrex")
-        assert diag.chosen == "vrex"
-        pooled_ratio = spurious_core_ratio(mean_estimator(pool(d_1, d_2)), mu_c, mu_s)
-        variant_ratio = spurious_core_ratio(model, mu_c, mu_s)
-        assert abs(variant_ratio) < 1.0 < pooled_ratio
-
     def test_rejects_bad_fraction(self):
         d_1 = random_dataset(stream(11), n=8, d=4)
         with pytest.raises(TwoEnvError):

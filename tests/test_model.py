@@ -107,28 +107,55 @@ def _reduced(seed=3, d=500, n_1=6, n_2=4, sigma=0.3, label="reduced"):
     return sample_reduced(d, 1.0, 2.0, 1.0, -0.5, n_1, n_2, sigma, seed, stream(seed, label))
 
 
+def _rebuild(seed, d, n_1, n_2, sigma, label="reduced"):
+    """The signed rows of a reduced draw, rebuilt by hand from the documented order."""
+    n = n_1 + n_2
+    rng = stream(seed, label)
+    y = np.concatenate([np.where(rng.random(k) < 0.5, -1, 1) for k in (n_1, n_2)])
+    g = rng.standard_normal((n, 2))
+    if d - 2 < n:
+        noise = rng.standard_normal((n, d - 2))
+    else:
+        noise = np.zeros((n, n))
+        noise[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
+        noise[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
+    theta = np.array([1.0] * n_1 + [-0.5] * n_2)
+    Z = np.column_stack([1.0 + sigma * g[:, 0], theta * 2.0 + sigma * g[:, 1], sigma * noise])
+    return y, Z
+
+
 class TestSampleReduced:
     def test_follows_the_documented_draw_order(self):
         d, n_1, n_2, sigma = 500, 6, 4, 0.3
         n = n_1 + n_2
         inst, data = _reduced(d=d, n_1=n_1, n_2=n_2, sigma=sigma)
-        rng = stream(3, "reduced")
-        y = np.concatenate([np.where(rng.random(k) < 0.5, -1, 1) for k in (n_1, n_2)])
-        g = rng.standard_normal((n, 2))
-        L = np.zeros((n, n))
-        L[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
-        L[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
-        theta = np.array([1.0] * n_1 + [-0.5] * n_2)
+        y, Z = _rebuild(3, d, n_1, n_2, sigma)
 
-        Z = data.signed()
         np.testing.assert_array_equal(data.y, y)
         np.testing.assert_array_equal(data.env, [1] * n_1 + [2] * n_2)
-        np.testing.assert_array_equal(Z[:, 0], 1.0 + sigma * g[:, 0])
-        np.testing.assert_array_equal(Z[:, 1], theta * 2.0 + sigma * g[:, 1])
-        np.testing.assert_array_equal(Z[:, 2:], sigma * L)
+        assert data.signed().tobytes() == Z.tobytes()
         np.testing.assert_array_equal(inst.mu_c, 1.0 * np.eye(n + 2)[0])
         np.testing.assert_array_equal(inst.mu_s, 2.0 * np.eye(n + 2)[1])
         assert (data.d, data.ambient_d) == (n + 2, d)
+
+    @pytest.mark.parametrize("d", [7, 2])  # d - 2 < N = 10; d = 2 has no noise block
+    def test_narrow_draw_is_the_dense_draw_in_the_rotated_frame(self, d):
+        inst, data = _reduced(d=d)
+        assert data.signed().tobytes() == _rebuild(3, d, 6, 4, 0.3)[1].tobytes()
+        np.testing.assert_array_equal(inst.mu_s, 2.0 * np.eye(d)[1])
+        assert data.d == data.ambient_d == inst.d == d
+
+    def test_d_equal_n_plus_2_takes_the_bartlett_branch(self):
+        _, data = _reduced(d=12)  # the last Bartlett diagonal has one degree of freedom
+        noise = data.signed()[:, 2:]
+        assert data.signed().tobytes() == _rebuild(3, 12, 6, 4, 0.3)[1].tobytes()
+        assert noise.shape == (10, 10) and np.all(np.triu(noise, 1) == 0)
+        assert data.ambient_d == 12 and np.all(np.diag(noise) > 0)
+
+    def test_needs_d_at_least_2(self):
+        for d in (1, 0):
+            with pytest.raises(TwoEnvError):
+                _reduced(d=d)
 
     def test_same_seed_and_labels_give_identical_bytes(self):
         _, a = _reduced()
@@ -136,12 +163,6 @@ class TestSampleReduced:
         _, c = _reduced(label="other")
         assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
         assert a.X.tobytes() != c.X.tobytes()
-
-    def test_needs_d_at_least_n_plus_2(self):
-        with pytest.raises(TwoEnvError):
-            _reduced(d=11)
-        _, data = _reduced(d=12)  # the last Bartlett diagonal has one degree of freedom
-        assert data.ambient_d == 12 and np.all(np.diag(data.signed()[:, 2:]) > 0)
 
     def test_ambient_d_is_carried_and_never_mixed(self):
         _, data = _reduced()

@@ -16,9 +16,10 @@ from twoenv import stream
 from twoenv.duality import check_spectral_events
 from twoenv.errors import DegenerateLabelsError
 from twoenv.estimators import mean_estimator, two_phase_learn
-from twoenv.metrics import normalized_margin, robust_error, spurious_core_ratio
+from twoenv.experiments import ExperimentConfig, _fit, resolve_sigma
+from twoenv.metrics import invariance_gaps, normalized_margin, robust_error, spurious_core_ratio
 from twoenv.model import ProblemInstance, sample_dataset, sample_orthogonal_means, sample_reduced
-from twoenv.training import max_margin
+from twoenv.training import TrainConfig, max_margin
 
 ALPHA = 0.01
 DENSE, REDUCED = 300, 600
@@ -73,3 +74,57 @@ def test_dense_and_reduced_draws_agree_in_law():
         p = ks_2samp(a, b).pvalue
         assert p > level, f"{name}: KS p = {p:.2e} <= {level:.2e}"
 
+
+# The sweep's gradient learners on the same comparison, with their own design,
+# fixed before any run: the sweep's fitting code (``experiments._fit``) on a
+# small imbalanced instance with d - 2 >= N, so the reduced side takes the
+# Bartlett branch; family-wise level GD_ALPHA split over GD_STATS by
+# Bonferroni; seeds ``0..count-1`` on their own named streams.
+GD_ALPHA = 0.01
+GD_DENSE, GD_REDUCED = 200, 400
+GD_N_1, GD_N_2 = 16, 8
+GD_D = 240
+GD_CONFIG = ExperimentConfig(
+    d_grid=(GD_D,), seeds=1, n_1=GD_N_1, n_2=GD_N_2,
+    train=TrainConfig(penalty_weight=100.0, anneal_schedule=100, max_iters=300),
+)
+GD_SIGMA = resolve_sigma(GD_CONFIG.sigma_rule, GD_D, GD_N_1 + GD_N_2, GD_CONFIG.r_c)
+GD_STATS = ("erm_robust", "vrex_robust", "erm_margin", "oracle_robust", "erm_eopp_gap")
+
+
+def _gd_dense(seed):
+    mu_c, mu_s = sample_orthogonal_means(GD_D, 1.0, 2.0, stream(seed, "gd-means"))
+    inst = ProblemInstance(mu_c, mu_s, 1.0, 0.0, GD_N_1, GD_N_2, GD_SIGMA, seed)
+    return inst, sample_dataset(inst, stream(seed, "gd-dense"))
+
+
+def _gd_reduced(seed):
+    return sample_reduced(GD_D, 1.0, 2.0, 1.0, 0.0, GD_N_1, GD_N_2, GD_SIGMA, seed,
+                          stream(seed, "gd-reduced"))
+
+
+def _gd_statistics(inst, data, seed):
+    def fit(method):
+        return _fit(method, data, GD_CONFIG, GD_SIGMA, inst.mu_s, seed, GD_D)[0]
+
+    def robust(model):
+        return robust_error(model, inst.mu_c, inst.mu_s, GD_SIGMA).error
+
+    erm = fit("erm")
+    try:
+        eopp = invariance_gaps(erm, data.by_env(1), data.by_env(2)).eopp_gap
+    except DegenerateLabelsError:  # an environment without positives: same law on both sides
+        eopp = math.nan
+    return (robust(erm), robust(fit("vrex")), normalized_margin(erm, data, GD_SIGMA),
+            robust(fit("oracle_no_spurious")), eopp)
+
+
+def test_gd_learners_agree_in_law_on_dense_and_reduced_draws():
+    dense = np.array([_gd_statistics(*_gd_dense(s), s) for s in range(GD_DENSE)])
+    reduced = np.array([_gd_statistics(*_gd_reduced(s), s) for s in range(GD_REDUCED)])
+    level = GD_ALPHA / len(GD_STATS)
+    for name, a, b in zip(GD_STATS, dense.T, reduced.T):
+        a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+        assert min(a.size / GD_DENSE, b.size / GD_REDUCED) > 0.95, name
+        p = ks_2samp(a, b).pvalue
+        assert p > level, f"{name}: KS p = {p:.2e} <= {level:.2e}"

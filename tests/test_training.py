@@ -112,11 +112,11 @@ class TestGdTrain:
             gd_train(single, TrainConfig(penalty_kind="vrex", penalty_weight=1.0))
 
     def test_span_path_matches_direct_path(self):
-        # d > 2N triggers the Gram parameterization, d <= 2N the direct one;
+        # d > N triggers the Gram parameterization, d <= N the direct one;
         # both must follow the same explicit fixed-step descent
         rng = stream(31)
         data = random_dataset(rng, n=6, d=20)
-        direct = LabeledDataset(data.X[:, :11], data.y, data.env)
+        direct = LabeledDataset(data.X[:, :5], data.y, data.env)
         cfg = TrainConfig(max_iters=300)
         for ds in (data, direct):
             model, _ = gd_train(ds, cfg)
@@ -153,7 +153,7 @@ class TestGdTrain:
             w_warm = model.w
 
     def test_acceptance_sweep_run_hits_cap_with_exact_margins(self, monkeypatch):
-        # a wide (d > 2N) run at the sweep settings never meets the gradient
+        # a wide (d > N) run at the sweep settings never meets the gradient
         # tolerance; after 3,000 carried updates the margins the objective
         # sees must still equal Z @ w
         d, n_1, n_2 = 5120, 800, 100
