@@ -17,6 +17,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import DegenerateConstraintError, DegenerateLabelsError, TwoEnvError
+from .metrics import class_score_mean
 from .model import LabeledDataset, LinearModel, pool
 
 COEFF_FLOOR = 1e-15
@@ -61,11 +62,6 @@ def _split_env(
     return data.restrict(fit_mask), data.restrict(~fit_mask)
 
 
-def _positive_mean_score(w: np.ndarray, data: LabeledDataset) -> float:
-    mask = data.y == 1
-    return float((data.X[mask] @ w).mean())
-
-
 def two_phase_learn(
     s_1: LabeledDataset,
     s_2: LabeledDataset,
@@ -93,8 +89,8 @@ def two_phase_learn(
 
     # Constraint coefficients: between-environment gap of the mean positive
     # score of each stage-1 classifier on the held-out halves.
-    a_1 = _positive_mean_score(w_1, fine_1) - _positive_mean_score(w_1, fine_2)
-    a_2 = _positive_mean_score(w_2, fine_1) - _positive_mean_score(w_2, fine_2)
+    a_1 = class_score_mean(w_1, fine_1) - class_score_mean(w_1, fine_2)
+    a_2 = class_score_mean(w_2, fine_1) - class_score_mean(w_2, fine_2)
     if abs(a_1) < COEFF_FLOOR and abs(a_2) < COEFF_FLOOR:
         raise DegenerateConstraintError(
             f"constraint coefficients ({a_1!r}, {a_2!r}) are both numerically zero"

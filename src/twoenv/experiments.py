@@ -194,7 +194,9 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
                     wall_ms=wall,
                 )
             )
-        except TwoEnvError as exc:
+        except (TwoEnvError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            # a numerical failure costs its own row, never the sweep
+            reason = str(exc) if isinstance(exc, TwoEnvError) else f"{type(exc).__name__}: {exc}"
             wall = (time.perf_counter() - start) * 1e3
             records.append(
                 RunRecord(
@@ -208,7 +210,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
                     eopp_gap=math.nan,
                     interpolating=False,
                     wall_ms=wall,
-                    error=str(exc),
+                    error=reason,
                 )
             )
     return records

@@ -107,21 +107,12 @@ class InvarianceReport:
     population_gap: Optional[float]
 
 
-def _positive_score_mean(model: LinearModel, data: LabeledDataset, env_label: int) -> float:
-    mask = data.y == 1
-    if not mask.any():
-        raise DegenerateLabelsError(
-            f"environment {env_label} has no positive-label rows; the equal-"
-            "opportunity gap is undefined"
-        )
-    return float(model.scores(data.X[mask]).mean())
-
-
-def _class_score_mean(model: LinearModel, data: LabeledDataset, label: int) -> float:
+def class_score_mean(w: np.ndarray, data: LabeledDataset, label: int = 1) -> float:
+    """Mean score ``<w, x>`` over the rows of ``data`` labelled ``label``; nan if none."""
     mask = data.y == label
     if not mask.any():
         return math.nan
-    return float(model.scores(data.X[mask]).mean())
+    return float((data.X[mask] @ w).mean())
 
 
 def invariance_gaps(
@@ -139,11 +130,17 @@ def invariance_gaps(
     and, when the true spurious mean and coefficients are supplied, the
     population gap ``|<w, mu_s>| * |theta_1 - theta_2| / ||w||``.
     """
-    t1 = _positive_score_mean(model, data_1, 1)
-    t2 = _positive_score_mean(model, data_2, 2)
-    gap_pos = _class_score_mean(model, data_1, 1) - _class_score_mean(model, data_2, 1)
-    gap_neg = _class_score_mean(model, data_1, -1) - _class_score_mean(model, data_2, -1)
+    for env_label, part in ((1, data_1), (2, data_2)):
+        if not (part.y == 1).any():
+            raise DegenerateLabelsError(
+                f"environment {env_label} has no positive-label rows; the equal-"
+                "opportunity gap is undefined"
+            )
+    w = model.w
+    # the equal-opportunity gap is the positive-class conditional-mean gap
+    gap_pos = class_score_mean(w, data_1, 1) - class_score_mean(w, data_2, 1)
+    gap_neg = class_score_mean(w, data_1, -1) - class_score_mean(w, data_2, -1)
     population = None
     if mu_s is not None and theta_1 is not None and theta_2 is not None:
-        population = abs(float(model.w @ np.asarray(mu_s))) * abs(theta_1 - theta_2) / model.norm
-    return InvarianceReport(t1 - t2, gap_pos, gap_neg, population)
+        population = abs(float(w @ np.asarray(mu_s))) * abs(theta_1 - theta_2) / model.norm
+    return InvarianceReport(gap_pos, gap_pos, gap_neg, population)

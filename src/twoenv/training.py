@@ -8,8 +8,11 @@ same iterates are computed in the N-dimensional span of the data via the
 Gram matrix; descent from zero never leaves that span.  Margins are
 linear in the iterate, so they are carried from step to step: each
 accepted step costs one product with the data operator (``Z Z'`` on the
-span path, ``Z'`` and ``Z`` on the direct path) and a backtracking halving
-costs none.
+span path, read from one triangle by BLAS ``dsymv``; ``Z'`` and ``Z`` on
+the direct path) and a backtracking halving costs none.  Each candidate's
+objective makes one pass over its margins: the logistic losses and
+sigmoids are computed once and shared by the loss, its slope and the
+per-environment penalty.
 
 The hard-margin program ``min ||w||^2 s.t. y_i <w, x_i> >= 1`` is solved in
 its dual over the Gram matrix: accelerated projected gradient ascent plus
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 from scipy.special import expit
 
 from .errors import NonSeparableError, TwoEnvError
@@ -66,46 +70,73 @@ def _slope(m: np.ndarray) -> np.ndarray:
     return -expit(-m)
 
 
-def _curvature(m: np.ndarray) -> np.ndarray:
-    s = expit(-m)
-    return s * (1.0 - s)
+def _env_masks(data: LabeledDataset) -> list[slice | np.ndarray]:
+    """Row selectors of the environments present, in order 1, 2.
 
-
-def _env_masks(data: LabeledDataset) -> list[np.ndarray]:
-    return [data.env == e for e in (1, 2) if (data.env == e).any()]
+    An environment whose rows form one contiguous block, as every sampler
+    emits them, gets a basic ``slice`` (a view, no gather); any other gets
+    its boolean mask.
+    """
+    selectors = []
+    for e in (1, 2):
+        rows = np.flatnonzero(data.env == e)
+        if rows.size == 0:
+            continue
+        first, last = int(rows[0]), int(rows[-1])
+        selectors.append(slice(first, last + 1) if last - first + 1 == rows.size
+                         else data.env == e)
+    return selectors
 
 
 def penalty_value_and_slope(
-    kind: str, m: np.ndarray, masks: list[np.ndarray]
+    kind: str,
+    m: np.ndarray,
+    masks: list[slice | np.ndarray],
+    *,
+    ell: Optional[np.ndarray] = None,
+    s: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
-    """Penalty value and its derivative with respect to the margins."""
+    """Penalty value and its derivative with respect to the margins.
+
+    ``masks`` select each environment's rows (slices or boolean masks).
+    ``ell = log(1 + exp(-m))`` and ``s = sigmoid(-m)`` may be passed in by
+    a caller that already has them; otherwise they are computed here.
+    Means are ``sum / count``, bitwise equal to ``ndarray.mean``.
+    """
     dm = np.zeros_like(m)
     if kind == "none":
         return 0.0, dm
+    if ell is None:
+        ell = _loss(m)
+    if s is None:
+        s = expit(-m)
 
     if kind == "irmv1":
         # squared per-environment risk gradient w.r.t. a scalar multiplier at 1
         total = 0.0
         for mask in masks:
-            me = m[mask]
-            g = float((me * _slope(me)).mean())
+            me, se = m[mask], s[mask]
+            slope = -se
+            g = float((me * slope).sum()) / me.size
             total += g * g
-            dm[mask] = 2.0 * g * (_slope(me) + me * _curvature(me)) / me.size
+            dm[mask] = 2.0 * g * (slope + me * (se * (1.0 - se))) / me.size
         return total, dm
 
     if kind == "vrex":
-        losses = [float(_loss(m[mask]).mean()) for mask in masks]
+        parts = [ell[mask] for mask in masks]
+        losses = [float(part.sum()) / part.size for part in parts]
         mean_loss = sum(losses) / len(losses)
         value = sum((le - mean_loss) ** 2 for le in losses) / len(losses)
-        for mask, le in zip(masks, losses):
-            dm[mask] = (2.0 / len(losses)) * (le - mean_loss) * _slope(m[mask]) / mask.sum()
+        for mask, le, part in zip(masks, losses, parts):
+            dm[mask] = (2.0 / len(losses)) * (le - mean_loss) * -s[mask] / part.size
         return value, dm
 
     if kind == "groupdro":
-        losses = [float(_loss(m[mask]).mean()) for mask in masks]
+        parts = [ell[mask] for mask in masks]
+        losses = [float(part.sum()) / part.size for part in parts]
         worst = int(np.argmax(losses))
         mask = masks[worst]
-        dm[mask] = _slope(m[mask]) / mask.sum()
+        dm[mask] = -s[mask] / parts[worst].size
         return losses[worst], dm
 
     if kind == "moment_match":
@@ -180,7 +211,9 @@ class _SpanSpace:
 
     A w-space step ``w - lr (Z^T c + 2 l2 w)`` with ``w = Z^T beta`` equals
     ``Z^T (beta - lr (c + 2 l2 beta))``, so descent-from-zero trajectories
-    coincide with the direct path up to round-off.
+    coincide with the direct path up to round-off.  ``K`` is exactly
+    symmetric, so ``dsymv`` reads one triangle of it; it is handed the
+    Fortran-ordered view ``K.T``, which f2py passes on without a copy.
     """
 
     def __init__(self, Z: np.ndarray):
@@ -198,7 +231,7 @@ class _SpanSpace:
     def direction(self, coeff: np.ndarray, ridge: Optional[np.ndarray]):
         """Descent direction ``c``, its margin image ``K c`` and ``c' K c``."""
         c = coeff if ridge is None else coeff + ridge
-        Kc = self.K @ c
+        Kc = dsymv(1.0, self.K.T, c)
         return c, Kc, float(c @ Kc)
 
     def sq_norm(self, state: np.ndarray, m: np.ndarray) -> float:
@@ -225,10 +258,13 @@ def gd_train(
     ``max_iters``; ``trace.stop_reason`` says which.
 
     Each accepted step applies the data operator once: ``K = Z Z'`` on the
-    span path (``d > N``), ``Z'`` then ``Z`` on the direct path.  Margins
-    are linear in the state, so a candidate's margins are the current ones
-    minus the step times that product, and a backtracking halving costs no
-    product at all.
+    span path (``d > N``, one triangle read by ``dsymv``), ``Z'`` then
+    ``Z`` on the direct path.  Margins are linear in the state, so a
+    candidate's margins are the current ones minus the step times that
+    product, and a backtracking halving costs no product at all.  Each
+    evaluation computes the losses and sigmoids of its margins once and
+    makes exactly one call to :func:`penalty_value_and_slope`, which reads
+    its per-environment slices of them.
     ``sigma`` only scales the margin column of the trace; ``w0``
     warm-starts the iteration at the cost of one product for its margins.
     """
@@ -256,12 +292,15 @@ def gd_train(
         return 2.0 * l2 * st if l2 else None
 
     def evaluate(m: np.ndarray, st: np.ndarray, lam: float):
-        loss = float(_loss(m).mean())
-        pen, pen_dm = penalty_value_and_slope(config.penalty_kind, m, masks)
+        ell, s = _loss(m), expit(-m)
+        loss = float(ell.sum()) / n
+        pen, pen_dm = penalty_value_and_slope(config.penalty_kind, m, masks, ell=ell, s=s)
         total = loss + lam * pen
         if l2:
             total += l2 * space.sq_norm(st, m)
-        coeff = _slope(m) / n + lam * pen_dm
+        coeff = -s / n
+        if lam:
+            coeff += lam * pen_dm
         return loss, pen, total, coeff
 
     def log(it: int) -> None:

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from twoenv import experiments
 from twoenv.cli import main
 from twoenv.errors import ConfigError, TwoEnvError
 from twoenv.experiments import (
@@ -266,6 +268,31 @@ class TestCli:
         )
         assert code == 2
         assert out.exists()
+
+    @pytest.mark.parametrize("fault", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numerical_failure_becomes_one_error_row(self, tmp_path, monkeypatch, fault):
+        argv = ["sweep", "--methods", "erm,vrex,mean", "--d-grid", "16", "--seeds", "1",
+                "--n1", "20", "--n2", "10", "--max-iters", "50"]
+        clean = tmp_path / "clean.csv"
+        assert main(argv + ["--out", str(clean)]) == 0
+        real = experiments.gd_train
+
+        def faulty(data, config, *args, **kwargs):
+            if config.penalty_kind == "vrex":
+                raise fault("injected")
+            return real(data, config, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "gd_train", faulty)
+        out = tmp_path / "faulty.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        rows = out.read_text().splitlines()
+        failed = [row for row in rows if row.startswith("vrex,")]
+        assert len(failed) == 1 and failed[0].startswith("vrex,16,0,nan,nan,nan,nan,nan,")
+        assert ([row for row in rows if not row.startswith("vrex,")]
+                == [row for row in clean.read_text().splitlines()
+                    if not row.startswith("vrex,")])
+        sidecar = (tmp_path / "faulty.csv.errors.txt").read_text()
+        assert sidecar == f"vrex,16,0: {fault.__name__}: injected\n"
 
     def test_verify_subcommand(self, tmp_path):
         out = tmp_path / "report.json"

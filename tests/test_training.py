@@ -1,10 +1,12 @@
 """Gradient descent, penalties, and the hard-margin solver."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from twoenv import stream, training
 from twoenv.errors import NonSeparableError, TwoEnvError
@@ -164,9 +166,9 @@ class TestGdTrain:
                               stream(63, "data"))
         seen = []
 
-        def spy(kind, m, masks):
+        def spy(kind, m, masks, *args, **kwargs):
             seen.append(m)
-            return penalty_value_and_slope(kind, m, masks)
+            return penalty_value_and_slope(kind, m, masks, *args, **kwargs)
 
         monkeypatch.setattr(training, "penalty_value_and_slope", spy)
         cfg = TrainConfig(penalty_kind="vrex", penalty_weight=100.0, anneal_schedule=500,
@@ -221,6 +223,67 @@ class TestGdTrain:
         )
         model, trace = gd_train(data, cfg)
         assert model is not None  # ran through activation without error
+
+
+class TestGdStep:
+    """The per-step kernels: environment selectors, penalty pass, Gram product."""
+
+    def test_env_masks_are_slices_on_sampler_blocks(self):
+        _, data = sample_reduced(40, 1.0, 2.0, 1.0, 0.0, 7, 5, 0.5, 0, stream(83, "blocks"))
+        assert training._env_masks(data) == [slice(0, 7), slice(7, 12)]
+        interleaved = random_dataset(stream(83, "interleaved"), n=12, d=4)
+        selectors = training._env_masks(interleaved)
+        assert [sel.dtype for sel in selectors] == [np.dtype(bool), np.dtype(bool)]
+        for e, sel in zip((1, 2), selectors):
+            np.testing.assert_array_equal(sel, interleaved.env == e)
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_penalty_bitwise_equal_across_selectors_and_precompute(self, kind):
+        rng = stream(85, kind)
+        m = 3.0 * rng.standard_normal(30)
+        env = np.array([1] * 18 + [2] * 12)
+        data = LabeledDataset(np.ones((30, 1)), np.ones(30, dtype=int), env)
+        slices = training._env_masks(data)
+        assert all(isinstance(sel, slice) for sel in slices)
+        shared = {"ell": np.logaddexp(0.0, -m), "s": expit(-m)}
+        ref_value, ref_dm = penalty_value_and_slope(kind, m, [env == 1, env == 2])
+        if kind in ("vrex", "groupdro"):
+            # sum / count is bitwise the ndarray.mean the loss levels used to take
+            losses = [float(np.logaddexp(0.0, -m[env == e]).mean()) for e in (1, 2)]
+            mean_loss = sum(losses) / 2
+            spread = sum((le - mean_loss) ** 2 for le in losses) / 2
+            assert ref_value == (spread if kind == "vrex" else max(losses))
+        for masks in (slices, [env == 1, env == 2]):
+            for extra in ({}, shared):
+                value, dm = penalty_value_and_slope(kind, m, masks, **extra)
+                assert value == ref_value
+                assert dm.tobytes() == ref_dm.tobytes()
+
+    def test_span_direction_is_the_gram_product_without_a_copy(self, monkeypatch):
+        data = random_dataset(stream(87), n=300, d=400)
+        space = training._SpanSpace(data.signed())
+        assert np.array_equal(space.K, space.K.T)  # dsymv reads one triangle
+        handed = []
+        real = training.dsymv
+
+        def spy(alpha, a, *args, **kwargs):
+            handed.append(a)
+            return real(alpha, a, *args, **kwargs)
+
+        monkeypatch.setattr(training, "dsymv", spy)
+        c = stream(87, "c").standard_normal(300)
+        tracemalloc.start()
+        try:
+            _, Kc, sq = space.direction(c, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        exact = space.K @ c
+        assert np.linalg.norm(Kc - exact) <= 1e-13 * np.linalg.norm(exact)
+        assert sq == pytest.approx(float(c @ exact), rel=1e-13)
+        # the operand is a view of K, and f2py allocated no copy of it
+        assert np.shares_memory(handed[0], space.K) and handed[0].flags.f_contiguous
+        assert peak < space.K.nbytes // 10
 
 
 class TestMaxMargin:
