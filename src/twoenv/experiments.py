@@ -222,9 +222,21 @@ def _cell_args(cfg: ExperimentConfig):
             yield d, cfg.seed_base + rep
 
 
+def _worker_count() -> int:
+    """Worker processes from ``TWOENV_WORKERS``: a positive integer, default 1."""
+    raw = os.environ.get("TWOENV_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"TWOENV_WORKERS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run every (d, seed) cell; records come back sorted by (method, d, seed)."""
-    workers = int(os.environ.get("TWOENV_WORKERS", "1"))
+    workers = _worker_count()
     cells = list(_cell_args(cfg))
     records: list[RunRecord] = []
     if workers > 1:

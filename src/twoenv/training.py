@@ -9,10 +9,16 @@ Gram matrix; descent from zero never leaves that span.  Margins are
 linear in the iterate, so they are carried from step to step: each
 accepted step costs one product with the data operator (``Z Z'`` on the
 span path, read from one triangle by BLAS ``dsymv``; ``Z'`` and ``Z`` on
-the direct path) and a backtracking halving costs none.  Each candidate's
-objective makes one pass over its margins: the logistic losses and
-sigmoids are computed once and shared by the loss, its slope and the
-per-environment penalty.
+the direct path) and a backtracking halving costs none.  A run allocates
+its vectors once, one set for the current iterate and one for the
+candidate, and every array operation of a step writes into them.  Each
+evaluation takes ``e = exp(-|m|)`` once and derives the logistic losses
+``log1p(e) + max(-m, 0)`` and the sigmoids ``exp(-(log1p(e) + max(m, 0)))``
+from it; the loss, its slope and the per-environment penalty share them.
+On a 2-CPU Xeon box with one BLAS thread, at N=900, a step costs about
+0.23 ms on the span path against 0.16-0.18 ms for ``dsymv`` alone, and
+about 0.23 ms on the direct path at d=320 against 0.15-0.18 ms for its two
+products; at N=180 (ridge IRMv1) it costs 0.046 ms around a 0.008 ms product.
 
 The hard-margin program ``min ||w||^2 s.t. y_i <w, x_i> >= 1`` is solved in
 its dual over the Gram matrix: accelerated projected gradient ascent plus
@@ -59,6 +65,10 @@ class TrainConfig:
             raise TwoEnvError("penalty_weight and l2_weight must be nonnegative")
         if self.tolerance <= 0:
             raise TwoEnvError("tolerance must be positive")
+        if self.anneal_schedule is not None and self.anneal_schedule < 0:
+            raise TwoEnvError("anneal_schedule must be nonnegative")
+        if self.log_every < 1:
+            raise TwoEnvError("log_every must be at least 1")
 
 
 def _loss(m: np.ndarray) -> np.ndarray:
@@ -95,16 +105,24 @@ def penalty_value_and_slope(
     *,
     ell: Optional[np.ndarray] = None,
     s: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
     """Penalty value and its derivative with respect to the margins.
 
-    ``masks`` select each environment's rows (slices or boolean masks).
-    ``ell = log(1 + exp(-m))`` and ``s = sigmoid(-m)`` may be passed in by
-    a caller that already has them; otherwise they are computed here.
-    Means are ``sum / count``, bitwise equal to ``ndarray.mean``.
+    ``masks`` select each environment's rows (disjoint slices or boolean
+    masks).  ``ell = log(1 + exp(-m))`` and ``s = sigmoid(-m)`` may be
+    passed in by a caller that already has them; otherwise they are
+    computed here.  ``out``, if given, receives the derivative in place of
+    a fresh array; it must not share memory with ``m``, ``ell`` or ``s``.
+    Means are ``sum / count``, bitwise equal to
+    ``ndarray.mean``.  Each row's derivative takes the same operations
+    whatever the selectors, so slices and masks give bitwise equal results;
+    each environment's per-row factor is folded into one scalar, so the
+    derivative costs one or two array operations per environment.
     """
-    dm = np.zeros_like(m)
+    dm = np.zeros_like(m) if out is None else out
     if kind == "none":
+        dm.fill(0.0)
         return 0.0, dm
     if ell is None:
         ell = _loss(m)
@@ -112,15 +130,19 @@ def penalty_value_and_slope(
         s = expit(-m)
 
     if kind == "irmv1":
-        # squared per-environment risk gradient w.r.t. a scalar multiplier at 1
-        total = 0.0
-        for mask in masks:
-            me, se = m[mask], s[mask]
-            slope = -se
-            g = float((me * slope).sum()) / me.size
-            total += g * g
-            dm[mask] = 2.0 * g * (slope + me * (se * (1.0 - se))) / me.size
-        return total, dm
+        # squared per-environment risk gradient w.r.t. a scalar multiplier at
+        # 1: g = mean(m * slope) with slope = -s, and the derivative of g^2 is
+        # 2 g (slope + m s (1 - s)) / |e| = (2 g / |e|) s (m - m s - 1)
+        ms = np.multiply(m, s, out=dm)
+        parts = [ms[mask] for mask in masks]
+        grads = [-float(part.sum()) / part.size for part in parts]
+        np.subtract(m, ms, out=dm)
+        dm -= 1.0
+        dm *= s
+        for mask, g, part in zip(masks, grads, parts):
+            dm[mask] *= 2.0 * g / part.size
+        _zero_outside(dm, masks, sum(part.size for part in parts))
+        return sum(g * g for g in grads), dm
 
     if kind == "vrex":
         parts = [ell[mask] for mask in masks]
@@ -128,7 +150,11 @@ def penalty_value_and_slope(
         mean_loss = sum(losses) / len(losses)
         value = sum((le - mean_loss) ** 2 for le in losses) / len(losses)
         for mask, le, part in zip(masks, losses, parts):
-            dm[mask] = (2.0 / len(losses)) * (le - mean_loss) * -s[mask] / part.size
+            # (2 / k) (le - mean) * -s / |e|; out= fills a slice's view in
+            # place, and the assignment writes a masked copy back
+            dm[mask] = np.multiply(s[mask], -2.0 * (le - mean_loss) / (len(losses) * part.size),
+                                   out=dm[mask])
+        _zero_outside(dm, masks, sum(part.size for part in parts))
         return value, dm
 
     if kind == "groupdro":
@@ -136,27 +162,38 @@ def penalty_value_and_slope(
         losses = [float(part.sum()) / part.size for part in parts]
         worst = int(np.argmax(losses))
         mask = masks[worst]
-        dm[mask] = -s[mask] / parts[worst].size
+        dm.fill(0.0)
+        dm[mask] = np.divide(s[mask], -parts[worst].size, out=dm[mask])
         return losses[worst], dm
 
     if kind == "moment_match":
         # match mean and variance of the signed score across environments
         if len(masks) != 2:
             raise TwoEnvError("moment_match needs exactly two environments")
-        stats = []
-        for mask in masks:
-            me = m[mask]
-            stats.append((float(me.mean()), float(me.var())))
+        parts = [m[mask] for mask in masks]
+        stats = [(float(part.mean()), float(part.var())) for part in parts]
         (m1, s1), (m2, s2) = stats
         value = (m1 - m2) ** 2 + (s1 - s2) ** 2
-        for sign, mask, (mbar, _) in zip((1.0, -1.0), masks, stats):
-            me = m[mask]
-            dm[mask] = sign * (
-                2.0 * (m1 - m2) / me.size + 2.0 * (s1 - s2) * 2.0 * (me - mbar) / me.size
-            )
+        for sign, mask, part, (mbar, _) in zip((1.0, -1.0), masks, parts, stats):
+            # sign (2 (m1 - m2) + 4 (s1 - s2) (m - mbar)) / |e|
+            block = np.subtract(part, mbar, out=dm[mask])
+            block *= sign * 4.0 * (s1 - s2) / part.size
+            block += sign * 2.0 * (m1 - m2) / part.size
+            dm[mask] = block
+        _zero_outside(dm, masks, sum(part.size for part in parts))
         return value, dm
 
     raise TwoEnvError(f"unknown penalty kind {kind!r}")
+
+
+def _zero_outside(dm: np.ndarray, masks: list[slice | np.ndarray], covered: int) -> None:
+    """Zero the rows of ``dm`` that no selector covers (none when they tile it)."""
+    if covered == dm.size:
+        return
+    keep = np.zeros(dm.size, dtype=bool)
+    for mask in masks:
+        keep[mask] = True
+    dm[~keep] = 0.0
 
 
 @dataclass
@@ -186,6 +223,8 @@ class _WSpace:
 
     def __init__(self, Z: np.ndarray):
         self.Z = Z
+        self._g = np.zeros(Z.shape[1])
+        self._moved = np.zeros(Z.shape[0])
 
     def start(self, w0: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         if w0 is None:
@@ -193,11 +232,15 @@ class _WSpace:
         return w0.copy(), self.Z @ w0
 
     def direction(self, coeff: np.ndarray, ridge: Optional[np.ndarray]):
-        """Descent direction ``g``, its margin image ``Z g`` and ``||g||^2``."""
-        g = self.Z.T @ coeff
+        """Descent direction ``g``, its margin image ``Z g`` and ``||g||^2``.
+
+        Both vectors live in buffers of this object that the next call
+        overwrites.
+        """
+        g = np.matmul(self.Z.T, coeff, out=self._g)
         if ridge is not None:
-            g = g + ridge
-        return g, self.Z @ g, float(g @ g)
+            g += ridge
+        return g, np.matmul(self.Z, g, out=self._moved), float(g @ g)
 
     def sq_norm(self, state: np.ndarray, m: np.ndarray) -> float:
         return float(state @ state)
@@ -213,12 +256,16 @@ class _SpanSpace:
     ``Z^T (beta - lr (c + 2 l2 beta))``, so descent-from-zero trajectories
     coincide with the direct path up to round-off.  ``K`` is exactly
     symmetric, so ``dsymv`` reads one triangle of it; it is handed the
-    Fortran-ordered view ``K.T``, which f2py passes on without a copy.
+    Fortran-ordered view ``K.T``, which f2py passes on without a copy, and
+    writes into a buffer of this object.
     """
 
     def __init__(self, Z: np.ndarray):
         self.Z = Z
         self.K = Z @ Z.T
+        n = Z.shape[0]
+        self._c = np.zeros(n)
+        self._Kc = np.zeros(n)
 
     def start(self, w0: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         n = self.K.shape[0]
@@ -229,9 +276,13 @@ class _SpanSpace:
         return state, self.K @ state
 
     def direction(self, coeff: np.ndarray, ridge: Optional[np.ndarray]):
-        """Descent direction ``c``, its margin image ``K c`` and ``c' K c``."""
-        c = coeff if ridge is None else coeff + ridge
-        Kc = dsymv(1.0, self.K.T, c)
+        """Descent direction ``c``, its margin image ``K c`` and ``c' K c``.
+
+        ``c`` is ``coeff`` itself when there is no ridge; otherwise it and
+        ``K c`` live in buffers of this object that the next call overwrites.
+        """
+        c = coeff if ridge is None else np.add(coeff, ridge, out=self._c)
+        Kc = dsymv(1.0, self.K.T, c, y=self._Kc, overwrite_y=1)
         return c, Kc, float(c @ Kc)
 
     def sq_norm(self, state: np.ndarray, m: np.ndarray) -> float:
@@ -240,6 +291,22 @@ class _SpanSpace:
 
     def weights(self, state: np.ndarray) -> np.ndarray:
         return self.Z.T @ state
+
+
+class _Point:
+    """Buffers of one iterate: its state and margins, and what its evaluation writes.
+
+    ``ell`` and ``s`` hold the logistic losses and sigmoids of the margins,
+    ``dm`` the penalty's margin slope, and ``coeff`` the objective's margin
+    slope; ``loss``, ``pen`` and ``total`` are the evaluated scalars.
+    """
+
+    __slots__ = ("state", "m", "ell", "s", "dm", "coeff", "loss", "pen", "total")
+
+    def __init__(self, state: np.ndarray, m: np.ndarray):
+        self.state, self.m = state, m
+        self.ell, self.s, self.dm, self.coeff = (np.zeros_like(m) for _ in range(4))
+        self.loss = self.pen = self.total = math.nan
 
 
 def gd_train(
@@ -261,99 +328,116 @@ def gd_train(
     span path (``d > N``, one triangle read by ``dsymv``), ``Z'`` then
     ``Z`` on the direct path.  Margins are linear in the state, so a
     candidate's margins are the current ones minus the step times that
-    product, and a backtracking halving costs no product at all.  Each
-    evaluation computes the losses and sigmoids of its margins once and
-    makes exactly one call to :func:`penalty_value_and_slope`, which reads
-    its per-environment slices of them.
+    product, and a backtracking halving costs no product at all.
+
+    The run allocates its buffers once: state, margins, losses, sigmoids,
+    penalty slope and objective slope for the current iterate, the same
+    for the candidate, swapped when a step is accepted, so no candidate
+    allocates.  Each evaluation takes one ``e = exp(-|m|)`` and derives
+    from it the losses ``log1p(e) + max(-m, 0)`` and, with one more
+    ``exp``, the sigmoids ``exp(-(log1p(e) + max(m, 0)))``; neither form
+    overflows or cancels.  It then makes exactly one call to
+    :func:`penalty_value_and_slope`, which reads its per-environment slices
+    of them and writes the penalty slope into the candidate's buffer.  The
+    loop's own work is about 0.05-0.07 ms a step at N=900 (see the module
+    docstring), so a step costs little more than its operator product.
     ``sigma`` only scales the margin column of the trace; ``w0``
     warm-starts the iteration at the cost of one product for its margins.
     """
     if data.n == 0:
         raise TwoEnvError("empty dataset")
     masks = _env_masks(data)
-    if config.penalty_kind not in ("none",) and len(masks) < 2:
-        raise TwoEnvError(f"penalty {config.penalty_kind!r} needs both environments present")
+    kind = config.penalty_kind
+    if kind != "none" and len(masks) < 2:
+        raise TwoEnvError(f"penalty {kind!r} needs both environments present")
 
     Z = data.signed()
     space = _SpanSpace(Z) if data.d > data.n else _WSpace(Z)
-    state, m = space.start(None if w0 is None else np.asarray(w0, dtype=np.float64))
+    cur = _Point(*space.start(None if w0 is None else np.asarray(w0, dtype=np.float64)))
+    cand = _Point(np.zeros_like(cur.state), np.zeros_like(cur.m))
+    # scratch for one evaluation, shared by both points
+    neg_m, u = np.zeros_like(cur.m), np.zeros_like(cur.m)
 
     margin_scale = 1.0 if sigma is None else math.sqrt(sigma**2 * data.ambient_d)
     n = data.n
     l2 = config.l2_weight
+    ridge_buf = np.zeros_like(cur.state) if l2 else None
     trace = TrainTrace()
 
-    def effective_lambda(it: int) -> float:
-        if config.anneal_schedule is not None and it < config.anneal_schedule:
-            return 0.0
-        return config.penalty_weight
-
     def ridge(st: np.ndarray) -> Optional[np.ndarray]:
-        return 2.0 * l2 * st if l2 else None
+        return np.multiply(st, 2.0 * l2, out=ridge_buf) if l2 else None
 
-    def evaluate(m: np.ndarray, st: np.ndarray, lam: float):
-        ell, s = _loss(m), expit(-m)
-        loss = float(ell.sum()) / n
-        pen, pen_dm = penalty_value_and_slope(config.penalty_kind, m, masks, ell=ell, s=s)
-        total = loss + lam * pen
+    def evaluate(p: _Point, lam: float) -> None:
+        m, ell, s = p.m, p.ell, p.s
+        np.negative(m, out=neg_m)
+        np.exp(np.minimum(m, neg_m, out=u), out=u)
+        np.log1p(u, out=u)  # u = log1p(exp(-|m|))
+        # ell = u + max(-m, 0); s = exp(-(u + max(m, 0))), as min(-m, 0) - u
+        np.add(np.maximum(neg_m, 0.0, out=ell), u, out=ell)
+        np.exp(np.subtract(np.minimum(neg_m, 0.0, out=s), u, out=s), out=s)
+        p.loss = float(ell.sum()) / n
+        p.pen, _ = penalty_value_and_slope(kind, m, masks, ell=ell, s=s, out=p.dm)
+        p.total = p.loss + lam * p.pen
         if l2:
-            total += l2 * space.sq_norm(st, m)
-        coeff = -s / n
-        if lam:
-            coeff += lam * pen_dm
-        return loss, pen, total, coeff
+            p.total += l2 * space.sq_norm(p.state, m)
+        np.divide(s, -float(n), out=p.coeff)  # -s / n
+        if lam and kind != "none":
+            p.coeff += np.multiply(p.dm, lam, out=p.dm)
 
-    def log(it: int) -> None:
-        wnorm = math.sqrt(max(space.sq_norm(state, m), 1e-300))
-        trace.log(it, loss, pen, float((m <= 0).mean()), float(m.min()) / (wnorm * margin_scale))
+    def log(it: int, p: _Point) -> None:
+        wnorm = math.sqrt(max(space.sq_norm(p.state, p.m), 1e-300))
+        trace.log(it, p.loss, p.pen, float((p.m <= 0).mean()),
+                  float(p.m.min()) / (wnorm * margin_scale))
 
-    # a penalty-free objective never changes at the anneal iteration
-    penalized = config.penalty_kind != "none" and config.penalty_weight > 0
-    min_stop_iter = (config.anneal_schedule or 0) if penalized else 0
-    lr = config.learning_rate
-    lam = effective_lambda(0)
-    loss, pen, total, coeff = evaluate(m, state, lam)
-    if not math.isfinite(total):
+    # the penalty is off before the anneal iteration; a penalty-free
+    # objective never changes there
+    anneal = config.anneal_schedule or 0
+    penalized = kind != "none" and config.penalty_weight > 0
+    min_stop_iter = anneal if penalized else 0
+    lr = max_lr = config.learning_rate
+    min_step = max_lr * 2.0**-60
+    tolerance, log_every = config.tolerance, config.log_every
+    lam = 0.0 if anneal > 0 else config.penalty_weight
+    evaluate(cur, lam)
+    if not math.isfinite(cur.total):
         raise TwoEnvError("non-finite objective at initialization")
 
     it = 0
     for it in range(config.max_iters):
-        new_lam = effective_lambda(it)
-        if new_lam != lam:
-            lam = new_lam
-            loss, pen, total, coeff = evaluate(m, state, lam)
-        direction, moved, gnorm_sq = space.direction(coeff, ridge(state))
+        if it == anneal and lam != config.penalty_weight:
+            lam = config.penalty_weight
+            evaluate(cur, lam)
+        direction, moved, gnorm_sq = space.direction(cur.coeff, ridge(cur.state))
         gnorm = math.sqrt(gnorm_sq)
-        if it % config.log_every == 0:
-            log(it)
-        if gnorm <= config.tolerance and it >= min_stop_iter:
+        if it % log_every == 0:
+            log(it, cur)
+        if gnorm <= tolerance and it >= min_stop_iter:
             trace.stop_reason = "converged"
             break
 
         step = lr
         while True:
-            cand = state - step * direction
-            m_cand = m - step * moved
-            loss_c, pen_c, total_c, coeff_c = evaluate(m_cand, cand, lam)
-            if math.isfinite(total_c) and total_c <= total:
+            np.subtract(cur.state, np.multiply(direction, step, out=cand.state), out=cand.state)
+            np.subtract(cur.m, np.multiply(moved, step, out=cand.m), out=cand.m)
+            evaluate(cand, lam)
+            if math.isfinite(cand.total) and cand.total <= cur.total:
                 break
             step *= 0.5
-            if step < config.learning_rate * 2.0**-60:
+            if step < min_step:
                 trace.stop_reason = "stalled"
                 break
         if trace.stop_reason == "stalled":
             break
-        state, m = cand, m_cand
-        loss, pen, total, coeff = loss_c, pen_c, total_c, coeff_c
-        lr = min(config.learning_rate, step * 2.0)
+        cur, cand = cand, cur
+        lr = min(max_lr, step * 2.0)
     else:
         # the last accepted step moved the state; measure its gradient once
-        gnorm = math.sqrt(space.direction(coeff, ridge(state))[2])
+        gnorm = math.sqrt(space.direction(cur.coeff, ridge(cur.state))[2])
 
     trace.final_grad_norm = gnorm
-    log(it)
+    log(it, cur)
 
-    w = space.weights(state)
+    w = space.weights(cur.state)
     if float(np.linalg.norm(w)) == 0.0:
         raise TwoEnvError("training made no progress from the zero initializer")
     meta = {"iters": it, "grad_norm": gnorm, "stop_reason": trace.stop_reason}

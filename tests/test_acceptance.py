@@ -188,7 +188,6 @@ def test_c07_invariant_interpolator_exists(qualitative_sweep):
              f"interpolating {interp}, median robust accuracy {med:.3f} (>= 0.9)", started)
 
 
-@pytest.mark.slow
 def test_c08_ridge_path_max_margin_alignment():
     started = time.time()
     d, n_1, n_2 = 5120, 160, 20

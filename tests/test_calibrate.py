@@ -9,6 +9,7 @@ from twoenv.calibrate import (
     measure_rates,
     preset_environments,
 )
+from twoenv import experiments
 from twoenv.experiments import ExperimentConfig, emit, run_sweep
 from twoenv.model import pool, sample_reduced
 from twoenv.presets import load_constants, theorem_preset
@@ -44,19 +45,38 @@ def test_kappa_interpolation_rate_small():
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    # GD methods reuse per-run buffers and one method fails on purpose: the
+    # CSV and the errors sidecar must not depend on which process ran a cell
     cfg = ExperimentConfig(
         d_grid=(16, 48),
         seeds=2,
         n_1=16,
         n_2=8,
-        methods=("mean", "two_phase"),
-        train=TrainConfig(max_iters=100, log_every=100),
+        methods=("mean", "two_phase", "erm", "vrex"),
+        train=TrainConfig(max_iters=100, log_every=100, penalty_weight=10.0,
+                          anneal_schedule=20),
     )
-    serial = run_sweep(cfg)
-    monkeypatch.setenv("TWOENV_WORKERS", "2")
-    parallel = run_sweep(cfg)
-    monkeypatch.delenv("TWOENV_WORKERS")
-    p_1, p_2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    emit(serial, "csv", p_1)
-    emit(parallel, "csv", p_2)
-    assert p_1.read_bytes() == p_2.read_bytes()
+    real = experiments.gd_train
+
+    def faulty(data, config, *args, **kwargs):
+        if config.penalty_kind == "vrex" and data.ambient_d == 48:
+            raise FloatingPointError("injected")
+        return real(data, config, *args, **kwargs)
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(experiments, "gd_train", faulty)
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TWOENV_WORKERS", workers)
+        path = tmp_path / f"workers{workers}.csv"
+        emit(run_sweep(cfg), "csv", path)
+        sidecar = tmp_path / f"workers{workers}.csv.errors.txt"
+        outputs.append((path.read_bytes(), sidecar.read_bytes()))
+    (csv_1, errors_1), (csv_2, errors_2) = outputs
+    assert csv_1 == csv_2 and errors_1 == errors_2
+    rows = csv_1.decode().splitlines()
+    assert len(rows) == 1 + 4 * 2 * 2
+    assert [row for row in rows if ",nan,nan," in row] == [
+        f"vrex,48,{seed},nan,nan,nan,nan,nan,false,0" for seed in (0, 1)]
+    assert errors_1.decode() == "".join(
+        f"vrex,48,{seed}: FloatingPointError: injected\n" for seed in (0, 1))

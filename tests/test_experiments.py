@@ -215,6 +215,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             build_config({"d_grid": "8", "seeds": "two"})
 
+    def test_negative_anneal_rejected(self):
+        # a negative anneal iteration used to switch the penalty on at step 0
+        with pytest.raises(TwoEnvError, match="anneal_schedule"):
+            build_config({"d_grid": "8", "seeds": "1", "anneal_schedule": "-3"})
+
 
 class TestCli:
     def test_sweep_roundtrip(self, tmp_path):
@@ -256,6 +261,17 @@ class TestCli:
 
     def test_unknown_flag_exits_one(self):
         assert main(["sweep", "--frobnicate", "1"]) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_worker_count_exits_one(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("TWOENV_WORKERS", value)
+        out = tmp_path / "w.csv"
+        code = main(["sweep", "--methods", "mean", "--d-grid", "16", "--seeds", "1",
+                     "--n1", "10", "--n2", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "TWOENV_WORKERS" in err and "positive integer" in err
+        assert not out.exists()
 
     def test_partial_failure_exit_code(self, tmp_path):
         out = tmp_path / "p.csv"

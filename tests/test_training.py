@@ -37,6 +37,18 @@ from twoenv.training import (
 from helpers import random_dataset, reference_gd
 
 
+class TestTrainConfig:
+    def test_log_every_must_be_positive(self):
+        # log_every=0 used to reach gd_train and fail there on `it % 0`
+        with pytest.raises(TwoEnvError, match="log_every"):
+            TrainConfig(log_every=0)
+
+    def test_anneal_schedule_must_be_nonnegative(self):
+        with pytest.raises(TwoEnvError, match="anneal_schedule"):
+            TrainConfig(anneal_schedule=-3)
+        assert TrainConfig(anneal_schedule=0).anneal_schedule == 0
+
+
 class TestGdTrain:
     def test_separable_two_points(self):
         data = LabeledDataset(
@@ -139,6 +151,46 @@ class TestGdTrain:
         model, _ = gd_train(data, cfg)
         w = reference_gd(data, cfg)
         assert np.linalg.norm(model.w - w) <= 1e-10 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("d", [8, 30])
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_matches_reference_descent_with_rejected_steps(self, kind, d, monkeypatch):
+        # the case above at rate 20, where candidates get rejected: a buffer
+        # swap that touched the current iterate on a rejected candidate
+        # would show here
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return penalty_value_and_slope(*args, **kwargs)
+
+        monkeypatch.setattr(training, "penalty_value_and_slope", spy)
+        data = random_dataset(stream(59, kind, d), n=12, d=d)
+        cfg = TrainConfig(penalty_kind=kind, penalty_weight=1.0, anneal_schedule=100,
+                          max_iters=300, log_every=1000, learning_rate=20.0)
+        model, _ = gd_train(data, cfg)
+        w = reference_gd(data, cfg)
+        assert np.linalg.norm(model.w - w) <= 1e-10 * np.linalg.norm(w)
+        # one evaluation at the start, one at the anneal iteration and one
+        # per step; every penalized run at d=8 and moment_match on the span
+        # path backtrack at this rate (312 to 607 evaluations for 300 steps)
+        if kind != "none" and (d == 8 or kind == "moment_match"):
+            assert len(calls) > cfg.max_iters + 2
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("d", [8, 30])
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_logged_objective_is_the_reference_objective(self, kind, d, l2):
+        # the trainer's loss form and carried margins against objective_value,
+        # which recomputes Z @ w and takes logaddexp/expit
+        data = random_dataset(stream(65, kind, d), n=12, d=d)
+        cfg = TrainConfig(penalty_kind=kind, penalty_weight=1.0, l2_weight=l2,
+                          anneal_schedule=100, max_iters=300, log_every=1000)
+        model, trace = gd_train(data, cfg)
+        w = model.w
+        logged = trace.loss[-1] + cfg.penalty_weight * trace.penalty[-1] + l2 * float(w @ w)
+        reference = objective_value(data, cfg, w)
+        assert logged == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("d", [8, 30])
     def test_ridge_warm_start_matches_reference(self, d):
