@@ -58,14 +58,14 @@ def mean_margin_rate(preset: PresetParams, seeds: int, theta_1=1.0, theta_2=0.0)
 
 
 def max_margin_indictment_rate(
-    preset: PresetParams, seeds: int, theta_1=1.0, theta_2=0.0, svm_tol=1e-8
+    preset: PresetParams, seeds: int, theta_1=1.0, theta_2=0.0
 ) -> float:
     """Fraction of draws where the hard-margin fit leans on the spurious mean."""
     hits = 0
     for seed in range(seeds):
         inst, s_1, s_2 = preset_environments(preset, theta_1, theta_2, seed)
         data = pool(s_1, s_2)
-        model = max_margin(data, tol=svm_tol)
+        model = max_margin(data)
         try:
             ratio = spurious_core_ratio(model, inst.mu_c, inst.mu_s)
         except TwoEnvError:
@@ -189,7 +189,7 @@ def bound_chain_study(
         gamma = 1.0 / (4.0 * math.sqrt(inst.n))
         gd = gram_from_dataset(data, gamma, inst.theta_2)
         try:
-            result = min_weighted_beta(gd, tol=1e-9)
+            result = min_weighted_beta(gd)
         except InfeasibleMarginError:
             continue
         lam = canonical_lambda(gd, inst.r_c, inst.r_s)

@@ -110,8 +110,15 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be at least 1")
+    try:
+        sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
+    except ValueError:
+        raise ConfigError("--sizes: expected comma-separated integers") from None
+    if not sizes:
+        raise ConfigError("--sizes must name at least one size")
     base = load_constants(args.constants) if args.constants else load_constants()
-    sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
     constants, log = calibrate_constants(base, seeds=args.seeds, sizes=sizes)
     for entry in log:
         print(

@@ -27,7 +27,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import IllConditionedGramError, InfeasibleMarginError, TwoEnvError
 from .model import LabeledDataset
-from .training import hard_margin_dual
+from .training import hard_margin_dual, nnls
 
 MIN_EIG = 0.25  # half the spectral floor the concentration regime guarantees
 
@@ -76,13 +76,12 @@ def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> Gra
     )
 
 
-def _check_conditioning(K: np.ndarray, min_eig: float = MIN_EIG) -> np.ndarray:
+def _check_conditioning(K: np.ndarray, min_eig: float = MIN_EIG) -> None:
     evals = np.linalg.eigvalsh(K)
     if evals[0] < min_eig:
         raise IllConditionedGramError(
             f"smallest gram eigenvalue {evals[0]:.3e} below threshold {min_eig}"
         )
-    return evals
 
 
 def dual_value(gd: GramData, lam: np.ndarray) -> float:
@@ -139,92 +138,73 @@ class MinWeightedBetaResult:
     dual_value: float
     gap: float
     iterations: int
-    exact: bool  # active-set polish closed the gap to round-off
+    exact: bool  # KKT point certified by the active-set solve; always True on return
 
 
-def _kkt_norm_active(K, u, gamma, active, solve_full):
-    """Exact KKT solve assuming the norm constraint and margins in ``active``.
+def _norm_multiplier(K, q_u, u, gamma, active):
+    """Norm multiplier that puts ``beta`` on the unit ellipsoid, or None.
 
-    Stationarity gives ``beta = (lambda - K^{-1}u)/nu`` with ``lambda``
-    supported on the active set and ``K_AA lambda_A = u_A + nu gamma 1``;
-    the norm constraint turns into a scalar quadratic in ``nu``.
+    With ``lambda`` supported on ``active`` and ``K_AA lambda_A = u_A + nu
+    gamma 1``, stationarity gives ``beta = (lambda - K^{-1}u)/nu = (P + nu
+    Q)/nu``, and ``beta'K beta = 1`` reads ``a nu^2 + b nu + c = 0`` with
+    ``a = Q'KQ - 1 < 0`` (else the active set's vertex lies outside the
+    ellipsoid: None) and ``c = P'KP >= 0``, so one root is nonnegative.
     """
     idx = np.flatnonzero(active)
-    if idx.size == 0:
-        p_full = np.zeros(K.shape[0])
-        q_full = np.zeros(K.shape[0])
-    else:
-        sub = K[np.ix_(idx, idx)]
-        try:
-            p = np.linalg.solve(sub, u[idx])
-            q = gamma * np.linalg.solve(sub, np.ones(idx.size))
-        except np.linalg.LinAlgError:
-            return []
-        p_full = np.zeros(K.shape[0])
-        q_full = np.zeros(K.shape[0])
-        p_full[idx] = p
-        q_full[idx] = q
-    qu = solve_full(u)
-    P = p_full - qu
-    Q = q_full
-    a = float(Q @ (K @ Q)) - 1.0
-    b = 2.0 * float(P @ (K @ Q))
+    P = -q_u
+    Q = np.zeros_like(q_u)
+    if idx.size:
+        factor = cho_factor(K[np.ix_(idx, idx)])
+        P[idx] += cho_solve(factor, u[idx])
+        Q[idx] = gamma * cho_solve(factor, np.ones(idx.size))
+    KQ = K @ Q
+    a = float(Q @ KQ) - 1.0
+    b = 2.0 * float(P @ KQ)
     c = float(P @ (K @ P))
-    roots = []
-    if abs(a) < 1e-14:
-        if abs(b) > 1e-14:
-            roots.append(-c / b)
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0:
-            sq = math.sqrt(disc)
-            roots.extend([(-b + sq) / (2 * a), (-b - sq) / (2 * a)])
-    out = []
-    for nu in roots:
-        if nu <= 1e-14:
-            continue
-        lam = p_full + nu * q_full
-        beta = (P + nu * Q) / nu
-        out.append((lam, beta, nu))
-    return out
+    if a >= 0.0:
+        return None
+    nu = (b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (-2.0 * a)
+    return nu if nu > 0.0 else None
 
 
-def min_weighted_beta(
-    gd: GramData, tol: float = 1e-9, max_iters: int = 100_000
-) -> MinWeightedBetaResult:
-    """Solve the margin-constrained program with a certified duality gap.
+CERT_RTOL = 1e-9  # round-off allowance of min_weighted_beta's certificate
 
-    Projected gradient ascent on the concave dual, with a primal
-    feasibility repair that mixes toward the hard-margin direction, plus
-    periodic exact active-set polishing.  The returned ``beta`` is feasible
-    and its objective exceeds the true optimum by at most ``gap``.
+
+def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
+    """Solve the margin-constrained program exactly, with a KKT certificate.
+
+    Each round takes the margin multipliers ``lambda = nnls(K, u + nu gamma
+    1)`` at a fixed norm multiplier ``nu``, warm-started from the previous
+    active set, then ``nu`` from :func:`_norm_multiplier` on the new active
+    set (halved when that gives None).  Rounds start at ``nu =
+    sqrt(u'K^{-1}u)``, the optimum without margin constraints, and stop when
+    the active set and ``nu`` repeat; ``beta = (lambda - K^{-1}u)/nu`` and
+    ``iterations`` counts the rounds.  Before return, the margins, the norm
+    and ``gap`` (primal minus :func:`dual_value` at ``lambda``) are checked
+    to ``CERT_RTOL``, else :class:`TwoEnvError`.  A norm-inactive optimum
+    (the all-margins vertex) is returned directly.
     """
     K = gd.gram
     u = gd.weights
     gamma = gd.gamma
     n = gd.n
-    evals = _check_conditioning(K)
+    _check_conditioning(K)
     cho = cho_factor(K)
 
-    def solve_full(v):
-        return cho_solve(cho, v)
-
     # feasibility: the hard-margin direction achieves the largest margin
-    mm_alpha, _ = hard_margin_dual(K, tol=1e-12)
-    mm_norm = math.sqrt(float(mm_alpha @ (K @ mm_alpha)))
-    beta_feas = mm_alpha / mm_norm
-    m_feas = K @ beta_feas
-    gamma_max = float(m_feas.min())
+    mm_alpha, _ = hard_margin_dual(gd.Z)
+    gamma_max = float((K @ mm_alpha).min()) / math.sqrt(float(mm_alpha @ (K @ mm_alpha)))
     if gamma > gamma_max:
         raise InfeasibleMarginError(
             f"target margin {gamma} exceeds achievable margin {gamma_max:.6g}"
         )
 
-    q_u = solve_full(u)
+    q_u = cho_solve(cho, u)
+    ones = np.ones(n)
 
     # norm-inactive exact case: every multiplier from K^{-1}u admissible
     if np.all(q_u >= -1e-12):
-        beta_vertex = gamma * solve_full(np.ones(n))
+        beta_vertex = gamma * cho_solve(cho, ones)
         if float(beta_vertex @ (K @ beta_vertex)) <= 1.0 + 1e-12:
             lam = np.maximum(q_u, 0.0)
             value = gamma * float(lam.sum())
@@ -238,95 +218,31 @@ def min_weighted_beta(
                 exact=True,
             )
 
-    def dual_at(lam):
-        resid = u - K @ lam
-        h = float(resid @ solve_full(resid))
-        return gamma * float(lam.sum()) - math.sqrt(max(h, 0.0)), resid, h
-
-    def repair(beta_hat):
-        m_hat = K @ beta_hat
-        viol = gamma - m_hat
-        if viol.max() <= 0:
-            mix = beta_hat
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(viol > 0, viol / (m_feas - m_hat), 0.0)
-            tau = min(1.0, float(ratios.max()))
-            mix = (1.0 - tau) * beta_hat + tau * beta_feas
-        # renormalize into the ellipsoid if round-off pushed us out
-        nrm = math.sqrt(float(mix @ (K @ mix)))
-        if nrm > 1.0:
-            mix = mix / nrm
-            if (K @ mix).min() < gamma - 1e-9:
-                mix = beta_feas * min(1.0, gamma / gamma_max + 1e-12)
-        return mix, float(u @ mix)
-
-    def try_polish(margins):
-        for eps in (1e-9, 1e-6, 1e-4, 1e-2):
-            active = margins <= gamma + eps * max(1.0, abs(gamma))
-            for lam, beta, nu in _kkt_norm_active(K, u, gamma, active, solve_full):
-                m = K @ beta
-                lam_ok = lam.min() >= -1e-9 * max(1.0, float(np.abs(lam).max()))
-                feas_ok = m.min() >= gamma - 1e-9 * max(1.0, abs(gamma))
-                norm = float(beta @ (K @ beta))
-                if lam_ok and feas_ok and abs(norm - 1.0) <= 1e-7:
-                    value = float(u @ beta)
-                    dv = gamma * float(np.maximum(lam, 0.0).sum()) - nu
-                    gap = value - dv
-                    if abs(gap) <= 1e-7 * max(1.0, abs(value)):
-                        return value, beta, np.maximum(lam, 0.0), dv, abs(gap)
-        return None
-
-    lam = np.zeros(n)
-    g_val, resid, h = dual_at(lam)
-    best_dual = (g_val, lam.copy())
-    step = 1.0 / max(1.0, float(evals[-1]))
-    beta_best, p_best = repair(beta_feas.copy())
-    it = 0
-    for it in range(1, max_iters + 1):
-        if h <= 1e-28:
+    nu = math.sqrt(float(u @ q_u))
+    active = np.ones(n, dtype=bool)
+    for rounds in range(1, 4 * n + 5):
+        lam, _ = nnls(K, u + nu * gamma * ones, active)
+        new_active = lam > 0.0
+        new_nu = _norm_multiplier(K, q_u, u, gamma, new_active) or 0.5 * nu
+        if new_nu == nu and np.array_equal(new_active, active):
             break
-        grad = gamma * np.ones(n) + resid / math.sqrt(h)
-        accepted = False
-        s = step
-        for _ in range(60):
-            cand = np.maximum(0.0, lam + s * grad)
-            g_cand, resid_c, h_c = dual_at(cand)
-            if g_cand >= g_val - 1e-18:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-        lam, g_val, resid, h = cand, g_cand, resid_c, h_c
-        step = min(s * 1.5, 1e6)
-        if g_val > best_dual[0]:
-            best_dual = (g_val, lam.copy())
+        active, nu = new_active, new_nu
+    else:
+        raise TwoEnvError("margin program: active set did not settle")
 
-        if it % 20 == 0 or it == max_iters:
-            if h > 1e-28:
-                beta_hat = (lam - q_u) / math.sqrt(h)
-                beta_try, p_try = repair(beta_hat)
-                if p_try < p_best:
-                    beta_best, p_best = beta_try, p_try
-                gap = p_best - best_dual[0]
-                if gap <= tol * max(1.0, abs(p_best)):
-                    return MinWeightedBetaResult(
-                        p_best, beta_best, best_dual[1], best_dual[0], gap, it, False
-                    )
-                polished = try_polish(K @ beta_hat)
-                if polished is not None:
-                    value, beta, plam, dv, gap = polished
-                    return MinWeightedBetaResult(value, beta, plam, dv, gap, it, True)
-
-    polished = try_polish(K @ beta_best)
-    if polished is not None:
-        value, beta, plam, dv, gap = polished
-        return MinWeightedBetaResult(value, beta, plam, dv, gap, it, True)
-    gap = p_best - best_dual[0]
-    if gap <= math.sqrt(tol) * max(1.0, abs(p_best)):
-        return MinWeightedBetaResult(p_best, beta_best, best_dual[1], best_dual[0], gap, it, False)
-    raise TwoEnvError(f"solver failed to certify a solution (gap {gap:.3e})")
+    beta = (lam - q_u) / nu
+    value = float(u @ beta)
+    resid = u - K @ lam
+    dual = gamma * float(lam.sum()) - math.sqrt(max(float(resid @ cho_solve(cho, resid)), 0.0))
+    gap = value - dual
+    margins = K @ beta
+    if (
+        margins.min() < gamma - CERT_RTOL * max(1.0, gamma)
+        or float(beta @ margins) > 1.0 + CERT_RTOL
+        or abs(gap) > CERT_RTOL * max(1.0, abs(value))
+    ):
+        raise TwoEnvError(f"solver failed to certify a solution (gap {gap:.3e})")
+    return MinWeightedBetaResult(value, beta, lam, dual, gap, rounds, True)
 
 
 # ---------------------------------------------------------------------------

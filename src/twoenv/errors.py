@@ -12,14 +12,17 @@ class DegenerateLabelsError(TwoEnvError):
 class NonSeparableError(TwoEnvError):
     """Hard-margin training was asked for on non-separable data.
 
-    Carries a certificate: the index of the most violated constraint and
-    the best (signed) margin achieved for it during the attempt.
+    Carries a certificate: ``witness`` is a probability vector ``u`` over
+    the rows, ``margin = ||Z'u||`` bounds the minimum margin of every
+    unit-norm ``w`` (``min_i z_i'w <= u'Zw``), and ``violated_index`` is
+    ``argmax u``.
     """
 
-    def __init__(self, message: str, violated_index: int, margin: float):
+    def __init__(self, message: str, violated_index: int, margin: float, witness):
         super().__init__(message)
         self.violated_index = violated_index
         self.margin = margin
+        self.witness = witness
 
 
 class InfeasibleMarginError(TwoEnvError):

@@ -88,7 +88,6 @@ class ExperimentConfig:
     )
     output_path: str = "sweep.csv"
     seed_base: int = 0
-    svm_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.d_grid:
@@ -145,7 +144,7 @@ def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, sigma: float,
         model, _ = two_phase_learn(s_1, s_2, rngmod.stream(seed, "two_phase", d))
         return model, data
     if method == "max_margin":
-        return max_margin(data, tol=cfg.svm_tol), data
+        return max_margin(data), data
     if method == "oracle_no_spurious":
         cleaned = _strip_spurious(data, mu_s, cfg.theta_1, cfg.theta_2)
         model, _ = gd_train(cleaned, replace(cfg.train, penalty_kind="none", penalty_weight=0.0),
@@ -360,7 +359,7 @@ def parse_records_csv(path) -> list[RunRecord]:
 _CONFIG_KEYS = {
     "d_grid", "seeds", "n1", "n2", "theta1", "theta2", "rc", "rs", "kappa", "sigma",
     "methods", "out", "seed_base", "learning_rate", "max_iters", "penalty_weight",
-    "l2_weight", "tolerance", "anneal_schedule", "svm_tol",
+    "l2_weight", "tolerance", "anneal_schedule",
 }
 
 
@@ -446,5 +445,4 @@ def build_config(raw: dict) -> ExperimentConfig:
         train=train,
         output_path=str(raw.get("out", "sweep.csv")),
         seed_base=parse_int("seed_base", raw.get("seed_base", "0")),
-        svm_tol=parse_float("svm_tol", raw.get("svm_tol", "1e-8")),
     )

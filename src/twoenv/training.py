@@ -20,11 +20,10 @@ On a 2-CPU Xeon box with one BLAS thread, at N=900, a step costs about
 about 0.23 ms on the direct path at d=320 against 0.15-0.18 ms for its two
 products; at N=180 (ridge IRMv1) it costs 0.046 ms around a 0.008 ms product.
 
-The hard-margin program ``min ||w||^2 s.t. y_i <w, x_i> >= 1`` is solved in
-its dual over the Gram matrix: accelerated projected gradient ascent plus
-an exact active-set polish, with the duality gap as the stopping
-certificate.  Because there is no intercept, the dual has no equality
-constraint, only ``alpha >= 0``.
+The hard-margin program ``min ||w||^2 s.t. y_i <w, x_i> >= 1`` is a
+least-distance program, solved exactly by the Lawson-Hanson routine
+:func:`nnls` (which also serves :mod:`twoenv.duality`); it returns a
+separator or a non-separability witness, never an iteration-budget verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsymv
 from scipy.special import expit
 
@@ -470,118 +470,124 @@ def objective_value(data: LabeledDataset, config: TrainConfig, w: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def _polish_active_set(K: np.ndarray, active: np.ndarray):
-    """Solve the unconstrained dual restricted to an active-set guess.
+def nnls(G: np.ndarray, b: np.ndarray, passive: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lawson-Hanson NNLS on the normal equations: ``min x'Gx/2 - b'x``, ``x >= 0``.
 
-    At the optimum, active coordinates satisfy ``[K alpha]_A = 1`` with
-    ``alpha`` supported on ``A``; if the solve is nonnegative and feasible
-    for the full constraint set, it is the exact optimum.
+    ``G = A'A`` and ``b = A'y`` give ``min ||Ax - y||`` (Lawson & Hanson,
+    *Solving Least Squares Problems*, 1974, ch. 23).  The ``passive`` mask is
+    a warm start, shrunk until its Cholesky solve is positive, or emptied if
+    a pivot falls below ``sqrt(eps)`` of its diagonal entry.  A coordinate
+    whose entry makes the passive block singular, or gets no positive
+    solve, is numerically dependent and waits until ``x`` moves.  Returns
+    ``(x, solves)``; raises :class:`TwoEnvError` unless the slopes ``b - Gx``
+    are within ``tol = 64 n eps (max|b| + max|G| sum(x))`` of zero where
+    ``x > 0`` and below it elsewhere.
     """
-    sub = K[np.ix_(active, active)]
-    rhs = np.ones(int(active.sum()))
-    try:
-        x = np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError:
-        x = np.linalg.lstsq(sub, rhs, rcond=None)[0]
-    alpha = np.zeros(K.shape[0])
-    alpha[active] = np.maximum(x, 0.0)
-    return alpha
+    n = b.size
+    eps = np.finfo(np.float64).eps
+    x = np.zeros(n)
+    P = np.array(passive, dtype=bool)
+    solves = 0
 
+    def solve(min_pivot=0.0):
+        nonlocal solves
+        solves += 1
+        idx = np.flatnonzero(P)
+        sub = G[np.ix_(idx, idx)]
+        try:
+            factor = cho_factor(sub)
+        except np.linalg.LinAlgError:
+            return None
+        if np.any(np.diag(factor[0]) ** 2 <= min_pivot * np.diag(sub)):
+            return None
+        s = np.zeros(n)
+        s[idx] = cho_solve(factor, b[idx])
+        return s
 
-def hard_margin_dual(
-    K: np.ndarray, tol: float = 1e-8, max_iters: int = 200_000
-) -> tuple[np.ndarray, dict]:
-    """Maximize ``1'a - a'Ka/2`` over ``a >= 0``; returns scaled multipliers.
-
-    The returned ``alpha`` is rescaled so the primal ``w = Z' alpha``
-    satisfies every margin constraint (minimum margin in [1, 1 + tol]).
-    Raises :class:`NonSeparableError` when the dual is detected unbounded.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    n = K.shape[0]
-    lam_max = float(np.linalg.eigvalsh(K)[-1]) if n > 1 else float(K[0, 0])
-    if lam_max <= 0:
-        raise NonSeparableError("all samples are numerically zero", 0, 0.0)
-    step = 1.0 / lam_max
-
-    alpha = np.zeros(n)
-    momentum = alpha.copy()
-    t_acc = 1.0
-    best: Optional[tuple[float, np.ndarray, float]] = None
-    best_margin = -math.inf
-    best_margin_idx = 0
-    dual_cap = 1e14
-
-    def certify(a: np.ndarray):
-        nonlocal best, best_margin, best_margin_idx
-        m = K @ a
-        dual = float(a.sum() - 0.5 * (a @ m))
-        mmin = float(m.min())
-        if mmin > best_margin:
-            best_margin = mmin
-            best_margin_idx = int(np.argmin(m))
-        if mmin <= 0:
-            return dual, math.inf, None
-        primal = 0.5 * float(a @ m) / mmin**2
-        gap = primal - dual
-        scaled = a / mmin
-        if best is None or gap < best[0]:
-            best = (gap, scaled, primal)
-        return dual, gap, scaled
-
-    check_every = 25
-    for it in range(1, max_iters + 1):
-        grad = 1.0 - K @ momentum
-        alpha_new = np.maximum(0.0, momentum + step * grad)
-        if float(grad @ (alpha_new - alpha)) < 0.0:  # restart acceleration
-            t_new = 1.0
-            momentum = alpha_new
+    while P.any():
+        s = solve(math.sqrt(eps))
+        if s is None:
+            P[:] = False
+        elif s[P].min() > 0.0:
+            x = s
+            break
         else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            momentum = alpha_new + ((t_acc - 1.0) / t_new) * (alpha_new - alpha)
-        alpha, t_acc = alpha_new, t_new
-
-        if it % check_every == 0 or it == max_iters:
-            dual, gap, scaled = certify(alpha)
-            if scaled is not None and gap <= tol * max(1.0, abs(dual)):
-                return _finish(scaled, gap, it, tol)
-            if scaled is not None:
-                margins = K @ alpha
-                active = (margins <= 1.0 + 1e-6) | (alpha > 1e-12 * max(1.0, alpha.max()))
-                if active.any():
-                    polished = _polish_active_set(K, active)
-                    dual_p, gap_p, scaled_p = certify(polished)
-                    if scaled_p is not None and gap_p <= tol * max(1.0, abs(dual_p)):
-                        return _finish(scaled_p, gap_p, it, tol)
-            # a bounded dual has value (1/2)||w*||^2; separable runs turn the
-            # minimum margin positive long before the value grows this large
-            if dual > dual_cap or (dual > 1e7 and best_margin <= 0.0):
-                raise NonSeparableError(
-                    "dual objective diverged; data is not linearly separable",
-                    best_margin_idx,
-                    best_margin,
-                )
-    if best is not None and best[0] <= math.sqrt(tol):
-        return _finish(best[1], best[0], max_iters, tol)
-    raise NonSeparableError(
-        "no separating direction found within the iteration budget",
-        best_margin_idx,
-        best_margin,
-    )
-
-
-def _finish(scaled: np.ndarray, gap: float, iters: int, tol: float):
-    # nudge above 1 so feasibility survives the final float rounding
-    safe = scaled * (1.0 + 1e-12)
-    return safe, {"gap": float(gap), "iterations": iters, "tol": tol}
+            P &= s > 0.0
+    g_max = float(np.abs(G).max())
+    blocked = np.zeros(n, dtype=bool)
+    for _ in range(8 * n + 8):
+        slope = b - G @ x
+        tol = 64 * n * eps * (float(np.abs(b).max()) + g_max * float(x.sum()))
+        free = np.where(P | blocked, -np.inf, slope)
+        j = int(np.argmax(free))
+        if free[j] <= tol:
+            if np.abs(slope[P]).max(initial=0.0) > tol:
+                raise TwoEnvError(f"nnls failed its KKT check (tolerance {tol:.3e})")
+            return x, solves
+        P[j] = True
+        s = solve()
+        if s is None or s[j] <= 0.0:
+            P[j] = False
+            blocked[j] = True
+            continue
+        blocked[:] = False
+        while s[P].min() <= 0.0:
+            # step toward s until the first passive coordinate reaches zero
+            out = P & (s <= 0.0)
+            ratios = x[out] / (x[out] - s[out])
+            x = x + float(ratios.min()) * (s - x)
+            x[np.flatnonzero(out)[np.argmin(ratios)]] = 0.0
+            P &= x > 0.0
+            x[~P] = 0.0
+            s = solve()  # a principal block of a factored block has a factor
+        x = s
+    raise TwoEnvError("nnls did not terminate")
 
 
-def max_margin(data: LabeledDataset, tol: float = 1e-8) -> LinearModel:
-    """Minimum-norm separator with unit margins, via the Gram-matrix dual."""
+WITNESS_RTOL = 1e-10  # non-separability threshold of hard_margin_dual, a round-off level
+
+
+def hard_margin_dual(Z: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Exact hard-margin multipliers for the signed rows ``Z``.
+
+    ``min ||w|| s.t. Z w >= 1`` is the least-distance program
+    ``min_{u>=0} ||[Z'; 1'] u - e_{k+1}||``, solved by :func:`nnls` for ``Z``
+    over its largest row norm (same separators) from every row, the answer
+    in the support-vector proliferation regime; ``w = Z'u / (1 - 1'u)``.
+    ``alpha`` is ``u`` scaled so that the margins of ``Z' alpha`` have
+    minimum ``1 + 1e-12``; ``info`` holds the duality ``gap`` and the
+    passive-set solves as ``iterations``.  With ``u~ = u / 1'u``, every
+    unit-norm ``w`` has minimum margin at most ``||Z'u~||``;
+    :class:`NonSeparableError` carries the witness ``u~`` when that is at
+    most ``WITNESS_RTOL max_i ||z_i||``.
+    """
+    K = Z @ Z.T
+    n = len(Z)
+    rho2 = float(K.diagonal().max()) or 1.0  # all-zero rows: any witness is exact
+    u, solves = nnls(K / rho2 + 1.0, np.ones(n), np.ones(n, dtype=bool))
+    witness = u / float(u.sum())
+    bound = float(np.linalg.norm(Z.T @ witness))
+    if bound <= WITNESS_RTOL * math.sqrt(rho2):
+        raise NonSeparableError(
+            "data is not linearly separable", int(np.argmax(witness)), bound, witness
+        )
+    alpha = u / rho2  # multipliers for Z itself, minimum margin 1 - 1'u < 1
+    # scale to a computed minimum margin of 1 + 1e-12, again where heavily
+    # cancelling margins round below it
+    while (low := float((Z @ (Z.T @ alpha)).min())) < 1.0:
+        if low <= 0.0:
+            raise TwoEnvError("hard-margin solve returned no separating direction")
+        alpha = alpha * ((1.0 + 1e-12) / low)
+    gap = float(alpha @ (K @ alpha)) - float(alpha.sum())  # a'Ka/2 - (1'a - a'Ka/2)
+    return alpha, {"gap": gap, "iterations": solves}
+
+
+def max_margin(data: LabeledDataset) -> LinearModel:
+    """Minimum-norm separator with unit margins, via :func:`hard_margin_dual`."""
     if data.n == 0:
         raise TwoEnvError("empty dataset")
     Z = data.signed()
-    alpha, info = hard_margin_dual(Z @ Z.T, tol=tol)
+    alpha, info = hard_margin_dual(Z)
     w = Z.T @ alpha
     return LinearModel(w, meta={"alpha": alpha, **info})
 
@@ -606,7 +612,6 @@ def irm_margin_alignment(
     datasets: list[tuple[int, LabeledDataset]],
     config: TrainConfig,
     ridge_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
-    svm_tol: float = 1e-8,
 ) -> list[AlignmentRow]:
     """Cosine of gradient-trained directions against the hard-margin separator.
 
@@ -617,7 +622,7 @@ def irm_margin_alignment(
     """
     rows = []
     for d, data in datasets:
-        svm = max_margin(data, tol=svm_tol)
+        svm = max_margin(data)
 
         w_warm = None
         for lam2 in ridge_schedule:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from twoenv import stream
+from twoenv import duality, stream
 from twoenv.calibrate import bound_chain_study
 from twoenv.duality import (
     GramData,
@@ -129,19 +129,39 @@ class TestMinWeightedBeta:
                                                    theta_2=-0.3 * (seed % 3))
             oracle = brute_force_min_weighted(gd.gram, gd.weights, gd.gamma)
             assert oracle is not None
-            res = min_weighted_beta(gd, tol=1e-10)
+            res = min_weighted_beta(gd)
             assert res.optimum == pytest.approx(oracle[0], abs=1e-5)
 
     def test_primal_feasibility_and_certificate(self):
         for seed in range(8):
             _, _, gd = _random_gram_instance(seed + 50, n_1=5, n_2=5, d=80, theta_2=-0.4)
-            res = min_weighted_beta(gd, tol=1e-9)
+            res = min_weighted_beta(gd)
             margins = gd.gram @ res.beta
             assert margins.min() >= gd.gamma - 1e-8
             assert float(res.beta @ gd.gram @ res.beta) <= 1.0 + 1e-7
             # certificate: dual value within gap of the primal value
             assert res.dual_value <= res.optimum + 1e-12
             assert res.gap <= 1e-6
+            assert res.exact
+            assert res.gap <= 1e-12 * max(1.0, abs(res.optimum))
+            # complementary slackness: a positive multiplier sits on an active margin
+            active = res.dual_lambda > 0
+            assert active.any()
+            np.testing.assert_allclose(margins[active], gd.gamma, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("fault", ["zero", "scaled"])
+    def test_uncertified_point_raises(self, monkeypatch, fault):
+        # an NNLS that returns a non-KKT point must not yield a result
+        real = duality.nnls
+
+        def broken(G, b, passive):
+            x, solves = real(G, b, passive)
+            return (np.zeros_like(x) if fault == "zero" else 1.01 * x), solves
+
+        monkeypatch.setattr(duality, "nnls", broken)
+        _, _, gd = _random_gram_instance(50, n_1=5, n_2=5, d=80, theta_2=-0.4)
+        with pytest.raises(TwoEnvError, match="certify"):
+            min_weighted_beta(gd)
 
     def test_infeasible_margin(self):
         _, _, gd = _random_gram_instance(7)
@@ -182,7 +202,7 @@ class TestDualValue:
         for seed in range(10):
             inst, data, gd = _random_gram_instance(seed + 100, n_1=5, n_2=4, d=90,
                                                    theta_2=-0.25)
-            res = min_weighted_beta(gd, tol=1e-10)
+            res = min_weighted_beta(gd)
             for _ in range(5):
                 lam = np.abs(rng.standard_normal(gd.n)) * 0.3
                 assert dual_value(gd, lam) <= res.optimum + 1e-8

@@ -310,6 +310,14 @@ class TestCli:
         sidecar = (tmp_path / "faulty.csv.errors.txt").read_text()
         assert sidecar == f"vrex,16,0: {fault.__name__}: injected\n"
 
+    @pytest.mark.parametrize("flags, named", [(["--seeds", "0"], "--seeds"),
+                                              (["--sizes", ""], "--sizes")])
+    def test_calibrate_rejects_empty_measurement(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "constants.json"
+        assert main(["calibrate", "--out", str(out)] + flags) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_subcommand(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["verify", "--instances", "3", "--out", str(out)])

@@ -343,15 +343,14 @@ class TestMaxMargin:
         data = LabeledDataset(
             np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, -1]), np.array([1, 2])
         )
-        model = max_margin(data, tol=1e-10)
+        model = max_margin(data)
         np.testing.assert_allclose(model.w, [1.0, 0.0], atol=1e-8)
 
     def test_kkt_feasibility(self):
         for seed in range(10):
             rng = stream(37, seed)
             data = random_dataset(rng, n=8, d=20)  # overparameterized: separable
-            tol = 1e-8
-            model = max_margin(data, tol=tol)
+            model = max_margin(data)
             margins = data.y * model.scores(data.X)
             assert margins.min() >= 1.0
             assert margins.min() <= 1.0 + 1e-6
@@ -389,10 +388,10 @@ class TestMaxMargin:
             oracle = brute(data.signed())
             if oracle is None:
                 with pytest.raises(NonSeparableError):
-                    max_margin(data, tol=1e-9)
+                    max_margin(data)
                 continue
             found += 1
-            model = max_margin(data, tol=1e-9)
+            model = max_margin(data)
             np.testing.assert_allclose(model.w, oracle[1], atol=1e-6)
         assert found >= 10  # the sweep must actually exercise separable cases
 
@@ -400,9 +399,22 @@ class TestMaxMargin:
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         data = LabeledDataset(X, np.array([1, -1]), np.array([1, 2]))
         with pytest.raises(NonSeparableError) as excinfo:
-            max_margin(data, tol=1e-9)
+            max_margin(data)
         assert excinfo.value.violated_index in (0, 1)
         assert excinfo.value.margin <= 0.0
+
+    def test_nonseparable_witness(self):
+        # a probability vector over the rows whose combination Z'u vanishes
+        X = np.array([[1.0, 0.0], [1.0, 0.0], [0.3, 2.0]])
+        data = LabeledDataset(X, np.array([1, -1, 1]), np.array([1, 2, 1]))
+        with pytest.raises(NonSeparableError) as excinfo:
+            max_margin(data)
+        u = excinfo.value.witness
+        assert u.min() >= 0.0 and u.sum() == pytest.approx(1.0, abs=1e-12)
+        assert excinfo.value.margin == np.linalg.norm(data.signed().T @ u)
+        assert excinfo.value.margin <= training.WITNESS_RTOL * np.linalg.norm(X, axis=1).max()
+        assert excinfo.value.violated_index == int(np.argmax(u))
+        assert u[2] <= 1e-12  # the third row is not part of the obstruction
 
     def test_margin_dominates_mean_estimator(self):
         wins = 0
@@ -410,7 +422,7 @@ class TestMaxMargin:
             rng = stream(43, seed)
             data = random_dataset(rng, n=10, d=25)
             sigma = 0.8
-            svm_margin = normalized_margin(max_margin(data, tol=1e-9), data, sigma)
+            svm_margin = normalized_margin(max_margin(data), data, sigma)
             mean_margin = normalized_margin(mean_estimator(data), data, sigma)
             assert svm_margin >= mean_margin - 1e-9
             wins += 1
@@ -433,7 +445,7 @@ class TestAlignment:
         data = random_dataset(rng, n=6, d=400)
         cfg = TrainConfig(max_iters=60_000, penalty_kind="none", log_every=10_000)
         model, _ = gd_train(data, cfg)
-        svm = max_margin(data, tol=1e-10)
+        svm = max_margin(data)
         assert cosine_similarity(model.w, svm.w) >= 0.99
 
     def test_alignment_rows(self):
