@@ -43,7 +43,6 @@ from .rng import stream
 from .training import (
     AlignmentRow,
     TrainConfig,
-    TrainTrace,
     cosine_similarity,
     gd_train,
     irm_margin_alignment,

@@ -87,6 +87,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise ConfigError("--instances must be at least 1")
     reports = bound_chain_study(args.instances, t=args.t, seed_base=args.seed_base)
     payload = [r.as_dict() for r in reports]
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

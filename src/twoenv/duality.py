@@ -20,7 +20,8 @@ gap between a feasible primal point and ``g``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -34,26 +35,24 @@ MIN_EIG = 0.25  # half the spectral floor the concentration regime guarantees
 
 @dataclass(frozen=True)
 class GramData:
-    """Span-space view of a dataset plus the program parameters."""
+    """Span-space view of a dataset plus the program parameters.
+
+    The Gram matrix ``gram = Z Z'`` is derived from ``Z`` on construction,
+    so it always matches it; its conditioning check and Cholesky factor
+    (:attr:`cho`) are computed once, on first use.
+    """
 
     Z: np.ndarray
-    gram: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     gamma: float
     theta_2: float
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.Z.shape[0]
-        if self.gram.shape != (n, n):
-            raise TwoEnvError("gram shape does not match Z")
-        if not np.allclose(self.gram, self.gram.T, rtol=1e-9, atol=1e-12):
-            raise TwoEnvError("gram must be symmetric")
-        dev = np.abs(self.gram - self.Z @ self.Z.T).max()
-        if dev > 1e-9 * max(1.0, float(np.abs(self.gram).max())):
-            raise TwoEnvError("gram disagrees with Z Z'")
         if not np.all((self.e1 + self.e2) == 1):
             raise TwoEnvError("e1 and e2 must partition the rows")
+        object.__setattr__(self, "gram", self.Z @ self.Z.T)
 
     @property
     def n(self) -> int:
@@ -63,12 +62,16 @@ class GramData:
     def weights(self) -> np.ndarray:
         return self.e1 + self.theta_2 * self.e2
 
+    @cached_property
+    def cho(self):
+        """Cholesky factor of the Gram, after :func:`_check_conditioning`."""
+        _check_conditioning(self.gram)
+        return cho_factor(self.gram)
+
 
 def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> GramData:
-    Z = data.signed()
     return GramData(
-        Z=Z,
-        gram=Z @ Z.T,
+        Z=data.signed(),
         e1=(data.env == 1).astype(np.float64),
         e2=(data.env == 2).astype(np.float64),
         gamma=gamma,
@@ -76,11 +79,11 @@ def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> Gra
     )
 
 
-def _check_conditioning(K: np.ndarray, min_eig: float = MIN_EIG) -> None:
+def _check_conditioning(K: np.ndarray) -> None:
     evals = np.linalg.eigvalsh(K)
-    if evals[0] < min_eig:
+    if evals[0] < MIN_EIG:
         raise IllConditionedGramError(
-            f"smallest gram eigenvalue {evals[0]:.3e} below threshold {min_eig}"
+            f"smallest gram eigenvalue {evals[0]:.3e} below threshold {MIN_EIG}"
         )
 
 
@@ -91,9 +94,8 @@ def dual_value(gd: GramData, lam: np.ndarray) -> float:
         raise TwoEnvError("lambda has wrong length")
     if np.any(lam < 0):
         raise TwoEnvError("lambda must be nonnegative")
-    _check_conditioning(gd.gram)
     resid = gd.weights - gd.gram @ lam
-    quad = float(resid @ cho_solve(cho_factor(gd.gram), resid))
+    quad = float(resid @ cho_solve(gd.cho, resid))
     return gd.gamma * float(lam.sum()) - math.sqrt(max(quad, 0.0))
 
 
@@ -188,8 +190,7 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     u = gd.weights
     gamma = gd.gamma
     n = gd.n
-    _check_conditioning(K)
-    cho = cho_factor(K)
+    cho = gd.cho
 
     # feasibility: the hard-margin direction achieves the largest margin
     mm_alpha, _ = hard_margin_dual(gd.Z)

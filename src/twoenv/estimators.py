@@ -53,9 +53,10 @@ class TwoPhaseDiagnostics:
 
 
 def _split_env(
-    data: LabeledDataset, frac: float, rng: np.random.Generator
+    data: LabeledDataset, rng: np.random.Generator
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    n_fit = int(np.floor(data.n * frac))
+    """A random half of the rows (rounded down) to fit on, and the rest held out."""
+    n_fit = data.n // 2
     perm = rng.permutation(data.n)
     fit_mask = np.zeros(data.n, dtype=bool)
     fit_mask[perm[:n_fit]] = True
@@ -66,18 +67,15 @@ def two_phase_learn(
     s_1: LabeledDataset,
     s_2: LabeledDataset,
     rng: np.random.Generator,
-    train_fraction: float = 0.5,
 ) -> tuple[LinearModel, TwoPhaseDiagnostics]:
     """Two-stage invariant learning on a pair of per-environment datasets."""
-    if not 0.0 < train_fraction < 1.0:
-        raise TwoEnvError("train_fraction must be strictly between 0 and 1")
     for name, part in (("1", s_1), ("2", s_2)):
         if part.n < 2:
             raise TwoEnvError(f"environment {name} needs at least 2 rows to split")
 
     split_seed = rngmod.spawn_seed(rng)
-    fit_1, fine_1 = _split_env(s_1, train_fraction, rngmod.stream(split_seed, "split", 1))
-    fit_2, fine_2 = _split_env(s_2, train_fraction, rngmod.stream(split_seed, "split", 2))
+    fit_1, fine_1 = _split_env(s_1, rngmod.stream(split_seed, "split", 1))
+    fit_2, fine_2 = _split_env(s_2, rngmod.stream(split_seed, "split", 2))
     for name, fine in (("1", fine_1), ("2", fine_2)):
         if not (fine.y == 1).any():
             raise DegenerateLabelsError(

@@ -127,17 +127,16 @@ def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledData
     return LabeledDataset(X, data.y, data.env, data.ambient_d)
 
 
-def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, sigma: float,
+def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig,
          mu_s, seed: int, d: int, env_views=None) -> tuple[LinearModel, LabeledDataset]:
     """Fit one method; returns the model and the dataset its train metrics use."""
     if method == "mean":
         return mean_estimator(data), data
     if method == "erm":
-        model, _ = gd_train(data, replace(cfg.train, penalty_kind="none", penalty_weight=0.0),
-                            sigma=sigma)
+        model, _ = gd_train(data, replace(cfg.train, penalty_kind="none", penalty_weight=0.0))
         return model, data
     if method in ("irmv1", "vrex", "groupdro", "moment_match"):
-        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method), sigma=sigma)
+        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method))
         return model, data
     if method == "two_phase":
         s_1, s_2 = env_views if env_views else (data.by_env(1), data.by_env(2))
@@ -147,8 +146,7 @@ def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, sigma: float,
         return max_margin(data), data
     if method == "oracle_no_spurious":
         cleaned = _strip_spurious(data, mu_s, cfg.theta_1, cfg.theta_2)
-        model, _ = gd_train(cleaned, replace(cfg.train, penalty_kind="none", penalty_weight=0.0),
-                            sigma=sigma)
+        model, _ = gd_train(cleaned, replace(cfg.train, penalty_kind="none", penalty_weight=0.0))
         return model, cleaned
     raise TwoEnvError(f"unknown method {method!r}")
 
@@ -167,7 +165,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
     for method in cfg.methods:
         start = time.perf_counter()
         try:
-            model, train_data = _fit(method, data, cfg, sigma, mu_s, seed, d,
+            model, train_data = _fit(method, data, cfg, mu_s, seed, d,
                                      env_views=env_views)
             margins = train_data.y * model.scores(train_data.X)
             train_acc = float((margins > 0).mean())
@@ -325,31 +323,6 @@ def emit(records: list[RunRecord], fmt: str, path, timings: bool = False):
             "".join(f"{r.method},{r.d},{r.seed}: {r.error}\n" for r in reasons)
         )
     return path
-
-
-def parse_records_csv(path) -> list[RunRecord]:
-    """Read back a CSV produced by :func:`emit` (used by tests and plotting)."""
-    lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != CSV_HEADER:
-        raise TwoEnvError(f"{path}: unexpected header")
-    out = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        out.append(
-            RunRecord(
-                method=parts[0],
-                d=int(parts[1]),
-                seed=int(parts[2]),
-                train_acc=float(parts[3]),
-                robust_acc=float(parts[4]),
-                margin=float(parts[5]),
-                ratio=float(parts[6]),
-                eopp_gap=float(parts[7]),
-                interpolating=parts[8] == "true",
-                wall_ms=float(parts[9]),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -99,17 +99,14 @@ def spurious_core_ratio(model: LinearModel, mu_c, mu_s) -> float:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Empirical and (optionally) population gaps between environments."""
+    """Empirical gap of the positive-class mean score between environments."""
 
     eopp_gap: float
-    cond_mean_gap_pos: float
-    cond_mean_gap_neg: float
-    population_gap: Optional[float]
 
 
-def class_score_mean(w: np.ndarray, data: LabeledDataset, label: int = 1) -> float:
-    """Mean score ``<w, x>`` over the rows of ``data`` labelled ``label``; nan if none."""
-    mask = data.y == label
+def class_score_mean(w: np.ndarray, data: LabeledDataset) -> float:
+    """Mean score ``<w, x>`` over the positive-label rows of ``data``; nan if none."""
+    mask = data.y == 1
     if not mask.any():
         return math.nan
     return float((data.X[mask] @ w).mean())
@@ -119,28 +116,13 @@ def invariance_gaps(
     model: LinearModel,
     data_1: LabeledDataset,
     data_2: LabeledDataset,
-    mu_s=None,
-    theta_1: Optional[float] = None,
-    theta_2: Optional[float] = None,
 ) -> InvarianceReport:
-    """Between-environment gaps of the score distribution.
-
-    Returns the empirical equal-opportunity gap (difference of the mean
-    score over positive-label rows), the per-class conditional-mean gaps,
-    and, when the true spurious mean and coefficients are supplied, the
-    population gap ``|<w, mu_s>| * |theta_1 - theta_2| / ||w||``.
-    """
+    """Empirical equal-opportunity gap: the difference between the two
+    environments of the mean score over positive-label rows."""
     for env_label, part in ((1, data_1), (2, data_2)):
         if not (part.y == 1).any():
             raise DegenerateLabelsError(
                 f"environment {env_label} has no positive-label rows; the equal-"
                 "opportunity gap is undefined"
             )
-    w = model.w
-    # the equal-opportunity gap is the positive-class conditional-mean gap
-    gap_pos = class_score_mean(w, data_1, 1) - class_score_mean(w, data_2, 1)
-    gap_neg = class_score_mean(w, data_1, -1) - class_score_mean(w, data_2, -1)
-    population = None
-    if mu_s is not None and theta_1 is not None and theta_2 is not None:
-        population = abs(float(w @ np.asarray(mu_s))) * abs(theta_1 - theta_2) / model.norm
-    return InvarianceReport(gap_pos, gap_pos, gap_neg, population)
+    return InvarianceReport(class_score_mean(model.w, data_1) - class_score_mean(model.w, data_2))

@@ -197,11 +197,6 @@ class LinearModel:
     def scores(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X) @ self.w
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        s = self.scores(X)
-        out = np.where(s >= 0, 1, -1)
-        return out.astype(np.int64)
-
 
 def sample_orthogonal_means(
     d: int, r_c: float, r_s: float, rng: np.random.Generator

@@ -29,7 +29,7 @@ separator or a non-separability witness, never an iteration-budget verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -52,7 +52,6 @@ class TrainConfig:
     l2_weight: float = 0.0
     tolerance: float = 1e-8
     anneal_schedule: Optional[int] = None  # iteration at which the penalty activates
-    log_every: int = 100
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -67,8 +66,6 @@ class TrainConfig:
             raise TwoEnvError("tolerance must be positive")
         if self.anneal_schedule is not None and self.anneal_schedule < 0:
             raise TwoEnvError("anneal_schedule must be nonnegative")
-        if self.log_every < 1:
-            raise TwoEnvError("log_every must be at least 1")
 
 
 def _loss(m: np.ndarray) -> np.ndarray:
@@ -198,24 +195,14 @@ def _zero_outside(dm: np.ndarray, masks: list[slice | np.ndarray], covered: int)
 
 @dataclass
 class TrainTrace:
-    iters: list[int] = field(default_factory=list)
-    loss: list[float] = field(default_factory=list)
-    penalty: list[float] = field(default_factory=list)
-    train_err: list[float] = field(default_factory=list)
-    margin: list[float] = field(default_factory=list)
+    """How a run ended; the same values sit in the model's ``meta``."""
+
     stop_reason: str = "max_iters"  # "converged", "stalled" or "max_iters"
     final_grad_norm: float = math.nan
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
-
-    def log(self, it: int, loss: float, penalty: float, err: float, margin: float) -> None:
-        self.iters.append(it)
-        self.loss.append(loss)
-        self.penalty.append(penalty)
-        self.train_err.append(err)
-        self.margin.append(margin)
 
 
 class _WSpace:
@@ -298,21 +285,20 @@ class _Point:
 
     ``ell`` and ``s`` hold the logistic losses and sigmoids of the margins,
     ``dm`` the penalty's margin slope, and ``coeff`` the objective's margin
-    slope; ``loss``, ``pen`` and ``total`` are the evaluated scalars.
+    slope; ``total`` is the evaluated objective.
     """
 
-    __slots__ = ("state", "m", "ell", "s", "dm", "coeff", "loss", "pen", "total")
+    __slots__ = ("state", "m", "ell", "s", "dm", "coeff", "total")
 
     def __init__(self, state: np.ndarray, m: np.ndarray):
         self.state, self.m = state, m
         self.ell, self.s, self.dm, self.coeff = (np.zeros_like(m) for _ in range(4))
-        self.loss = self.pen = self.total = math.nan
+        self.total = math.nan
 
 
 def gd_train(
     data: LabeledDataset,
     config: TrainConfig,
-    sigma: Optional[float] = None,
     w0: Optional[np.ndarray] = None,
 ) -> tuple[LinearModel, TrainTrace]:
     """Full-batch gradient descent from zero on the penalized logistic objective.
@@ -338,11 +324,12 @@ def gd_train(
     ``exp``, the sigmoids ``exp(-(log1p(e) + max(m, 0)))``; neither form
     overflows or cancels.  It then makes exactly one call to
     :func:`penalty_value_and_slope`, which reads its per-environment slices
-    of them and writes the penalty slope into the candidate's buffer.  The
-    loop's own work is about 0.05-0.07 ms a step at N=900 (see the module
-    docstring), so a step costs little more than its operator product.
-    ``sigma`` only scales the margin column of the trace; ``w0``
-    warm-starts the iteration at the cost of one product for its margins.
+    of them and writes the penalty slope into the candidate's buffer; before
+    the anneal iteration, where the penalty weight is zero, that call takes
+    the ``"none"`` kind.  The loop's own work is about 0.05-0.07 ms a step
+    at N=900 (see the module docstring), so a step costs little more than
+    its operator product.  ``w0`` warm-starts the iteration at the cost of
+    one product for its margins.
     """
     if data.n == 0:
         raise TwoEnvError("empty dataset")
@@ -358,7 +345,6 @@ def gd_train(
     # scratch for one evaluation, shared by both points
     neg_m, u = np.zeros_like(cur.m), np.zeros_like(cur.m)
 
-    margin_scale = 1.0 if sigma is None else math.sqrt(sigma**2 * data.ambient_d)
     n = data.n
     l2 = config.l2_weight
     ridge_buf = np.zeros_like(cur.state) if l2 else None
@@ -375,19 +361,14 @@ def gd_train(
         # ell = u + max(-m, 0); s = exp(-(u + max(m, 0))), as min(-m, 0) - u
         np.add(np.maximum(neg_m, 0.0, out=ell), u, out=ell)
         np.exp(np.subtract(np.minimum(neg_m, 0.0, out=s), u, out=s), out=s)
-        p.loss = float(ell.sum()) / n
-        p.pen, _ = penalty_value_and_slope(kind, m, masks, ell=ell, s=s, out=p.dm)
-        p.total = p.loss + lam * p.pen
+        pen, _ = penalty_value_and_slope(kind if lam else "none", m, masks,
+                                         ell=ell, s=s, out=p.dm)
+        p.total = float(ell.sum()) / n + lam * pen
         if l2:
             p.total += l2 * space.sq_norm(p.state, m)
         np.divide(s, -float(n), out=p.coeff)  # -s / n
         if lam and kind != "none":
             p.coeff += np.multiply(p.dm, lam, out=p.dm)
-
-    def log(it: int, p: _Point) -> None:
-        wnorm = math.sqrt(max(space.sq_norm(p.state, p.m), 1e-300))
-        trace.log(it, p.loss, p.pen, float((p.m <= 0).mean()),
-                  float(p.m.min()) / (wnorm * margin_scale))
 
     # the penalty is off before the anneal iteration; a penalty-free
     # objective never changes there
@@ -396,7 +377,7 @@ def gd_train(
     min_stop_iter = anneal if penalized else 0
     lr = max_lr = config.learning_rate
     min_step = max_lr * 2.0**-60
-    tolerance, log_every = config.tolerance, config.log_every
+    tolerance = config.tolerance
     lam = 0.0 if anneal > 0 else config.penalty_weight
     evaluate(cur, lam)
     if not math.isfinite(cur.total):
@@ -409,8 +390,6 @@ def gd_train(
             evaluate(cur, lam)
         direction, moved, gnorm_sq = space.direction(cur.coeff, ridge(cur.state))
         gnorm = math.sqrt(gnorm_sq)
-        if it % log_every == 0:
-            log(it, cur)
         if gnorm <= tolerance and it >= min_stop_iter:
             trace.stop_reason = "converged"
             break
@@ -435,7 +414,6 @@ def gd_train(
         gnorm = math.sqrt(space.direction(cur.coeff, ridge(cur.state))[2])
 
     trace.final_grad_norm = gnorm
-    log(it, cur)
 
     w = space.weights(cur.state)
     if float(np.linalg.norm(w)) == 0.0:

@@ -133,8 +133,7 @@ def qualitative_sweep():
         r_s=2.0,
         sigma_rule=SigmaRule("scaling", float(CONSTANTS["kappa"])),
         methods=("erm", "irmv1", "vrex", "two_phase", "oracle_no_spurious"),
-        train=TrainConfig(penalty_weight=100.0, anneal_schedule=500, max_iters=3000,
-                          log_every=3000),
+        train=TrainConfig(penalty_weight=100.0, anneal_schedule=500, max_iters=3000),
     )
     started = time.time()
     records = run_sweep(cfg)
@@ -193,7 +192,7 @@ def test_c08_ridge_path_max_margin_alignment():
     d, n_1, n_2 = 5120, 160, 20
     kappa = float(CONSTANTS["kappa"])
     sigma = 1.0 / (kappa * (d / (n_1 + n_2)) ** 0.25)
-    cfg = TrainConfig(max_iters=3000, penalty_weight=1.0, log_every=5000)
+    cfg = TrainConfig(max_iters=3000, penalty_weight=1.0)
     hits = 0
     for seed in range(25):
         mu_c, mu_s = sample_orthogonal_means(d, 1.0, 2.0, stream(seed, "c8-means"))
@@ -239,7 +238,7 @@ def test_c10_sweep_determinism(tmp_path):
         n_1=24,
         n_2=12,
         methods=("mean", "erm", "two_phase"),
-        train=TrainConfig(max_iters=300, log_every=300),
+        train=TrainConfig(max_iters=300),
         output_path=str(tmp_path / "unused.csv"),
     )
     p_1, p_2 = tmp_path / "one.csv", tmp_path / "two.csv"

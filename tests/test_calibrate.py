@@ -53,7 +53,7 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
         n_1=16,
         n_2=8,
         methods=("mean", "two_phase", "erm", "vrex"),
-        train=TrainConfig(max_iters=100, log_every=100, penalty_weight=10.0,
+        train=TrainConfig(max_iters=100, penalty_weight=10.0,
                           anneal_schedule=20),
     )
     real = experiments.gd_train

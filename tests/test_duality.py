@@ -165,13 +165,13 @@ class TestMinWeightedBeta:
 
     def test_infeasible_margin(self):
         _, _, gd = _random_gram_instance(7)
-        too_big = GramData(gd.Z, gd.gram, gd.e1, gd.e2, 10.0, gd.theta_2)
+        too_big = GramData(gd.Z, gd.e1, gd.e2, 10.0, gd.theta_2)
         with pytest.raises(InfeasibleMarginError):
             min_weighted_beta(too_big)
 
     def test_ill_conditioned_gram(self):
         Z = np.array([[1.0, 0.0], [1.0, 1e-9]])
-        gd = GramData(Z, Z @ Z.T, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1, 0.0)
+        gd = GramData(Z, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1, 0.0)
         with pytest.raises(IllConditionedGramError):
             min_weighted_beta(gd)
 
@@ -380,12 +380,19 @@ class TestBoundChain:
 
 
 class TestGramData:
-    def test_rejects_mismatched_gram(self):
-        Z = np.eye(2)
-        with pytest.raises(TwoEnvError):
-            GramData(Z, 2 * np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1, 0.0)
-
     def test_rejects_bad_partition(self):
         Z = np.eye(2)
         with pytest.raises(TwoEnvError):
-            GramData(Z, np.eye(2), np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.1, 0.0)
+            GramData(Z, np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.1, 0.0)
+
+    def test_derived_gram_is_checked_and_factored_once(self, monkeypatch):
+        inst, data, gd = _random_gram_instance(23, n_1=5, n_2=5, d=80, theta_2=-0.4)
+        Z = data.signed()
+        assert gd.gram.tobytes() == (Z @ Z.T).tobytes()
+        checks = []
+        real = duality._check_conditioning
+        monkeypatch.setattr(duality, "_check_conditioning",
+                            lambda K: checks.append(K) or real(K))
+        min_weighted_beta(gd)
+        dual_value(gd, canonical_lambda(gd, inst.r_c, inst.r_s))
+        assert len(checks) == 1 and checks[0] is gd.gram

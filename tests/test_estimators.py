@@ -152,8 +152,3 @@ class TestTwoPhase:
         d_2 = LabeledDataset(X, y, np.full(6, 2, dtype=int))
         with pytest.raises(DegenerateConstraintError):
             two_phase_learn(d_1, d_2, stream(9, "tp"))
-
-    def test_rejects_bad_fraction(self):
-        d_1 = random_dataset(stream(11), n=8, d=4)
-        with pytest.raises(TwoEnvError):
-            two_phase_learn(d_1, d_1, stream(11, "tp"), train_fraction=1.0)

@@ -1,5 +1,6 @@
 """Sweep runner, emission formats, and the command line."""
 
+import csv
 import json
 import math
 
@@ -16,7 +17,6 @@ from twoenv.experiments import (
     build_config,
     emit,
     parse_config_file,
-    parse_records_csv,
     resolve_sigma,
     run_sweep,
 )
@@ -52,7 +52,7 @@ def _tiny_config(**kwargs):
         n_1=20,
         n_2=10,
         methods=("mean",),
-        train=TrainConfig(max_iters=200, log_every=100),
+        train=TrainConfig(max_iters=200),
         output_path="sweep.csv",
     )
     defaults.update(kwargs)
@@ -127,7 +127,7 @@ class TestRunSweep:
             n_1=24,
             n_2=16,
             methods=("erm",),
-            train=TrainConfig(max_iters=300, log_every=100),
+            train=TrainConfig(max_iters=300),
         )
         records = run_sweep(cfg)
         small = max(records[0].wall_ms, 0.5)
@@ -149,14 +149,15 @@ class TestEmit:
         text = path.read_text()
         assert text.startswith(CSV_HEADER + "\n")
         assert len(text.strip().split("\n")) == len(records) + 1
-        back = parse_records_csv(path)
+        with path.open(newline="") as fh:
+            back = list(csv.DictReader(fh))
         for orig, parsed in zip(records, back):
-            assert parsed.method == orig.method
-            assert parsed.d == orig.d and parsed.seed == orig.seed
-            assert parsed.train_acc == pytest.approx(orig.train_acc, rel=1e-8)
-            assert parsed.margin == pytest.approx(orig.margin, rel=1e-8)
-            assert parsed.interpolating == orig.interpolating
-            assert parsed.wall_ms == 0.0  # timings off by default
+            assert parsed["method"] == orig.method
+            assert int(parsed["d"]) == orig.d and int(parsed["seed"]) == orig.seed
+            assert float(parsed["train_acc"]) == pytest.approx(orig.train_acc, rel=1e-8)
+            assert float(parsed["margin"]) == pytest.approx(orig.margin, rel=1e-8)
+            assert parsed["interpolating"] == ("true" if orig.interpolating else "false")
+            assert float(parsed["wall_ms"]) == 0.0  # timings off by default
 
     def test_json_mirror_keys(self, tmp_path):
         records = run_sweep(_tiny_config())
@@ -169,8 +170,9 @@ class TestEmit:
         records = run_sweep(_tiny_config())
         path = tmp_path / "t.csv"
         emit(records, "csv", path, timings=True)
-        parsed = parse_records_csv(path)
-        assert parsed[0].wall_ms > 0.0
+        with path.open(newline="") as fh:
+            parsed = list(csv.DictReader(fh))
+        assert float(parsed[0]["wall_ms"]) > 0.0
 
 
 class TestConfigFile:
@@ -316,6 +318,13 @@ class TestCli:
         out = tmp_path / "constants.json"
         assert main(["calibrate", "--out", str(out)] + flags) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_verify_rejects_empty_study(self, tmp_path, capsys, count):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--instances", count, "--out", str(out)]) == 1
+        assert "--instances" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_subcommand(self, tmp_path):

@@ -204,11 +204,8 @@ class TestInvarianceGaps:
     def test_spurious_free_classifier_has_zero_gaps(self):
         mu_c, mu_s = _geometry(d=8, seed=2)
         d_1, d_2 = noiseless_pair(mu_c, mu_s, 1.0, 0.0)
-        rep = invariance_gaps(LinearModel(mu_c), d_1, d_2, mu_s=mu_s, theta_1=1.0, theta_2=0.0)
+        rep = invariance_gaps(LinearModel(mu_c), d_1, d_2)
         assert rep.eopp_gap == pytest.approx(0.0, abs=1e-9)
-        assert rep.cond_mean_gap_pos == pytest.approx(0.0, abs=1e-9)
-        assert rep.cond_mean_gap_neg == pytest.approx(0.0, abs=1e-9)
-        assert rep.population_gap == pytest.approx(0.0, abs=1e-9)
 
     def test_pure_spurious_plug_in(self):
         mu_c, mu_s = _geometry(d=8, seed=2, r_s=2.0)

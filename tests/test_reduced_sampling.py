@@ -105,7 +105,7 @@ def _gd_reduced(seed):
 
 def _gd_statistics(inst, data, seed):
     def fit(method):
-        return _fit(method, data, GD_CONFIG, GD_SIGMA, inst.mu_s, seed, GD_D)[0]
+        return _fit(method, data, GD_CONFIG, inst.mu_s, seed, GD_D)[0]
 
     def robust(model):
         return robust_error(model, inst.mu_c, inst.mu_s, GD_SIGMA).error
