@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,6 +90,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.instances < 1:
         raise ConfigError("--instances must be at least 1")
+    if not (math.isfinite(args.t) and args.t > 0):
+        raise ConfigError(f"--t must be positive and finite, got {args.t}")
     reports = bound_chain_study(args.instances, t=args.t, seed_base=args.seed_base)
     payload = [r.as_dict() for r in reports]
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -53,8 +53,9 @@ class SigmaRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "scaling"):
             raise ConfigError(f"unknown sigma rule {self.kind!r}")
-        if self.value <= 0:
-            raise ConfigError("sigma rule parameter must be positive")
+        if not (math.isfinite(self.value) and self.value > 0):
+            name = "sigma" if self.kind == "fixed" else "kappa"
+            raise ConfigError(f"{name} must be positive and finite, got {self.value}")
 
 
 def resolve_sigma(rule: SigmaRule, d: int, n: int, r_c: float) -> float:
@@ -127,16 +128,20 @@ def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledData
     return LabeledDataset(X, data.y, data.env, data.ambient_d)
 
 
-def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig,
-         mu_s, seed: int, d: int, env_views=None) -> tuple[LinearModel, LabeledDataset]:
-    """Fit one method; returns the model and the dataset its train metrics use."""
+def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: int, d: int,
+         env_views=None, prefixes=None) -> tuple[LinearModel, LabeledDataset]:
+    """Fit one method; returns the model and the dataset its train metrics use.
+
+    ``prefixes`` is the GD prefix store of ``data`` (see :func:`gd_train`).
+    """
     if method == "mean":
         return mean_estimator(data), data
     if method == "erm":
-        model, _ = gd_train(data, replace(cfg.train, penalty_kind="none", penalty_weight=0.0))
+        model, _ = gd_train(data, replace(cfg.train, penalty_kind="none", penalty_weight=0.0),
+                            prefixes=prefixes)
         return model, data
     if method in ("irmv1", "vrex", "groupdro", "moment_match"):
-        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method))
+        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method), prefixes=prefixes)
         return model, data
     if method == "two_phase":
         s_1, s_2 = env_views if env_views else (data.by_env(1), data.by_env(2))
@@ -152,7 +157,14 @@ def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig,
 
 
 def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
-    """All requested methods on one sampled instance."""
+    """All requested methods on one sampled instance.
+
+    The GD fits on the draw share their pre-anneal steps through one prefix
+    store, so a fit that resumes from it reports a ``wall_ms`` without them.
+    Each method's fit and metrics run with numpy overflow and invalid
+    operations raising, so a NaN or inf they would produce becomes that
+    method's error row instead of a value in the output.
+    """
     sigma = resolve_sigma(cfg.sigma_rule, d, cfg.n_1 + cfg.n_2, cfg.r_c)
     instance, data = sample_reduced(
         d, cfg.r_c, cfg.r_s, cfg.theta_1, cfg.theta_2, cfg.n_1, cfg.n_2, sigma, seed,
@@ -160,22 +172,24 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
     )
     mu_c, mu_s = instance.mu_c, instance.mu_s
     env_views = (data.by_env(1), data.by_env(2))
+    prefixes: dict = {}  # oracle_no_spurious trains on other data and gets none
 
     records = []
     for method in cfg.methods:
         start = time.perf_counter()
         try:
-            model, train_data = _fit(method, data, cfg, mu_s, seed, d,
-                                     env_views=env_views)
-            margins = train_data.y * model.scores(train_data.X)
-            train_acc = float((margins > 0).mean())
-            margin = normalized_margin(model, train_data, sigma)
-            rob = robust_error(model, mu_c, mu_s, sigma).error
-            try:
-                ratio = spurious_core_ratio(model, mu_c, mu_s)
-            except TwoEnvError:
-                ratio = math.nan
-            gaps = invariance_gaps(model, env_views[0], env_views[1])
+            with np.errstate(over="raise", invalid="raise"):
+                model, train_data = _fit(method, data, cfg, mu_s, seed, d,
+                                         env_views=env_views, prefixes=prefixes)
+                margins = train_data.y * model.scores(train_data.X)
+                train_acc = float((margins > 0).mean())
+                margin = normalized_margin(model, train_data, sigma)
+                rob = robust_error(model, mu_c, mu_s, sigma).error
+                try:
+                    ratio = spurious_core_ratio(model, mu_c, mu_s)
+                except TwoEnvError:
+                    ratio = math.nan
+                gaps = invariance_gaps(model, env_views[0], env_views[1])
             wall = (time.perf_counter() - start) * 1e3
             records.append(
                 RunRecord(

@@ -9,6 +9,7 @@ GD note against the package.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,19 @@ def test_gd_note_reads_a_gd_result(tracing, max_iters, converged):
     assert trace.converged is converged
     assert note["cap"] is not converged
     assert note["steps"] == model.meta["iters"] + (0 if converged else 1)
+
+
+def test_gd_note_reads_a_resumed_run(tracing):
+    # a run that resumes from a stored pre-anneal iterate still reports its
+    # iterations from zero, so the note counts the steps of a full run
+    data = random_dataset(stream(89), n=12, d=30)
+    cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=100,
+                      max_iters=300)
+    prefixes = {}
+    gd_train(data, replace(cfg, penalty_kind="none"), prefixes=prefixes)
+    out = gd_train(data, cfg, prefixes=prefixes)
+    note = tracing._gd_note((data, cfg), {"prefixes": prefixes}, out)
+    model, trace = out
+    assert len(prefixes) == 1 and not trace.converged
+    assert note["cap"] is True
+    assert note["steps"] == model.meta["iters"] + 1 == cfg.max_iters

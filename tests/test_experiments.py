@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from twoenv import experiments
+from twoenv import experiments, training
 from twoenv.cli import main
 from twoenv.errors import ConfigError, TwoEnvError
 from twoenv.experiments import (
@@ -20,7 +22,8 @@ from twoenv.experiments import (
     resolve_sigma,
     run_sweep,
 )
-from twoenv.training import TrainConfig
+from twoenv.model import LinearModel
+from twoenv.training import TrainConfig, penalty_value_and_slope
 
 
 class TestResolveSigma:
@@ -133,6 +136,63 @@ class TestRunSweep:
         small = max(records[0].wall_ms, 0.5)
         big = max(records[1].wall_ms, 0.5)
         assert big < 500 * small
+
+
+def _fields(record):
+    """A record's values without its wall time, nan made comparable."""
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v
+                 for k, v in vars(record).items() if k != "wall_ms")
+
+
+class TestPrefixSharing:
+    """A cell's GD fits on its draw share their pre-anneal steps."""
+
+    @pytest.mark.parametrize("methods", [
+        ("erm", "irmv1", "vrex", "oracle_no_spurious"),  # ERM first
+        ("irmv1", "vrex", "two_phase", "erm"),  # ERM last
+        ("irmv1", "vrex", "groupdro", "moment_match"),  # no ERM
+    ])
+    @pytest.mark.parametrize("d", [16, 64])  # N=30: direct path at 16, span path at 64
+    def test_cell_records_equal_unshared_fits(self, monkeypatch, methods, d):
+        # a cell with one method has no other fit to share with
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return penalty_value_and_slope(*args, **kwargs)
+
+        monkeypatch.setattr(training, "penalty_value_and_slope", spy)
+        train = TrainConfig(max_iters=300, penalty_weight=100.0, anneal_schedule=100)
+        cfg = _tiny_config(d_grid=(d,), methods=methods, train=train)
+        shared = experiments.run_cell(cfg, d, 3)
+        shared_evals = len(calls)
+        alone = []
+        for method in methods:
+            alone += experiments.run_cell(replace(cfg, methods=(method,)), d, 3)
+        assert [_fields(r) for r in shared] == [_fields(r) for r in alone]
+        assert all(r.error is None for r in shared)
+        # three or four fits on the draw: all but the first resume
+        assert shared_evals <= len(calls) - shared_evals - 2 * 100
+
+    def test_each_cell_has_its_own_store(self, monkeypatch):
+        handed = []
+        real = experiments.gd_train
+
+        def spy(data, config, *args, prefixes=None, **kwargs):
+            handed.append((config.penalty_kind, prefixes))
+            return real(data, config, *args, prefixes=prefixes, **kwargs)
+
+        monkeypatch.setattr(experiments, "gd_train", spy)
+        train = TrainConfig(max_iters=150, penalty_weight=100.0, anneal_schedule=100)
+        cfg = _tiny_config(d_grid=(16, 64), seeds=2, train=train,
+                           methods=("erm", "vrex", "oracle_no_spurious"))
+        run_sweep(cfg)
+        stores = [store for _, store in handed[::3]]
+        assert len(handed) == 3 * 4 and all(isinstance(store, dict) for store in stores)
+        assert len({id(store) for store in stores}) == 4
+        assert all(store is handed[3 * i + 1][1] for i, store in enumerate(stores))
+        assert all(len(store) == 1 for store in stores)
+        assert all(store is None for _, store in handed[2::3])
 
 
 class TestEmit:
@@ -287,8 +347,16 @@ class TestCli:
         assert code == 2
         assert out.exists()
 
-    @pytest.mark.parametrize("fault", [np.linalg.LinAlgError, FloatingPointError])
-    def test_numerical_failure_becomes_one_error_row(self, tmp_path, monkeypatch, fault):
+    @pytest.mark.parametrize("fault, reason", [
+        pytest.param(np.linalg.LinAlgError, "LinAlgError: injected", id="LinAlgError"),
+        pytest.param(FloatingPointError, "FloatingPointError: injected",
+                     id="FloatingPointError"),
+        # planted: weights whose squared norm overflows, which the metrics
+        # would otherwise turn into a margin of 0 and a robust accuracy of 1/2
+        pytest.param(None, r"FloatingPointError: overflow encountered in \w+", id="overflow"),
+    ])
+    def test_numerical_failure_becomes_one_error_row(self, tmp_path, monkeypatch, fault,
+                                                     reason):
         argv = ["sweep", "--methods", "erm,vrex,mean", "--d-grid", "16", "--seeds", "1",
                 "--n1", "20", "--n2", "10", "--max-iters", "50"]
         clean = tmp_path / "clean.csv"
@@ -296,9 +364,12 @@ class TestCli:
         real = experiments.gd_train
 
         def faulty(data, config, *args, **kwargs):
-            if config.penalty_kind == "vrex":
+            if config.penalty_kind == "vrex" and fault is not None:
                 raise fault("injected")
-            return real(data, config, *args, **kwargs)
+            model, trace = real(data, config, *args, **kwargs)
+            if config.penalty_kind == "vrex":
+                model = LinearModel(model.w * 1e300, meta=model.meta)
+            return model, trace
 
         monkeypatch.setattr(experiments, "gd_train", faulty)
         out = tmp_path / "faulty.csv"
@@ -310,7 +381,27 @@ class TestCli:
                 == [row for row in clean.read_text().splitlines()
                     if not row.startswith("vrex,")])
         sidecar = (tmp_path / "faulty.csv.errors.txt").read_text()
-        assert sidecar == f"vrex,16,0: {fault.__name__}: injected\n"
+        assert re.fullmatch(f"vrex,16,0: {reason}\n", sidecar)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key, flag", [
+        ("learning_rate", None), ("l2_weight", None), ("tolerance", None),
+        ("penalty_weight", "--penalty-weight"), ("sigma", "--sigma"), ("kappa", "--kappa"),
+    ])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, key, flag, value):
+        # every check of the form x <= 0 lets nan through
+        out = tmp_path / "n.csv"
+        argv = ["sweep", "--methods", "erm,irmv1", "--d-grid", "16", "--seeds", "1",
+                "--n1", "20", "--n2", "10", "--max-iters", "60", "--out", str(out)]
+        if flag is None:
+            path = tmp_path / "n.cfg"
+            path.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(path)]
+        else:
+            argv += [flag, value]
+        assert main(argv) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, named", [(["--seeds", "0"], "--seeds"),
                                               (["--sizes", ""], "--sizes")])
@@ -325,6 +416,13 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main(["verify", "--instances", count, "--out", str(out)]) == 1
         assert "--instances" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["nan", "0", "-1", "inf"])
+    def test_verify_rejects_bad_t(self, tmp_path, capsys, t):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--instances", "2", "--t", t, "--out", str(out)]) == 1
+        assert "--t" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_subcommand(self, tmp_path):

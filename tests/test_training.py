@@ -300,6 +300,113 @@ class TestGdTrain:
         assert set(kinds[before:]) == {"vrex"}
 
 
+def _same_run(a, b):
+    """Two ``gd_train`` results with equal weight bytes, ``meta`` and trace."""
+    (model_a, trace_a), (model_b, trace_b) = a, b
+    return (model_a.w.tobytes() == model_b.w.tobytes() and model_a.meta == model_b.meta
+            and trace_a == trace_b)
+
+
+class TestPrefixSharing:
+    """Runs on one dataset resume from the iterate stored at the anneal iteration."""
+
+    @pytest.mark.parametrize("lr", [0.1, 20.0])  # 20: steps halve before the anneal
+    @pytest.mark.parametrize("d", [8, 30])  # N=12: direct path at 8, span path at 30
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_resumed_run_is_the_fresh_run(self, kind, d, lr):
+        data = random_dataset(stream(91, kind, d), n=12, d=d)
+        cfg = TrainConfig(penalty_kind=kind, penalty_weight=1.0, anneal_schedule=100,
+                          max_iters=300, learning_rate=lr)
+        # the run that records has another penalty than the one that resumes
+        recorder = replace(cfg, penalty_kind="irmv1" if kind == "none" else "none")
+        prefixes = {}
+        assert _same_run(gd_train(data, recorder, prefixes=prefixes), gd_train(data, recorder))
+        assert len(prefixes) == 1
+        assert _same_run(gd_train(data, cfg, prefixes=prefixes), gd_train(data, cfg))
+        assert len(prefixes) == 1
+
+    def test_resumed_run_skips_the_prefix_evaluations(self, monkeypatch):
+        # at rate 20 this draw halves a step before many anneal iterations in
+        # 1-20: a resumed run that tried the rate in place of the stored step
+        # size would make an extra evaluation there
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return penalty_value_and_slope(*args, **kwargs)
+
+        monkeypatch.setattr(training, "penalty_value_and_slope", spy)
+        data = random_dataset(stream(91, "none", 8), n=12, d=8)
+
+        def evaluations(config, **kwargs):
+            calls.clear()
+            out = gd_train(data, config, **kwargs)
+            return len(calls), out
+
+        for anneal in range(1, 21):
+            cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=anneal,
+                              max_iters=anneal + 50, learning_rate=20.0)
+            prefix, _ = evaluations(replace(cfg, max_iters=anneal))  # the steps before it
+            fresh, fresh_out = evaluations(cfg)
+            prefixes = {}
+            evaluations(replace(cfg, penalty_kind="none"), prefixes=prefixes)
+            resumed, resumed_out = evaluations(cfg, prefixes=prefixes)
+            assert _same_run(resumed_out, fresh_out)
+            assert resumed == fresh - prefix
+        assert prefix > 1 + 20  # one evaluation at the start, one per step and the halvings
+
+    def test_early_convergence_is_not_shared(self):
+        # the penalty-free run meets the tolerance before the anneal and stops;
+        # the penalized run passes the same iterate and goes on, so neither
+        # may store its anneal iterate for the other
+        data = random_dataset(stream(79), n=30, d=2)
+        erm = TrainConfig(tolerance=1e-4, anneal_schedule=500, max_iters=3000)
+        vrex = replace(erm, penalty_kind="vrex", penalty_weight=100.0)
+        prefixes = {}
+        for cfg in (vrex, erm, vrex, erm):
+            out = gd_train(data, cfg, prefixes=prefixes)
+            assert _same_run(out, gd_train(data, cfg))
+            assert not prefixes
+        assert gd_train(data, erm)[0].meta["iters"] < 500
+
+    @pytest.mark.parametrize("field, value", [("learning_rate", 0.05), ("tolerance", 1e-9),
+                                              ("l2_weight", 1e-3), ("anneal_schedule", 60)])
+    def test_each_prefix_field_keys_its_own_prefix(self, field, value):
+        data = random_dataset(stream(95), n=12, d=30)
+        base = TrainConfig(anneal_schedule=100, max_iters=300)
+        prefixes = {}
+        gd_train(data, base, prefixes=prefixes)
+        other = replace(base, penalty_kind="vrex", penalty_weight=1.0, **{field: value})
+        assert _same_run(gd_train(data, other, prefixes=prefixes), gd_train(data, other))
+        assert len(prefixes) == 2
+
+    @pytest.mark.parametrize("anneal, max_iters", [(None, 300), (0, 300), (100, 100),
+                                                   (100, 60)])
+    def test_no_prefix_outside_the_run(self, anneal, max_iters):
+        # a run that never reaches its anneal iteration neither stores nor resumes
+        data = random_dataset(stream(97), n=12, d=30)
+        cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=anneal,
+                          max_iters=max_iters)
+        prefixes = {}
+        assert _same_run(gd_train(data, cfg, prefixes=prefixes), gd_train(data, cfg))
+        assert not prefixes
+        gd_train(data, replace(cfg, anneal_schedule=100, max_iters=300), prefixes=prefixes)
+        assert _same_run(gd_train(data, cfg, prefixes=prefixes), gd_train(data, cfg))
+
+    def test_warm_start_neither_stores_nor_resumes(self):
+        data = random_dataset(stream(99), n=12, d=30)
+        cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=100,
+                          max_iters=300)
+        w0 = gd_train(data, replace(cfg, max_iters=20))[0].w
+        prefixes = {}
+        assert _same_run(gd_train(data, cfg, w0=w0, prefixes=prefixes),
+                         gd_train(data, cfg, w0=w0))
+        assert not prefixes
+        gd_train(data, cfg, prefixes=prefixes)
+        assert _same_run(gd_train(data, cfg, w0=w0, prefixes=prefixes),
+                         gd_train(data, cfg, w0=w0))
+
+
 class TestGdStep:
     """The per-step kernels: environment selectors, penalty pass, Gram product."""
 
