@@ -19,7 +19,6 @@ from .experiments import (
     run_sweep,
 )
 from .metrics import (
-    InvarianceReport,
     error_at_theta,
     gaussian_tail,
     gaussian_tail_inv,

@@ -30,26 +30,33 @@ from .model import pool, sample_reduced
 from .presets import PresetParams, theorem_preset
 from .training import max_margin
 
+# every rate here is measured on the sweep's default environments (theta_1 = 1,
+# theta_2 = 0) and, in the kappa check, at its default mean norms
+THETA_1, THETA_2 = 1.0, 0.0
+R_C, R_S = 1.0, 2.0
+EPSILON = 0.1  # robust-error target of the calibration presets
+MAX_ROUNDS = 4  # dimension-constant bumps before calibration gives up
 
-def preset_environments(preset: PresetParams, theta_1: float, theta_2: float, seed: int):
+
+def preset_environments(preset: PresetParams, seed: int):
     """One exact reduced draw at the preset (:func:`sample_reduced`), split by environment.
 
     Returns ``(instance, s_1, s_2)`` in the reduced coordinates; pooling the
     parts gives back the draw byte for byte.
     """
     inst, data = sample_reduced(
-        preset.d, preset.r_c, preset.r_s, theta_1, theta_2, preset.n_1, preset.n_2,
+        preset.d, preset.r_c, preset.r_s, THETA_1, THETA_2, preset.n_1, preset.n_2,
         preset.sigma, seed, rngmod.stream(seed, "preset-data"),
     )
     return inst, data.by_env(1), data.by_env(2)
 
 
-def mean_margin_rate(preset: PresetParams, seeds: int, theta_1=1.0, theta_2=0.0) -> float:
+def mean_margin_rate(preset: PresetParams, seeds: int) -> float:
     """Fraction of draws where the signed-mean margin clears 1/(4 sqrt(N))."""
     target = 1.0 / (4.0 * math.sqrt(preset.n_1 + preset.n_2))
     hits = 0
     for seed in range(seeds):
-        inst, s_1, s_2 = preset_environments(preset, theta_1, theta_2, seed)
+        inst, s_1, s_2 = preset_environments(preset, seed)
         data = pool(s_1, s_2)
         model = mean_estimator(data)
         if normalized_margin(model, data, preset.sigma) >= target:
@@ -57,13 +64,11 @@ def mean_margin_rate(preset: PresetParams, seeds: int, theta_1=1.0, theta_2=0.0)
     return hits / seeds
 
 
-def max_margin_indictment_rate(
-    preset: PresetParams, seeds: int, theta_1=1.0, theta_2=0.0
-) -> float:
+def max_margin_indictment_rate(preset: PresetParams, seeds: int) -> float:
     """Fraction of draws where the hard-margin fit leans on the spurious mean."""
     hits = 0
     for seed in range(seeds):
-        inst, s_1, s_2 = preset_environments(preset, theta_1, theta_2, seed)
+        inst, s_1, s_2 = preset_environments(preset, seed)
         data = pool(s_1, s_2)
         model = max_margin(data)
         try:
@@ -76,13 +81,11 @@ def max_margin_indictment_rate(
     return hits / seeds
 
 
-def two_phase_rate(
-    preset: PresetParams, seeds: int, epsilon: float, theta_1=1.0, theta_2=0.0
-) -> float:
+def two_phase_rate(preset: PresetParams, seeds: int, epsilon: float) -> float:
     """Fraction of draws where the two-stage learner meets the robust target."""
     hits = 0
     for seed in range(seeds):
-        inst, s_1, s_2 = preset_environments(preset, theta_1, theta_2, seed)
+        inst, s_1, s_2 = preset_environments(preset, seed)
         model, _ = two_phase_learn(s_1, s_2, rngmod.stream(seed, "preset-two-phase"))
         if robust_error(model, inst.mu_c, inst.mu_s, preset.sigma).error <= epsilon:
             hits += 1
@@ -224,17 +227,7 @@ def bound_chain_study(
 TARGET_RATES = {"mean_margin": 0.95, "indictment": 0.90, "two_phase": 0.95}
 
 
-def kappa_interpolation_rate(
-    kappa: float,
-    d_max: int,
-    n_1: int,
-    n_2: int,
-    seeds: int,
-    r_c: float = 1.0,
-    r_s: float = 2.0,
-    theta_1: float = 1.0,
-    theta_2: float = 0.0,
-) -> float:
+def kappa_interpolation_rate(kappa: float, d_max: int, n_1: int, n_2: int, seeds: int) -> float:
     """Fraction of exact reduced draws where the signed mean interpolates at ``d_max``.
 
     The noise-scaling default is accepted only if this rate clears 0.95 at
@@ -242,11 +235,11 @@ def kappa_interpolation_rate(
     from .experiments import SigmaRule, resolve_sigma
 
     n = n_1 + n_2
-    sigma = resolve_sigma(SigmaRule("scaling", kappa), d_max, n, r_c)
+    sigma = resolve_sigma(SigmaRule("scaling", kappa), d_max, n, R_C)
     hits = 0
     for seed in range(seeds):
         _, data = sample_reduced(
-            d_max, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed,
+            d_max, R_C, R_S, THETA_1, THETA_2, n_1, n_2, sigma, seed,
             rngmod.stream(seed, "kappa-data"),
         )
         model = mean_estimator(data)
@@ -256,25 +249,21 @@ def kappa_interpolation_rate(
     return hits / seeds
 
 
-def measure_rates(constants: dict, n_e: int, seeds: int, epsilon: float = 0.1) -> dict:
+def measure_rates(constants: dict, n_e: int, seeds: int) -> dict:
     n = 2 * n_e
     gamma = 1.0 / (4.0 * math.sqrt(n))
-    preset = theorem_preset(n_e, n_e, gamma, epsilon, constants=constants, strict=False)
+    preset = theorem_preset(n_e, n_e, gamma, EPSILON, constants=constants, strict=False)
     return {
         "n_e": n_e,
         "d": preset.d,
         "mean_margin": mean_margin_rate(preset, seeds),
         "indictment": max_margin_indictment_rate(preset, seeds),
-        "two_phase": two_phase_rate(preset, seeds, epsilon),
+        "two_phase": two_phase_rate(preset, seeds, EPSILON),
     }
 
 
 def calibrate_constants(
-    base: dict,
-    seeds: int = 50,
-    sizes: tuple[int, ...] = (20, 40),
-    epsilon: float = 0.1,
-    max_rounds: int = 4,
+    base: dict, seeds: int = 50, sizes: tuple[int, ...] = (20, 40)
 ) -> tuple[dict, list[dict]]:
     """Verify the rates at the given constants; bump the dimension constants
     geometrically until every target rate holds at every size.
@@ -284,10 +273,10 @@ def calibrate_constants(
     """
     constants = dict(base)
     log = []
-    for round_idx in range(max_rounds):
+    for round_idx in range(MAX_ROUNDS):
         ok = True
         for n_e in sizes:
-            rates = measure_rates(constants, n_e, seeds, epsilon)
+            rates = measure_rates(constants, n_e, seeds)
             rates["round"] = round_idx
             log.append(rates)
             if (

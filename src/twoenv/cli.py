@@ -13,22 +13,23 @@ from .errors import ConfigError, TwoEnvError
 from .experiments import build_config, emit, parse_config_file, run_sweep
 from .presets import load_constants, save_constants, theorem_preset
 
+# (config key, help): each key is also the flag "--" + key with "_" as "-"
 _SWEEP_OVERRIDES = (
-    ("--d-grid", "d_grid", "comma-separated dimensions"),
-    ("--seeds", "seeds", "number of repetitions"),
-    ("--n1", "n1", "environment-1 sample size"),
-    ("--n2", "n2", "environment-2 sample size"),
-    ("--theta1", "theta1", "environment-1 spurious coefficient"),
-    ("--theta2", "theta2", "environment-2 spurious coefficient"),
-    ("--rc", "rc", "core mean norm"),
-    ("--rs", "rs", "spurious mean norm"),
-    ("--kappa", "kappa", "noise scaling constant"),
-    ("--sigma", "sigma", "fixed noise level (overrides scaling rule)"),
-    ("--methods", "methods", "comma-separated method names"),
-    ("--out", "out", "output CSV path"),
-    ("--seed-base", "seed_base", "first seed value"),
-    ("--max-iters", "max_iters", "gradient-descent iteration cap"),
-    ("--penalty-weight", "penalty_weight", "invariance penalty weight"),
+    ("d_grid", "comma-separated dimensions"),
+    ("seeds", "number of repetitions"),
+    ("n1", "environment-1 sample size"),
+    ("n2", "environment-2 sample size"),
+    ("theta1", "environment-1 spurious coefficient"),
+    ("theta2", "environment-2 spurious coefficient"),
+    ("rc", "core mean norm"),
+    ("rs", "spurious mean norm"),
+    ("kappa", "noise scaling constant"),
+    ("sigma", "fixed noise level (overrides scaling rule)"),
+    ("methods", "comma-separated method names"),
+    ("out", "output CSV path"),
+    ("seed_base", "first seed value"),
+    ("max_iters", "gradient-descent iteration cap"),
+    ("penalty_weight", "invariance penalty weight"),
 )
 
 
@@ -38,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a (d, seed) sweep and write CSV/JSON")
     sweep.add_argument("--config", help="flat key=value config file")
-    for flag, _, help_text in _SWEEP_OVERRIDES:
-        sweep.add_argument(flag, help=help_text)
+    for key, help_text in _SWEEP_OVERRIDES:
+        sweep.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     sweep.add_argument("--json", help="also write a JSON mirror to this path")
     sweep.add_argument("--timings", action="store_true",
                        help="include measured wall times (breaks byte determinism)")
@@ -72,10 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     raw = parse_config_file(args.config) if args.config else {}
-    for flag, key, _ in _SWEEP_OVERRIDES:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if value is not None:
-            raw[key] = value
+    for key, _ in _SWEEP_OVERRIDES:
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     config = build_config(raw)
     records = run_sweep(config)
     emit(records, "csv", config.output_path, timings=args.timings)

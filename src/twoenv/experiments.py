@@ -10,6 +10,7 @@ content never depends on scheduling.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
@@ -84,21 +85,25 @@ class ExperimentConfig:
     r_s: float = 2.0
     sigma_rule: SigmaRule = field(default_factory=_default_sigma_rule)
     methods: tuple[str, ...] = ("erm", "two_phase", "mean")
-    train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(penalty_weight=100.0, anneal_schedule=500)
-    )
+    train: TrainConfig = TrainConfig(penalty_weight=100.0, anneal_schedule=500)
     output_path: str = "sweep.csv"
     seed_base: int = 0
 
     def __post_init__(self):
-        if not self.d_grid:
-            raise ConfigError("d_grid must be nonempty")
-        if list(self.d_grid) != sorted(set(self.d_grid)):
-            raise ConfigError("d_grid must be strictly increasing")
+        # errors name the config key; every comparison with NaN is false
+        if not self.d_grid or list(self.d_grid) != sorted(set(self.d_grid)) or self.d_grid[0] < 2:
+            raise ConfigError(f"d_grid must be strictly increasing dimensions of at least 2, "
+                              f"got {self.d_grid}")
         if self.seeds < 1:
             raise ConfigError("seeds must be at least 1")
         if self.n_1 < 1 or self.n_2 < 1:
-            raise ConfigError("sample sizes must be positive")
+            raise ConfigError("n1 and n2 must be positive")
+        for key, value in (("rc", self.r_c), ("rs", self.r_s)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
+        for key, value in (("theta1", self.theta_1), ("theta2", self.theta_2)):
+            if not -1.0 <= value <= 1.0:
+                raise ConfigError(f"{key} must lie in [-1, 1], got {value}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {unknown}")
@@ -106,20 +111,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One method's result on one (d, seed) draw; an error row keeps the nan defaults."""
+
     method: str
     d: int
     seed: int
-    train_acc: float
-    robust_acc: float
-    margin: float
-    ratio: float
-    eopp_gap: float
-    interpolating: bool
     wall_ms: float
+    train_acc: float = math.nan
+    robust_acc: float = math.nan
+    margin: float = math.nan
+    ratio: float = math.nan
+    eopp_gap: float = math.nan
+    interpolating: bool = False
     error: Optional[str] = None
-
-    def sort_key(self):
-        return (self.method, self.d, self.seed)
 
 
 def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledDataset:
@@ -189,48 +193,18 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
                     ratio = spurious_core_ratio(model, mu_c, mu_s)
                 except TwoEnvError:
                     ratio = math.nan
-                gaps = invariance_gaps(model, env_views[0], env_views[1])
-            wall = (time.perf_counter() - start) * 1e3
-            records.append(
-                RunRecord(
-                    method=method,
-                    d=d,
-                    seed=seed,
-                    train_acc=train_acc,
-                    robust_acc=1.0 - rob,
-                    margin=margin,
-                    ratio=ratio,
-                    eopp_gap=gaps.eopp_gap,
+                values = dict(
+                    train_acc=train_acc, robust_acc=1.0 - rob, margin=margin, ratio=ratio,
+                    eopp_gap=invariance_gaps(model, env_views[0], env_views[1]),
                     interpolating=bool(train_acc == 1.0 and margin > 0.0),
-                    wall_ms=wall,
                 )
-            )
         except (TwoEnvError, np.linalg.LinAlgError, FloatingPointError) as exc:
             # a numerical failure costs its own row, never the sweep
-            reason = str(exc) if isinstance(exc, TwoEnvError) else f"{type(exc).__name__}: {exc}"
-            wall = (time.perf_counter() - start) * 1e3
-            records.append(
-                RunRecord(
-                    method=method,
-                    d=d,
-                    seed=seed,
-                    train_acc=math.nan,
-                    robust_acc=math.nan,
-                    margin=math.nan,
-                    ratio=math.nan,
-                    eopp_gap=math.nan,
-                    interpolating=False,
-                    wall_ms=wall,
-                    error=reason,
-                )
-            )
+            values = dict(error=str(exc) if isinstance(exc, TwoEnvError)
+                          else f"{type(exc).__name__}: {exc}")
+        wall = (time.perf_counter() - start) * 1e3
+        records.append(RunRecord(method, d, seed, wall, **values))
     return records
-
-
-def _cell_args(cfg: ExperimentConfig):
-    for d in cfg.d_grid:
-        for rep in range(cfg.seeds):
-            yield d, cfg.seed_base + rep
 
 
 def _worker_count() -> int:
@@ -248,25 +222,29 @@ def _worker_count() -> int:
 def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run every (d, seed) cell; records come back sorted by (method, d, seed)."""
     workers = _worker_count()
-    cells = list(_cell_args(cfg))
-    records: list[RunRecord] = []
+    cells = [(cfg, d, cfg.seed_base + rep) for d in cfg.d_grid for rep in range(cfg.seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_run_cell_star, [(cfg, d, s) for d, s in cells]):
-                records.extend(batch)
+            batches = list(pool.map(_run_cell_star, cells))
     else:
-        for d, s in cells:
-            records.extend(run_cell(cfg, d, s))
-    records.sort(key=RunRecord.sort_key)
-    return records
+        batches = [run_cell(*cell) for cell in cells]
+    return sorted((r for batch in batches for r in batch), key=lambda r: (r.method, r.d, r.seed))
 
 
 def _run_cell_star(args):
     return run_cell(*args)
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % x
+def _cells(r: RunRecord, timings: bool) -> list[str]:
+    """One record's CSV cells, in ``CSV_HEADER`` order."""
+    floats = (r.train_acc, r.robust_acc, r.margin, r.ratio, r.eopp_gap)
+    return [r.method, str(r.d), str(r.seed), *("%.9g" % x for x in floats),
+            "true" if r.interpolating else "false", "%.9g" % (r.wall_ms if timings else 0.0)]
+
+
+# how the JSON mirror reads a CSV cell back: these columns by their parser,
+# every other one as a float, and nan as null
+_JSON_CELL = {"method": str, "d": int, "seed": int, "interpolating": lambda cell: cell == "true"}
 
 
 def emit(records: list[RunRecord], fmt: str, path, timings: bool = False):
@@ -283,51 +261,13 @@ def emit(records: list[RunRecord], fmt: str, path, timings: bool = False):
     if fmt not in ("csv", "json"):
         raise TwoEnvError(f"unknown output format {fmt!r}")
     path = Path(path)
-
-    def wall(rec: RunRecord) -> float:
-        return rec.wall_ms if timings else 0.0
-
+    columns = CSV_HEADER.split(",")
+    rows = [_cells(r, timings) for r in records]
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(
-                    [
-                        r.method,
-                        str(r.d),
-                        str(r.seed),
-                        _fmt(r.train_acc),
-                        _fmt(r.robust_acc),
-                        _fmt(r.margin),
-                        _fmt(r.ratio),
-                        _fmt(r.eopp_gap),
-                        "true" if r.interpolating else "false",
-                        _fmt(wall(r)),
-                    ]
-                )
-            )
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("".join(",".join(cells) + "\n" for cells in [columns] + rows))
     else:
-        import json
-
-        def jf(x: float):
-            return None if math.isnan(x) else float("%.9g" % x)
-
-        payload = [
-            {
-                "method": r.method,
-                "d": r.d,
-                "seed": r.seed,
-                "train_acc": jf(r.train_acc),
-                "robust_acc": jf(r.robust_acc),
-                "margin": jf(r.margin),
-                "ratio": jf(r.ratio),
-                "eopp_gap": jf(r.eopp_gap),
-                "interpolating": r.interpolating,
-                "wall_ms": jf(wall(r)),
-            }
-            for r in records
-        ]
+        payload = [{col: None if cell == "nan" else _JSON_CELL.get(col, float)(cell)
+                    for col, cell in zip(columns, cells)} for cells in rows]
         path.write_text(json.dumps(payload, indent=2) + "\n")
 
     reasons = [r for r in records if r.error is not None]
@@ -343,10 +283,38 @@ def emit(records: list[RunRecord], fmt: str, path, timings: bool = False):
 # Flat key=value config files
 # ---------------------------------------------------------------------------
 
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in _names(text))
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(tok for tok in text.replace(" ", "").split(",") if tok)
+
+
+# config key -> (ExperimentConfig field, parser of its string value); a
+# "train." field belongs to the TrainConfig, and sigma/kappa each set the
+# whole noise rule.  Every default lives on the dataclasses.
 _CONFIG_KEYS = {
-    "d_grid", "seeds", "n1", "n2", "theta1", "theta2", "rc", "rs", "kappa", "sigma",
-    "methods", "out", "seed_base", "learning_rate", "max_iters", "penalty_weight",
-    "l2_weight", "tolerance", "anneal_schedule",
+    "d_grid": ("d_grid", _ints),
+    "seeds": ("seeds", int),
+    "n1": ("n_1", int),
+    "n2": ("n_2", int),
+    "theta1": ("theta_1", float),
+    "theta2": ("theta_2", float),
+    "rc": ("r_c", float),
+    "rs": ("r_s", float),
+    "kappa": ("sigma_rule", lambda text: SigmaRule("scaling", float(text))),
+    "sigma": ("sigma_rule", lambda text: SigmaRule("fixed", float(text))),
+    "methods": ("methods", _names),
+    "out": ("output_path", str),
+    "seed_base": ("seed_base", int),
+    "learning_rate": ("train.learning_rate", float),
+    "max_iters": ("train.max_iters", int),
+    "penalty_weight": ("train.penalty_weight", float),
+    "l2_weight": ("train.l2_weight", float),
+    "tolerance": ("train.tolerance", float),
+    "anneal_schedule": ("train.anneal_schedule", int),
 }
 
 
@@ -368,68 +336,21 @@ def parse_config_file(path) -> dict:
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Turn a flat string mapping (file and/or CLI overrides) into a config."""
-    def need(key):
+    for key in ("d_grid", "seeds"):
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
-        return raw[key]
-
-    def parse_int(key, value):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-
-    def parse_float(key, value):
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-
-    try:
-        d_grid = tuple(int(tok) for tok in str(need("d_grid")).replace(" ", "").split(",") if tok)
-    except ValueError:
-        raise ConfigError(f"config key 'd_grid': expected comma-separated integers") from None
-
     if "sigma" in raw and "kappa" in raw:
         raise ConfigError("give either 'sigma' (fixed rule) or 'kappa' (scaling rule), not both")
-    if "sigma" in raw:
-        rule = SigmaRule("fixed", parse_float("sigma", raw["sigma"]))
-    elif "kappa" in raw:
-        rule = SigmaRule("scaling", parse_float("kappa", raw["kappa"]))
-    else:
-        rule = _default_sigma_rule()
-
-    methods = tuple(
-        tok for tok in str(raw.get("methods", "erm,two_phase,mean")).replace(" ", "").split(",")
-        if tok
-    )
-
-    train_kwargs = {}
-    for key, caster in (
-        ("learning_rate", float), ("max_iters", int), ("penalty_weight", float),
-        ("l2_weight", float), ("tolerance", float), ("anneal_schedule", int),
-    ):
-        if key in raw:
-            try:
-                train_kwargs[key] = caster(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
-    train = TrainConfig(penalty_weight=100.0, anneal_schedule=500)
-    if train_kwargs:
-        train = replace(train, **train_kwargs)
-
-    return ExperimentConfig(
-        d_grid=d_grid,
-        seeds=parse_int("seeds", need("seeds")),
-        n_1=parse_int("n1", raw.get("n1", "800")),
-        n_2=parse_int("n2", raw.get("n2", "100")),
-        theta_1=parse_float("theta1", raw.get("theta1", "1.0")),
-        theta_2=parse_float("theta2", raw.get("theta2", "0.0")),
-        r_c=parse_float("rc", raw.get("rc", "1.0")),
-        r_s=parse_float("rs", raw.get("rs", "2.0")),
-        sigma_rule=rule,
-        methods=methods,
-        train=train,
-        output_path=str(raw.get("out", "sweep.csv")),
-        seed_base=parse_int("seed_base", raw.get("seed_base", "0")),
-    )
+    fields, train = {}, {}
+    for key, text in raw.items():
+        name, parse = _CONFIG_KEYS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+        if name.startswith("train."):
+            train[name.removeprefix("train.")] = value
+        else:
+            fields[name] = value
+    config = ExperimentConfig(**fields)
+    return replace(config, train=replace(config.train, **train))

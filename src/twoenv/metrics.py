@@ -12,7 +12,6 @@ this module is deterministic arithmetic on that identity; no sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -97,13 +96,6 @@ def spurious_core_ratio(model: LinearModel, mu_c, mu_s) -> float:
     return ws / wc
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Empirical gap of the positive-class mean score between environments."""
-
-    eopp_gap: float
-
-
 def class_score_mean(w: np.ndarray, data: LabeledDataset) -> float:
     """Mean score ``<w, x>`` over the positive-label rows of ``data``; nan if none."""
     mask = data.y == 1
@@ -116,7 +108,7 @@ def invariance_gaps(
     model: LinearModel,
     data_1: LabeledDataset,
     data_2: LabeledDataset,
-) -> InvarianceReport:
+) -> float:
     """Empirical equal-opportunity gap: the difference between the two
     environments of the mean score over positive-label rows."""
     for env_label, part in ((1, data_1), (2, data_2)):
@@ -125,4 +117,4 @@ def invariance_gaps(
                 f"environment {env_label} has no positive-label rows; the equal-"
                 "opportunity gap is undefined"
             )
-    return InvarianceReport(class_score_mean(model.w, data_1) - class_score_mean(model.w, data_2))
+    return class_score_mean(model.w, data_1) - class_score_mean(model.w, data_2)

@@ -113,8 +113,10 @@ def penalty_value_and_slope(
     """Penalty value and its derivative with respect to the margins.
 
     ``masks`` select each environment's rows (disjoint slices or boolean
-    masks).  ``ell = log(1 + exp(-m))`` and ``s = sigmoid(-m)`` may be
-    passed in by a caller that already has them; otherwise they are
+    masks) and together cover every row of ``m``, as :func:`_env_masks`
+    gives them: every env tag is 1 or 2, and a penalized kind needs both
+    environments.  ``ell = log(1 + exp(-m))`` and ``s = sigmoid(-m)`` may
+    be passed in by a caller that already has them; otherwise they are
     computed here.  ``out``, if given, receives the derivative in place of
     a fresh array; it must not share memory with ``m``, ``ell`` or ``s``.
     Means are ``sum / count``, bitwise equal to
@@ -144,7 +146,6 @@ def penalty_value_and_slope(
         dm *= s
         for mask, g, part in zip(masks, grads, parts):
             dm[mask] *= 2.0 * g / part.size
-        _zero_outside(dm, masks, sum(part.size for part in parts))
         return sum(g * g for g in grads), dm
 
     if kind == "vrex":
@@ -157,7 +158,6 @@ def penalty_value_and_slope(
             # place, and the assignment writes a masked copy back
             dm[mask] = np.multiply(s[mask], -2.0 * (le - mean_loss) / (len(losses) * part.size),
                                    out=dm[mask])
-        _zero_outside(dm, masks, sum(part.size for part in parts))
         return value, dm
 
     if kind == "groupdro":
@@ -183,20 +183,9 @@ def penalty_value_and_slope(
             block *= sign * 4.0 * (s1 - s2) / part.size
             block += sign * 2.0 * (m1 - m2) / part.size
             dm[mask] = block
-        _zero_outside(dm, masks, sum(part.size for part in parts))
         return value, dm
 
     raise TwoEnvError(f"unknown penalty kind {kind!r}")
-
-
-def _zero_outside(dm: np.ndarray, masks: list[slice | np.ndarray], covered: int) -> None:
-    """Zero the rows of ``dm`` that no selector covers (none when they tile it)."""
-    if covered == dm.size:
-        return
-    keep = np.zeros(dm.size, dtype=bool)
-    for mask in masks:
-        keep[mask] = True
-    dm[~keep] = 0.0
 
 
 @dataclass
@@ -635,10 +624,13 @@ class AlignmentRow:
     cos_plain_gd: float
 
 
+# the ridge levels of irm_margin_alignment's warm-started route, largest first
+RIDGE_SCHEDULE = (1e-1, 1e-2, 1e-3)
+
+
 def irm_margin_alignment(
     datasets: list[tuple[int, LabeledDataset]],
     config: TrainConfig,
-    ridge_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
 ) -> list[AlignmentRow]:
     """Cosine of gradient-trained directions against the hard-margin separator.
 
@@ -652,7 +644,7 @@ def irm_margin_alignment(
         svm = max_margin(data)
 
         w_warm = None
-        for lam2 in ridge_schedule:
+        for lam2 in RIDGE_SCHEDULE:
             cfg = replace(config, penalty_kind="irmv1", l2_weight=lam2)
             model, _ = gd_train(data, cfg, w0=w_warm)
             w_warm = model.w

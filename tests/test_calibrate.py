@@ -20,7 +20,7 @@ from twoenv.training import TrainConfig
 def test_preset_environments_pool_back_to_the_reduced_draw():
     preset = theorem_preset(8, 8, 1.0 / (4 * math.sqrt(16)) * 0.5, 0.2,
                             constants=load_constants(), strict=False)
-    inst, s_1, s_2 = preset_environments(preset, 1.0, 0.0, seed=3)
+    inst, s_1, s_2 = preset_environments(preset, seed=3)
     _, direct = sample_reduced(preset.d, preset.r_c, preset.r_s, 1.0, 0.0, preset.n_1,
                                preset.n_2, preset.sigma, 3, stream(3, "preset-data"))
     pooled = pool(s_1, s_2)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twoenv import experiments, training
+from twoenv import cli, experiments, training
 from twoenv.cli import main
 from twoenv.errors import ConfigError, TwoEnvError
 from twoenv.experiments import (
@@ -277,6 +277,41 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             build_config({"d_grid": "8", "seeds": "two"})
 
+    def test_defaults_live_on_the_dataclasses(self):
+        assert build_config({"d_grid": "8", "seeds": "1"}) == ExperimentConfig(d_grid=(8,), seeds=1)
+
+    # a non-default value for every sweep flag
+    FLAG_VALUES = {
+        "d_grid": "8,32", "seeds": "3", "n1": "12", "n2": "7", "theta1": "0.5",
+        "theta2": "-0.5", "rc": "1.5", "rs": "2.5", "kappa": "1.1", "sigma": "0.7",
+        "methods": "mean,erm", "out": "other.csv", "seed_base": "5", "max_iters": "50",
+        "penalty_weight": "3",
+    }
+
+    def test_flags_and_config_keys_agree(self, tmp_path, monkeypatch):
+        # each flag is its config key spelled "--" + key with "-" for "_", and
+        # --flag v builds the same config as the file line "key = v"
+        built = []
+
+        def capture(config):
+            built.append(config)
+            raise TwoEnvError("captured")
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+
+        def config_of(lines, *flags):
+            path = tmp_path / "s.cfg"
+            path.write_text("d_grid = 16\nseeds = 1\n" + lines)
+            assert main(["sweep", "--config", str(path), *flags]) == 1
+            return built.pop()
+
+        base = config_of("")
+        assert sorted(key for key, _ in cli._SWEEP_OVERRIDES) == sorted(self.FLAG_VALUES)
+        for key, value in self.FLAG_VALUES.items():
+            from_flag = config_of("", "--" + key.replace("_", "-"), value)
+            assert from_flag == config_of(f"{key} = {value}\n"), key
+            assert from_flag != base, key
+
     def test_negative_anneal_rejected(self):
         # a negative anneal iteration used to switch the penalty on at step 0
         with pytest.raises(TwoEnvError, match="anneal_schedule"):
@@ -383,22 +418,32 @@ class TestCli:
         sidecar = (tmp_path / "faulty.csv.errors.txt").read_text()
         assert re.fullmatch(f"vrex,16,0: {reason}\n", sidecar)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key, flag", [
-        ("learning_rate", None), ("l2_weight", None), ("tolerance", None),
-        ("penalty_weight", "--penalty-weight"), ("sigma", "--sigma"), ("kappa", "--kappa"),
+    @pytest.mark.parametrize("key, flag, value", [
+        *((key, flag, value) for key, flag in [
+            ("learning_rate", None), ("l2_weight", None), ("tolerance", None),
+            ("penalty_weight", "--penalty-weight"), ("sigma", "--sigma"), ("kappa", "--kappa"),
+            ("rc", "--rc"), ("rc", None), ("rs", "--rs"), ("rs", None),
+            ("theta1", "--theta1"), ("theta1", None), ("theta2", "--theta2"), ("theta2", None),
+        ] for value in ("nan", "inf")),
+        ("rc", "--rc", "0"), ("rs", None, "-1"), ("theta1", "--theta1", "1.5"),
+        ("theta2", None, "-2"), ("d_grid", "--d-grid", "1,16"), ("d_grid", None, "1,16"),
     ])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, key, flag, value):
-        # every check of the form x <= 0 lets nan through
+        # every check of the form x <= 0 lets nan through; each bad value is
+        # rejected before any cell runs, with an error naming its config key
         out = tmp_path / "n.csv"
-        argv = ["sweep", "--methods", "erm,irmv1", "--d-grid", "16", "--seeds", "1",
-                "--n1", "20", "--n2", "10", "--max-iters", "60", "--out", str(out)]
+        flags = {"methods": "erm,irmv1", "d_grid": "16", "seeds": "1", "n1": "20", "n2": "10",
+                 "max_iters": "60", "out": str(out)}
         if flag is None:
             path = tmp_path / "n.cfg"
             path.write_text(f"{key} = {value}\n")
-            argv += ["--config", str(path)]
+            flags.pop(key, None)  # a flag would override the file's value
+            argv = ["sweep", "--config", str(path)]
         else:
-            argv += [flag, value]
+            flags[key] = value
+            argv = ["sweep"]
+        for name, text in flags.items():
+            argv += ["--" + name.replace("_", "-"), text]
         assert main(argv) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()

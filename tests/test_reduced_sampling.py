@@ -112,7 +112,7 @@ def _gd_statistics(inst, data, seed):
 
     erm = fit("erm")
     try:
-        eopp = invariance_gaps(erm, data.by_env(1), data.by_env(2)).eopp_gap
+        eopp = invariance_gaps(erm, data.by_env(1), data.by_env(2))
     except DegenerateLabelsError:  # an environment without positives: same law on both sides
         eopp = math.nan
     return (robust(erm), robust(fit("vrex")), normalized_margin(erm, data, GD_SIGMA),

@@ -582,7 +582,7 @@ class TestAlignment:
         rng = stream(53)
         data = random_dataset(rng, n=8, d=120)
         cfg = TrainConfig(max_iters=4000, penalty_weight=1.0)
-        rows = irm_margin_alignment([(120, data)], cfg, ridge_schedule=(1e-1, 1e-2, 1e-3))
+        rows = irm_margin_alignment([(120, data)], cfg)
         assert rows[0].d == 120
         assert -1.0 <= rows[0].cos_ridge_path <= 1.0
         assert rows[0].cos_plain_gd > 0.8
