@@ -12,6 +12,7 @@ from .calibrate import bound_chain_study, calibrate_constants, kappa_interpolati
 from .errors import ConfigError, TwoEnvError
 from .experiments import build_config, emit, parse_config_file, run_sweep
 from .presets import load_constants, save_constants, theorem_preset
+from .rng import SEED_LIMIT
 
 # (config key, help): each key is also the flag "--" + key with "_" as "-"
 _SWEEP_OVERRIDES = (
@@ -92,6 +93,9 @@ def _cmd_verify(args) -> int:
         raise ConfigError("--instances must be at least 1")
     if not (math.isfinite(args.t) and args.t > 0):
         raise ConfigError(f"--t must be positive and finite, got {args.t}")
+    if not 0 <= args.seed_base <= SEED_LIMIT - args.instances:
+        raise ConfigError(f"--seed-base must lie in [0, 2**64 - instances] so that every "
+                          f"seed is below 2**64, got {args.seed_base}")
     reports = bound_chain_study(args.instances, t=args.t, seed_base=args.seed_base)
     payload = [r.as_dict() for r in reports]
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import IllConditionedGramError, InfeasibleMarginError, TwoEnvError
 from .model import LabeledDataset
-from .training import hard_margin_dual, nnls
+from .training import chol_factor, chol_solve, hard_margin_dual, nnls
 
 MIN_EIG = 0.25  # half the spectral floor the concentration regime guarantees
 
@@ -66,7 +65,10 @@ class GramData:
     def cho(self):
         """Cholesky factor of the Gram, after :func:`_check_conditioning`."""
         _check_conditioning(self.gram)
-        return cho_factor(self.gram)
+        factor = chol_factor(self.gram)
+        if factor is None:
+            raise np.linalg.LinAlgError("gram matrix is not positive definite")
+        return factor
 
 
 def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> GramData:
@@ -80,8 +82,17 @@ def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> Gra
 
 
 def _check_conditioning(K: np.ndarray) -> None:
+    """Raise :class:`IllConditionedGramError` if ``K`` has an eigenvalue below ``MIN_EIG``.
+
+    A finite ``K - MIN_EIG I`` has a Cholesky factor when every eigenvalue
+    of ``K`` exceeds ``MIN_EIG``, which settles the common case for a
+    fraction of a spectrum's cost; ``eigvalsh`` decides and reports the rest.
+    A pass also makes ``K`` finite for every later :func:`chol_factor`.
+    """
+    if np.isfinite(K).all() and chol_factor(K - MIN_EIG * np.eye(len(K))) is not None:
+        return
     evals = np.linalg.eigvalsh(K)
-    if evals[0] < MIN_EIG:
+    if not evals[0] >= MIN_EIG:  # a NaN spectrum fails too
         raise IllConditionedGramError(
             f"smallest gram eigenvalue {evals[0]:.3e} below threshold {MIN_EIG}"
         )
@@ -92,10 +103,10 @@ def dual_value(gd: GramData, lam: np.ndarray) -> float:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (gd.n,):
         raise TwoEnvError("lambda has wrong length")
-    if np.any(lam < 0):
-        raise TwoEnvError("lambda must be nonnegative")
+    if not (np.isfinite(lam).all() and (lam >= 0).all()):
+        raise TwoEnvError("lambda must be nonnegative and finite")
     resid = gd.weights - gd.gram @ lam
-    quad = float(resid @ cho_solve(gd.cho, resid))
+    quad = float(resid @ chol_solve(gd.cho, resid))
     return gd.gamma * float(lam.sum()) - math.sqrt(max(quad, 0.0))
 
 
@@ -156,9 +167,11 @@ def _norm_multiplier(K, q_u, u, gamma, active):
     P = -q_u
     Q = np.zeros_like(q_u)
     if idx.size:
-        factor = cho_factor(K[np.ix_(idx, idx)])
-        P[idx] += cho_solve(factor, u[idx])
-        Q[idx] = gamma * cho_solve(factor, np.ones(idx.size))
+        factor = chol_factor(K.take(idx, 0).take(idx, 1))
+        if factor is None:
+            raise np.linalg.LinAlgError("active block of the gram is not positive definite")
+        P[idx] += chol_solve(factor, u[idx])
+        Q[idx] = gamma * chol_solve(factor, np.ones(idx.size))
     KQ = K @ Q
     a = float(Q @ KQ) - 1.0
     b = 2.0 * float(P @ KQ)
@@ -200,12 +213,12 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
             f"target margin {gamma} exceeds achievable margin {gamma_max:.6g}"
         )
 
-    q_u = cho_solve(cho, u)
+    q_u = chol_solve(cho, u)
     ones = np.ones(n)
 
     # norm-inactive exact case: every multiplier from K^{-1}u admissible
     if np.all(q_u >= -1e-12):
-        beta_vertex = gamma * cho_solve(cho, ones)
+        beta_vertex = gamma * chol_solve(cho, ones)
         if float(beta_vertex @ (K @ beta_vertex)) <= 1.0 + 1e-12:
             lam = np.maximum(q_u, 0.0)
             value = gamma * float(lam.sum())
@@ -234,7 +247,7 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     beta = (lam - q_u) / nu
     value = float(u @ beta)
     resid = u - K @ lam
-    dual = gamma * float(lam.sum()) - math.sqrt(max(float(resid @ cho_solve(cho, resid)), 0.0))
+    dual = gamma * float(lam.sum()) - math.sqrt(max(float(resid @ chol_solve(cho, resid)), 0.0))
     gap = value - dual
     margins = K @ beta
     if (

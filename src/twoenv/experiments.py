@@ -96,6 +96,9 @@ class ExperimentConfig:
                               f"got {self.d_grid}")
         if self.seeds < 1:
             raise ConfigError("seeds must be at least 1")
+        if not 0 <= self.seed_base <= rngmod.SEED_LIMIT - self.seeds:
+            raise ConfigError(f"seed_base must lie in [0, 2**64 - seeds] so that every seed "
+                              f"is below 2**64, got {self.seed_base}")
         if self.n_1 < 1 or self.n_2 < 1:
             raise ConfigError("n1 and n2 must be positive")
         for key, value in (("rc", self.r_c), ("rs", self.r_s)):
@@ -165,9 +168,9 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
 
     The GD fits on the draw share their pre-anneal steps through one prefix
     store, so a fit that resumes from it reports a ``wall_ms`` without them.
-    Each method's fit and metrics run with numpy overflow and invalid
-    operations raising, so a NaN or inf they would produce becomes that
-    method's error row instead of a value in the output.
+    Each method's fit and metrics run with numpy overflow, division by zero
+    and invalid operations raising, so a NaN or inf they would produce
+    becomes that method's error row instead of a value in the output.
     """
     sigma = resolve_sigma(cfg.sigma_rule, d, cfg.n_1 + cfg.n_2, cfg.r_c)
     instance, data = sample_reduced(
@@ -182,7 +185,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
     for method in cfg.methods:
         start = time.perf_counter()
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
                 model, train_data = _fit(method, data, cfg, mu_s, seed, d,
                                          env_views=env_views, prefixes=prefixes)
                 margins = train_data.y * model.scores(train_data.X)

@@ -12,10 +12,10 @@ this module is deterministic arithmetic on that identity; no sampling.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import DegenerateLabelsError, TwoEnvError
 from .model import LabeledDataset, LinearModel
@@ -23,22 +23,20 @@ from .model import LabeledDataset, LinearModel
 _SQRT2 = math.sqrt(2.0)
 
 
-def gaussian_tail(t):
+def gaussian_tail(t: float) -> float:
     """Upper-tail probability of the standard normal, ``P(N(0,1) > t)``.
 
-    Accepts scalars or arrays; computed through the complementary error
-    function, which is itself a high-accuracy rational approximation.
+    Computed through the complementary error function, which is itself a
+    high-accuracy rational approximation.
     """
-    if np.isscalar(t):
-        return 0.5 * math.erfc(float(t) / _SQRT2)
-    return 0.5 * erfc(np.asarray(t, dtype=np.float64) / _SQRT2)
+    return 0.5 * math.erfc(float(t) / _SQRT2)
 
 
 def gaussian_tail_inv(p: float) -> float:
     """Inverse of :func:`gaussian_tail`: the ``t`` with ``P(N(0,1) > t) = p``."""
     if not 0.0 < p < 1.0:
         raise TwoEnvError(f"probability must be in (0, 1), got {p}")
-    return -float(ndtri(p))
+    return -NormalDist().inv_cdf(p)
 
 
 def _alignments(model: LinearModel, mu_c, mu_s) -> tuple[float, float, float]:
@@ -75,17 +73,19 @@ def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> RobustError:
 
 
 def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) -> float:
-    """Minimum of ``y <w, x> / ||w||`` over the data, divided by sqrt(sigma^2 d).
+    """Minimum of ``y <w, x> / ||w||`` over the data, divided by ``sigma sqrt(d)``.
 
     ``d`` is the data's ambient dimension, also for a reduced draw.
     Scale-invariant in ``w``; negative when the model does not separate.
+    ``sigma sqrt(d)`` is formed as a product, not as ``sqrt(sigma^2 d)``,
+    whose square underflows to zero below ``sigma`` of about 1e-162.
     """
     if data.n == 0:
         raise TwoEnvError("empty dataset")
     if sigma <= 0:
         raise TwoEnvError("sigma must be positive")
     margins = data.y * model.scores(data.X)
-    return float(margins.min() / (model.norm * math.sqrt(sigma**2 * data.ambient_d)))
+    return float(margins.min() / (model.norm * (sigma * math.sqrt(data.ambient_d))))
 
 
 def spurious_core_ratio(model: LinearModel, mu_c, mu_s) -> float:

@@ -71,7 +71,8 @@ class ProblemInstance:
         object.__setattr__(self, "mu_s", _freeze(self.mu_s))
         if self.n_1 <= 0 or self.n_2 <= 0:
             raise TwoEnvError("sample sizes must be positive")
-        if np.linalg.norm(self.mu_c) <= 0 or np.linalg.norm(self.mu_s) <= 0:
+        # entries, not norms: the norm of a vector of radius 1e-300 underflows to 0
+        if not (self.mu_c.any() and self.mu_s.any()):
             raise TwoEnvError("mean directions must be nonzero")
         # validates orthogonality, sigma and the theta range for both environments
         self.environment(1)
@@ -129,9 +130,9 @@ class LabeledDataset:
         object.__setattr__(self, "ambient_d", ambient_d)
         if X.shape[0] != y.shape[0] or X.shape[0] != env.shape[0]:
             raise TwoEnvError("X, y and env must have matching row counts")
-        if not np.all(np.isin(y, (-1, 1))):
+        if not ((y == 1) | (y == -1)).all():
             raise TwoEnvError("labels must be -1 or +1")
-        if not np.all(np.isin(env, (1, 2))):
+        if not ((env == 1) | (env == 2)).all():
             raise TwoEnvError("environment tags must be 1 or 2")
 
     @property

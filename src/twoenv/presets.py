@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import TwoEnvError
+from .errors import ConfigError, TwoEnvError
 from .metrics import gaussian_tail_inv
 
 CONSTANT_NAMES = ("c_r", "c_r_prime", "C_r", "C_d", "C_d_prime", "C_s", "C_c")
@@ -90,6 +90,9 @@ def theorem_preset(
     Callers reproducing the desk-scale statistics pass ``strict=False`` to
     run at smaller N with the calibrated constants.
     """
+    for name, value in (("gamma", gamma), ("epsilon", epsilon), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if constants is None:
         constants = load_constants()
     n = n_1 + n_2

@@ -1,7 +1,7 @@
 """Reproducible, splittable random streams.
 
 Every sampling operation in the package takes an explicit generator.
-Streams are derived from a 64-bit root seed plus an arbitrary tuple of
+Streams are derived from a root seed in [0, 2**64) plus an arbitrary tuple of
 labels (strings, ints): each label is hashed with SHA-256 into an entropy
 word, the words feed a ``SeedSequence``, and the sequence keys a Philox
 counter-based generator.  Two streams with different label tuples are
@@ -16,7 +16,9 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+from .errors import TwoEnvError
+
+SEED_LIMIT = 2**64  # root seeds are 64-bit words; a larger one would alias a smaller
 
 
 def _label_word(label) -> int:
@@ -26,7 +28,10 @@ def _label_word(label) -> int:
 
 def stream(seed: int, *labels) -> np.random.Generator:
     """Return the Philox generator keyed by ``seed`` and ``labels``."""
-    entropy = [int(seed) & _MASK64]
+    seed = int(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise TwoEnvError(f"seed {seed} outside [0, 2**64)")
+    entropy = [seed]
     entropy.extend(_label_word(lab) for lab in labels)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 

@@ -36,9 +36,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsymv
-from scipy.special import expit
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NonSeparableError, TwoEnvError
 from .model import LabeledDataset, LinearModel
@@ -78,9 +77,18 @@ def _loss(m: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, -m)
 
 
+def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
+    """``sigmoid(-m)`` as ``exp(min(-m, 0) - log1p(exp(-|m|)))``, the trainer's form.
+
+    Neither exponential overflows and nothing cancels; :func:`gd_train`
+    takes the same operations in place, so the two agree bit for bit.
+    """
+    return np.exp(np.minimum(-m, 0.0) - np.log1p(np.exp(-np.abs(m))))
+
+
 def _slope(m: np.ndarray) -> np.ndarray:
     # d/dm log(1 + exp(-m)) = -sigmoid(-m)
-    return -expit(-m)
+    return -_sigmoid_neg(m)
 
 
 def _env_masks(data: LabeledDataset) -> list[slice | np.ndarray]:
@@ -132,7 +140,7 @@ def penalty_value_and_slope(
     if ell is None:
         ell = _loss(m)
     if s is None:
-        s = expit(-m)
+        s = _sigmoid_neg(m)
 
     if kind == "irmv1":
         # squared per-environment risk gradient w.r.t. a scalar multiplier at
@@ -486,6 +494,23 @@ def objective_value(data: LabeledDataset, config: TrainConfig, w: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
+def chol_factor(a: np.ndarray) -> Optional[np.ndarray]:
+    """Upper Cholesky factor of ``a``, or None if ``a`` is not positive definite.
+
+    LAPACK ``dpotrf`` as scipy's wrapper calls it, so bitwise its factor,
+    without its ~30 us of per-call checks: more than a factor and a solve
+    cost below N of about 60.  ``a`` must be finite (callers check once per
+    matrix): OpenBLAS reports success on a NaN or inf, and returns NaNs.
+    """
+    c, info = dpotrf(a, lower=0, clean=0)
+    return c if info == 0 else None
+
+
+def chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` from ``c = chol_factor(a)`` by LAPACK ``dpotrs``, bitwise as scipy."""
+    return dpotrs(c, b, lower=0)[0]
+
+
 def nnls(G: np.ndarray, b: np.ndarray, passive: np.ndarray) -> tuple[np.ndarray, int]:
     """Lawson-Hanson NNLS on the normal equations: ``min x'Gx/2 - b'x``, ``x >= 0``.
 
@@ -497,8 +522,11 @@ def nnls(G: np.ndarray, b: np.ndarray, passive: np.ndarray) -> tuple[np.ndarray,
     solve, is numerically dependent and waits until ``x`` moves.  Returns
     ``(x, solves)``; raises :class:`TwoEnvError` unless the slopes ``b - Gx``
     are within ``tol = 64 n eps (max|b| + max|G| sum(x))`` of zero where
-    ``x > 0`` and below it elsewhere.
+    ``x > 0`` and below it elsewhere, and ``ValueError`` if ``G`` or ``b``
+    is not finite.
     """
+    if not (np.isfinite(G).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     n = b.size
     eps = np.finfo(np.float64).eps
     x = np.zeros(n)
@@ -509,15 +537,12 @@ def nnls(G: np.ndarray, b: np.ndarray, passive: np.ndarray) -> tuple[np.ndarray,
         nonlocal solves
         solves += 1
         idx = np.flatnonzero(P)
-        sub = G[np.ix_(idx, idx)]
-        try:
-            factor = cho_factor(sub)
-        except np.linalg.LinAlgError:
-            return None
-        if np.any(np.diag(factor[0]) ** 2 <= min_pivot * np.diag(sub)):
+        sub = G.take(idx, 0).take(idx, 1)
+        factor = chol_factor(sub)
+        if factor is None or np.any(factor.diagonal() ** 2 <= min_pivot * sub.diagonal()):
             return None
         s = np.zeros(n)
-        s[idx] = cho_solve(factor, b[idx])
+        s[idx] = chol_solve(factor, b[idx])
         return s
 
     while P.any():

@@ -175,6 +175,40 @@ class TestMinWeightedBeta:
         with pytest.raises(IllConditionedGramError):
             min_weighted_beta(gd)
 
+    def test_non_positive_definite_active_block_raises(self):
+        K = np.ones((2, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            duality._norm_multiplier(K, np.zeros(2), np.ones(2), 0.1, np.ones(2, dtype=bool))
+
+
+class TestCheckConditioning:
+    @pytest.mark.parametrize("rel", [1e-6, -1e-6])
+    def test_agrees_with_the_spectrum_next_to_the_threshold(self, monkeypatch, rel):
+        rng = np.random.default_rng(29)
+        Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        evals = np.concatenate([[duality.MIN_EIG * (1 + rel)], rng.uniform(0.5, 2.0, 29)])
+        K = (Q * evals) @ Q.T
+        K = (K + K.T) / 2
+        smallest = np.linalg.eigvalsh(K)[0]
+        assert (smallest >= duality.MIN_EIG) == (rel > 0)
+        spectra = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or real(a))
+        if rel > 0:
+            duality._check_conditioning(K)
+            assert spectra == []  # settled by the Cholesky factor of K - MIN_EIG I
+        else:
+            with pytest.raises(IllConditionedGramError, match=f"{smallest:.3e} below"):
+                duality._check_conditioning(K)
+            assert len(spectra) == 1
+
+    def test_non_finite_gram_fails(self):
+        # eigvalsh returns NaN eigenvalues here rather than raising
+        K = np.eye(3)
+        K[0, 1] = K[1, 0] = np.nan
+        with pytest.raises(IllConditionedGramError, match="nan"):
+            duality._check_conditioning(K)
+
 
 class TestDualValue:
     def test_zero_residual(self):
@@ -214,6 +248,14 @@ class TestDualValue:
         lam = np.zeros(gd.n)
         lam[0] = -0.1
         with pytest.raises(TwoEnvError):
+            dual_value(gd, lam)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_multiplier(self, bad):
+        _, _, gd = _random_gram_instance(19)
+        lam = np.zeros(gd.n)
+        lam[0] = bad
+        with pytest.raises(TwoEnvError, match="finite"):
             dual_value(gd, lam)
 
 

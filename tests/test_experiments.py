@@ -448,6 +448,53 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [["--sigma", "1e-170"], ["--rs", "1e-300"]])
+    def test_extreme_scales_give_finite_rows(self, tmp_path, extra):
+        # sigma^2 d used to underflow to 0 (margin inf, exit 0), and the norm
+        # of a spurious mean of radius 1e-300 to 0 (abort, exit 1)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--methods", "erm,mean", "--d-grid", "16", "--seeds", "1",
+                "--n1", "20", "--n2", "10", "--max-iters", "60", "--out", str(out)]
+        assert main(argv + extra) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 2 and all(math.isfinite(float(row["margin"])) for row in rows)
+
+    @pytest.mark.parametrize("seed_base, seeds", [
+        ("18446744073709551616", "1"), ("18446744073709551615", "2"), ("-1", "1")])
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_seed_outside_64_bits_exits_one(self, tmp_path, capsys, seed_base, seeds, in_file):
+        # the stream masked seeds to 64 bits, so 2**64 ran the draws of seed 0
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--methods", "mean", "--d-grid", "16", "--seeds", seeds,
+                "--n1", "20", "--n2", "10", "--out", str(out)]
+        if in_file:
+            path = tmp_path / "s.cfg"
+            path.write_text(f"seed_base = {seed_base}\n")
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--seed-base", seed_base]
+        assert main(argv) == 1
+        assert "seed_base" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed_base, instances", [
+        ("18446744073709551616", "1"), ("18446744073709551615", "2"), ("-1", "1")])
+    def test_verify_rejects_seed_outside_64_bits(self, tmp_path, capsys, seed_base, instances):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--instances", instances, "--seed-base", seed_base, "--out", str(out)]
+        assert main(argv) == 1
+        assert "--seed-base" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--epsilon", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_preset_rejects_non_finite_input(self, capsys, flag, value):
+        args = {"--n1": "100", "--n2": "100", "--gamma": "0.01", "--epsilon": "0.05",
+                "--delta": "0.01", flag: value}
+        assert main(["preset", *(tok for item in args.items() for tok in item)]) == 1
+        captured = capsys.readouterr()
+        assert flag.removeprefix("--") in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("flags, named", [(["--seeds", "0"], "--seeds"),
                                               (["--sizes", ""], "--sizes")])
     def test_calibrate_rejects_empty_measurement(self, tmp_path, capsys, flags, named):

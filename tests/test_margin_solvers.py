@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog
 from scipy.optimize import nnls as scipy_nnls
 
@@ -55,11 +56,49 @@ def test_nnls_matches_scipy(seed, m, n, rank, warm):
 
 
 def test_nnls_raises_when_its_solves_miss(monkeypatch):
-    real = training.cho_solve
-    monkeypatch.setattr(training, "cho_solve", lambda factor, b: 1.001 * real(factor, b))
+    real = training.chol_solve
+    monkeypatch.setattr(training, "chol_solve", lambda factor, b: 1.001 * real(factor, b))
     A = np.eye(3) + 0.1
     with pytest.raises(TwoEnvError, match="KKT"):
         nnls(A.T @ A, A.T @ np.ones(3), np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("n", [1, 20, 60, 180])
+def test_lapack_helpers_are_bitwise_scipy_cholesky(n):
+    rng = np.random.default_rng(n)
+    Z = rng.standard_normal((n, 2 * n + 3))
+    K = Z @ Z.T
+    b = rng.standard_normal(n)
+    ref = cho_factor(K)
+    factor = training.chol_factor(K)
+    assert factor.tobytes() == ref[0].tobytes()
+    assert training.chol_solve(factor, b).tobytes() == cho_solve(ref, b).tobytes()
+
+
+def test_non_positive_definite_block_is_skipped(monkeypatch):
+    # the passive warm start [[1, 1], [1, 1]] is singular: its solve gives
+    # None, the warm start is dropped, and the active set grows from empty
+    results = []
+    real = training.chol_factor
+
+    def spy(a):
+        results.append(real(a))
+        return results[-1]
+
+    monkeypatch.setattr(training, "chol_factor", spy)
+    assert training.chol_factor(np.ones((2, 2))) is None
+    x, _ = nnls(np.ones((2, 2)), np.ones(2), np.ones(2, dtype=bool))
+    assert results[1] is None and results[2] is not None
+    assert x.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["G", "b"])
+def test_nnls_rejects_non_finite_input(bad, where):
+    G, b = np.eye(3), np.ones(3)
+    (G if where == "G" else b)[-1] = bad  # outside the warm-start block below
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        nnls(G, b, np.array([True, True, False]))
 
 
 def _check_verdict(Z):
@@ -125,9 +164,11 @@ def test_sampled_draws_agree_with_lp(seed, n_e, d, theta, sigma, dup):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds ~0.17 s of import time and ~16 MB of RSS to every command
-    code = "import sys, twoenv.cli; print('scipy.optimize' in sys.modules)"
+    # scipy.optimize adds ~0.17 s of import time and ~16 MB of RSS to every
+    # command, scipy.special ~0.1 s
+    code = ("import sys, twoenv.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(twoenv.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

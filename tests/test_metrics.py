@@ -41,9 +41,9 @@ class TestGaussianTail:
 
     def test_monotone_and_complementary(self):
         grid = np.linspace(-8, 8, 401)
-        vals = gaussian_tail(grid)
+        vals = np.array([gaussian_tail(t) for t in grid])
         assert np.all(np.diff(vals) < 0)
-        np.testing.assert_allclose(vals + gaussian_tail(-grid), 1.0, atol=1e-14)
+        np.testing.assert_allclose(vals + [gaussian_tail(-t) for t in grid], 1.0, atol=1e-14)
 
     def test_inverse_rejects_bad_input(self):
         with pytest.raises(TwoEnvError):
@@ -147,6 +147,12 @@ class TestNormalizedMargin:
         data = LabeledDataset(mu_c[None, :], np.array([1]), np.array([1]))
         sigma = 1.0 / math.sqrt(d)  # makes the normalizer exactly one
         assert normalized_margin(LinearModel(mu_c), data, sigma) == pytest.approx(1.0, rel=1e-12)
+
+    def test_tiny_sigma_gives_a_finite_margin(self):
+        # sigma^2 d underflows to 0 below sigma ~ 1e-162; sigma sqrt(d) does not
+        data = LabeledDataset(np.array([[2.0, 0.0]]), np.array([1]), np.array([1]), ambient_d=4)
+        margin = normalized_margin(LinearModel(np.array([1.0, 0.0])), data, 1e-170)
+        assert margin == pytest.approx(1e170, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = stream(41)

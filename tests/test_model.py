@@ -207,6 +207,23 @@ class TestDomainTypes:
         with pytest.raises(TwoEnvError):
             LinearModel(np.zeros(3))
 
+    def test_instance_accepts_radii_whose_norm_underflows(self):
+        # ||(1e-300, 0)|| is 0 in floating point; the vector is still nonzero
+        inst, _ = sample_reduced(16, 1.0, 1e-300, 1.0, 0.0, 5, 4, 0.5, 0, stream(0))
+        assert inst.mu_s[1] == 1e-300
+        with pytest.raises(TwoEnvError, match="nonzero"):
+            ProblemInstance(np.array([1.0, 0.0]), np.zeros(2), 1.0, 0.0, 3, 3, 0.1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_stream_rejects_seeds_outside_64_bits(self, seed):
+        # masking to 64 bits would alias 2**64 + 5 to 5
+        with pytest.raises(TwoEnvError, match="seed"):
+            stream(seed, "x")
+
+    def test_stream_accepts_the_largest_seed(self):
+        top = stream(2**64 - 1, "x").random(4)
+        assert top.tolist() != stream(0, "x").random(4).tolist()
+
     def test_instance_requires_shared_geometry(self):
         mu_c, mu_s = sample_orthogonal_means(4, 1.0, 1.0, stream(0))
         inst = ProblemInstance(mu_c, mu_s, 1.0, -0.5, 3, 3, 0.1, 0)

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from twoenv import stream, training
 from twoenv.errors import NonSeparableError, TwoEnvError
@@ -186,7 +185,7 @@ class TestGdTrain:
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_logged_objective_is_the_reference_objective(self, kind, d, l2, monkeypatch):
         # the trainer's loss form and carried margins against objective_value,
-        # which recomputes Z @ w and takes logaddexp/expit; the losses and
+        # which recomputes Z @ w and takes logaddexp and _sigmoid_neg; the losses and
         # penalty of the trainer's last evaluation are read off the one
         # penalty call it makes per evaluation
         seen = []
@@ -427,7 +426,7 @@ class TestGdStep:
         data = LabeledDataset(np.ones((30, 1)), np.ones(30, dtype=int), env)
         slices = training._env_masks(data)
         assert all(isinstance(sel, slice) for sel in slices)
-        shared = {"ell": np.logaddexp(0.0, -m), "s": expit(-m)}
+        shared = {"ell": np.logaddexp(0.0, -m), "s": training._sigmoid_neg(m)}
         ref_value, ref_dm = penalty_value_and_slope(kind, m, [env == 1, env == 2])
         if kind in ("vrex", "groupdro"):
             # sum / count is bitwise the ndarray.mean the loss levels used to take
