@@ -12,7 +12,7 @@ the acceptance suite read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import rng as rngmod
 from .duality import (
@@ -25,8 +25,9 @@ from .duality import (
 )
 from .errors import InfeasibleMarginError, TwoEnvError
 from .estimators import mean_estimator, two_phase_learn
+from .experiments import SigmaRule, resolve_sigma
 from .metrics import normalized_margin, robust_error, spurious_core_ratio
-from .model import pool, sample_reduced
+from .model import sample_reduced
 from .presets import PresetParams, theorem_preset
 from .training import max_margin
 
@@ -39,16 +40,11 @@ MAX_ROUNDS = 4  # dimension-constant bumps before calibration gives up
 
 
 def preset_environments(preset: PresetParams, seed: int):
-    """One exact reduced draw at the preset (:func:`sample_reduced`), split by environment.
-
-    Returns ``(instance, s_1, s_2)`` in the reduced coordinates; pooling the
-    parts gives back the draw byte for byte.
-    """
-    inst, data = sample_reduced(
+    """One exact reduced draw at the preset: :func:`sample_reduced`'s ``(instance, data)``."""
+    return sample_reduced(
         preset.d, preset.r_c, preset.r_s, THETA_1, THETA_2, preset.n_1, preset.n_2,
         preset.sigma, seed, rngmod.stream(seed, "preset-data"),
     )
-    return inst, data.by_env(1), data.by_env(2)
 
 
 def mean_margin_rate(preset: PresetParams, seeds: int) -> float:
@@ -56,8 +52,7 @@ def mean_margin_rate(preset: PresetParams, seeds: int) -> float:
     target = 1.0 / (4.0 * math.sqrt(preset.n_1 + preset.n_2))
     hits = 0
     for seed in range(seeds):
-        inst, s_1, s_2 = preset_environments(preset, seed)
-        data = pool(s_1, s_2)
+        _, data = preset_environments(preset, seed)
         model = mean_estimator(data)
         if normalized_margin(model, data, preset.sigma) >= target:
             hits += 1
@@ -68,8 +63,7 @@ def max_margin_indictment_rate(preset: PresetParams, seeds: int) -> float:
     """Fraction of draws where the hard-margin fit leans on the spurious mean."""
     hits = 0
     for seed in range(seeds):
-        inst, s_1, s_2 = preset_environments(preset, seed)
-        data = pool(s_1, s_2)
+        inst, data = preset_environments(preset, seed)
         model = max_margin(data)
         try:
             ratio = spurious_core_ratio(model, inst.mu_c, inst.mu_s)
@@ -85,8 +79,9 @@ def two_phase_rate(preset: PresetParams, seeds: int, epsilon: float) -> float:
     """Fraction of draws where the two-stage learner meets the robust target."""
     hits = 0
     for seed in range(seeds):
-        inst, s_1, s_2 = preset_environments(preset, seed)
-        model, _ = two_phase_learn(s_1, s_2, rngmod.stream(seed, "preset-two-phase"))
+        inst, data = preset_environments(preset, seed)
+        model, _ = two_phase_learn(data.by_env(1), data.by_env(2),
+                                   rngmod.stream(seed, "preset-two-phase"))
         if robust_error(model, inst.mu_c, inst.mu_s, preset.sigma).error <= epsilon:
             hits += 1
     return hits / seeds
@@ -118,21 +113,10 @@ class ChainReport:
         return self.weak_duality_ok and self.closed_form_ok
 
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_1": self.n_1,
-            "n_2": self.n_2,
-            "d": self.d,
-            "theta_2": self.theta_2,
-            "gamma": self.gamma,
-            "events_pass": self.events_pass,
-            "primal": self.primal,
-            "dual_canonical": self.dual_canonical,
-            "closed_form": self.closed_form,
-            "weak_duality_ok": self.weak_duality_ok,
-            "closed_form_ok": self.closed_form_ok,
-            "verdict": "ok" if self.chain_ok else "violated",
-        }
+        """The report row: every field but ``attempts``, then the verdict."""
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "attempts"}
+        row["verdict"] = "ok" if self.chain_ok else "violated"
+        return row
 
 
 def _chain_instance(seed: int, t: float):
@@ -232,8 +216,6 @@ def kappa_interpolation_rate(kappa: float, d_max: int, n_1: int, n_2: int, seeds
 
     The noise-scaling default is accepted only if this rate clears 0.95 at
     the top of the sweep grid (the benign-overfitting regime check)."""
-    from .experiments import SigmaRule, resolve_sigma
-
     n = n_1 + n_2
     sigma = resolve_sigma(SigmaRule("scaling", kappa), d_max, n, R_C)
     hits = 0
@@ -274,18 +256,9 @@ def calibrate_constants(
     constants = dict(base)
     log = []
     for round_idx in range(MAX_ROUNDS):
-        ok = True
-        for n_e in sizes:
-            rates = measure_rates(constants, n_e, seeds)
-            rates["round"] = round_idx
-            log.append(rates)
-            if (
-                rates["mean_margin"] < TARGET_RATES["mean_margin"]
-                or rates["indictment"] < TARGET_RATES["indictment"]
-                or rates["two_phase"] < TARGET_RATES["two_phase"]
-            ):
-                ok = False
-        if ok:
+        measured = [{**measure_rates(constants, n_e, seeds), "round": round_idx} for n_e in sizes]
+        log.extend(measured)
+        if all(rates[key] >= target for rates in measured for key, target in TARGET_RATES.items()):
             return constants, log
         for key in ("C_d", "C_s"):
             constants[key] = constants[key] * 1.5

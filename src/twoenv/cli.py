@@ -10,28 +10,12 @@ from pathlib import Path
 
 from .calibrate import bound_chain_study, calibrate_constants, kappa_interpolation_rate
 from .errors import ConfigError, TwoEnvError
-from .experiments import build_config, emit, parse_config_file, run_sweep
+from .experiments import _CONFIG_KEYS, build_config, emit, parse_config_file, run_sweep
 from .presets import load_constants, save_constants, theorem_preset
-from .rng import SEED_LIMIT
+from .rng import check_seed_block
 
-# (config key, help): each key is also the flag "--" + key with "_" as "-"
-_SWEEP_OVERRIDES = (
-    ("d_grid", "comma-separated dimensions"),
-    ("seeds", "number of repetitions"),
-    ("n1", "environment-1 sample size"),
-    ("n2", "environment-2 sample size"),
-    ("theta1", "environment-1 spurious coefficient"),
-    ("theta2", "environment-2 spurious coefficient"),
-    ("rc", "core mean norm"),
-    ("rs", "spurious mean norm"),
-    ("kappa", "noise scaling constant"),
-    ("sigma", "fixed noise level (overrides scaling rule)"),
-    ("methods", "comma-separated method names"),
-    ("out", "output CSV path"),
-    ("seed_base", "first seed value"),
-    ("max_iters", "gradient-descent iteration cap"),
-    ("penalty_weight", "invariance penalty weight"),
-)
+# the config keys that are also sweep flags: those with help text
+_SWEEP_FLAGS = [(key, help_text) for key, (_, _, help_text) in _CONFIG_KEYS.items() if help_text]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a (d, seed) sweep and write CSV/JSON")
     sweep.add_argument("--config", help="flat key=value config file")
-    for key, help_text in _SWEEP_OVERRIDES:
+    for key, help_text in _SWEEP_FLAGS:
         sweep.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     sweep.add_argument("--json", help="also write a JSON mirror to this path")
     sweep.add_argument("--timings", action="store_true",
@@ -74,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sweep(args) -> int:
     raw = parse_config_file(args.config) if args.config else {}
-    for key, _ in _SWEEP_OVERRIDES:
+    for key, _ in _SWEEP_FLAGS:
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     config = build_config(raw)
@@ -93,12 +77,9 @@ def _cmd_verify(args) -> int:
         raise ConfigError("--instances must be at least 1")
     if not (math.isfinite(args.t) and args.t > 0):
         raise ConfigError(f"--t must be positive and finite, got {args.t}")
-    if not 0 <= args.seed_base <= SEED_LIMIT - args.instances:
-        raise ConfigError(f"--seed-base must lie in [0, 2**64 - instances] so that every "
-                          f"seed is below 2**64, got {args.seed_base}")
+    check_seed_block(args.seed_base, args.instances, "--seed-base", "instances")
     reports = bound_chain_study(args.instances, t=args.t, seed_base=args.seed_base)
-    payload = [r.as_dict() for r in reports]
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps([r.as_dict() for r in reports], indent=2) + "\n")
     bad = [r for r in reports if not r.chain_ok]
     print(f"{len(reports)} instances checked, {len(bad)} chain violations; report at {args.out}")
     return 2 if bad else 0
@@ -125,8 +106,10 @@ def _cmd_calibrate(args) -> int:
         sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
     except ValueError:
         raise ConfigError("--sizes: expected comma-separated integers") from None
-    if not sizes:
-        raise ConfigError("--sizes must name at least one size")
+    if not sizes or min(sizes) < 1:
+        raise ConfigError(f"--sizes must name at least one size, each at least 1, got {sizes}")
+    if args.kappa_dmax < 2:
+        raise ConfigError(f"--kappa-dmax must be at least 2, got {args.kappa_dmax}")
     base = load_constants(args.constants) if args.constants else load_constants()
     constants, log = calibrate_constants(base, seeds=args.seeds, sizes=sizes)
     for entry in log:
@@ -147,6 +130,10 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+_COMMANDS = {"sweep": _cmd_sweep, "verify": _cmd_verify, "preset": _cmd_preset,
+             "calibrate": _cmd_calibrate}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -154,24 +141,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-    except ConfigError as exc:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except TwoEnvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -36,21 +36,20 @@ MIN_EIG = 0.25  # half the spectral floor the concentration regime guarantees
 class GramData:
     """Span-space view of a dataset plus the program parameters.
 
-    The Gram matrix ``gram = Z Z'`` is derived from ``Z`` on construction,
-    so it always matches it; its conditioning check and Cholesky factor
-    (:attr:`cho`) are computed once, on first use.
+    ``env`` tags each row of ``Z`` with its environment; a row whose tag
+    is not 1 belongs to environment 2.  The Gram matrix ``gram = Z Z'`` is
+    derived from ``Z`` on construction, so it always matches it; its
+    conditioning check and Cholesky factor (:attr:`cho`) are computed once,
+    on first use.
     """
 
     Z: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
+    env: np.ndarray
     gamma: float
     theta_2: float
     gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.all((self.e1 + self.e2) == 1):
-            raise TwoEnvError("e1 and e2 must partition the rows")
         object.__setattr__(self, "gram", self.Z @ self.Z.T)
 
     @property
@@ -59,7 +58,7 @@ class GramData:
 
     @property
     def weights(self) -> np.ndarray:
-        return self.e1 + self.theta_2 * self.e2
+        return np.where(self.env == 1, 1.0, self.theta_2)
 
     @cached_property
     def cho(self):
@@ -72,13 +71,7 @@ class GramData:
 
 
 def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> GramData:
-    return GramData(
-        Z=data.signed(),
-        e1=(data.env == 1).astype(np.float64),
-        e2=(data.env == 2).astype(np.float64),
-        gamma=gamma,
-        theta_2=theta_2,
-    )
+    return GramData(Z=data.signed(), env=data.env, gamma=gamma, theta_2=theta_2)
 
 
 def _check_conditioning(K: np.ndarray) -> None:
@@ -111,11 +104,11 @@ def dual_value(gd: GramData, lam: np.ndarray) -> float:
 
 
 def canonical_lambda(gd: GramData, r_c: float, r_s: float) -> np.ndarray:
-    """The analysis' dual point: ``alpha * e1`` with
-    ``alpha = 1 / (1 + N_1 (r_c^2 + r_s^2))``."""
-    n1 = float(gd.e1.sum())
-    alpha = 1.0 / (1.0 + n1 * (r_c**2 + r_s**2))
-    return alpha * gd.e1
+    """The analysis' dual point: ``alpha`` on environment 1 and 0 on
+    environment 2, with ``alpha = 1 / (1 + N_1 (r_c^2 + r_s^2))``."""
+    in_1 = gd.env == 1
+    alpha = 1.0 / (1.0 + float(in_1.sum()) * (r_c**2 + r_s**2))
+    return np.where(in_1, alpha, 0.0)
 
 
 def closed_form_bound(
@@ -309,8 +302,8 @@ def check_spectral_events(
     mu_s: np.ndarray,
     sigma: float,
     t: float,
-    theta_1: float = 1.0,
-    theta_2: float = 0.0,
+    theta_1: float,
+    theta_2: float,
 ) -> SpectralEventReport:
     """Check the singular-value and alignment events on a sampled dataset.
 

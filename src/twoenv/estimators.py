@@ -108,7 +108,8 @@ def two_phase_learn(
     score_pos = float(v_pos @ per_component)
     score_neg = float(v_neg @ per_component)
 
-    if score_pos > score_neg or (score_pos == score_neg and v_pos[0] + v_pos[1] >= 0):
+    # score_neg is exactly -score_pos; a tie (both zero) goes to v_pos, whose sum is >= 0
+    if score_pos >= 0:
         v_star, chosen = v_pos, "pos"
     else:
         v_star, chosen = v_neg, "neg"

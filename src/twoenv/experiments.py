@@ -96,9 +96,7 @@ class ExperimentConfig:
                               f"got {self.d_grid}")
         if self.seeds < 1:
             raise ConfigError("seeds must be at least 1")
-        if not 0 <= self.seed_base <= rngmod.SEED_LIMIT - self.seeds:
-            raise ConfigError(f"seed_base must lie in [0, 2**64 - seeds] so that every seed "
-                              f"is below 2**64, got {self.seed_base}")
+        rngmod.check_seed_block(self.seed_base, self.seeds, "seed_base", "seeds")
         if self.n_1 < 1 or self.n_2 < 1:
             raise ConfigError("n1 and n2 must be positive")
         for key, value in (("rc", self.r_c), ("rs", self.r_s)):
@@ -107,6 +105,8 @@ class ExperimentConfig:
         for key, value in (("theta1", self.theta_1), ("theta2", self.theta_2)):
             if not -1.0 <= value <= 1.0:
                 raise ConfigError(f"{key} must lie in [-1, 1], got {value}")
+        if not self.methods:
+            raise ConfigError("methods must name at least one method")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {unknown}")
@@ -225,17 +225,14 @@ def _worker_count() -> int:
 def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     """Run every (d, seed) cell; records come back sorted by (method, d, seed)."""
     workers = _worker_count()
-    cells = [(cfg, d, cfg.seed_base + rep) for d in cfg.d_grid for rep in range(cfg.seeds)]
+    ds, seeds = zip(*[(d, cfg.seed_base + rep) for d in cfg.d_grid for rep in range(cfg.seeds)])
+    cells = ([cfg] * len(ds), ds, seeds)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_cell_star, cells))
+            batches = list(pool.map(run_cell, *cells))
     else:
-        batches = [run_cell(*cell) for cell in cells]
+        batches = list(map(run_cell, *cells))
     return sorted((r for batch in batches for r in batch), key=lambda r: (r.method, r.d, r.seed))
-
-
-def _run_cell_star(args):
-    return run_cell(*args)
 
 
 def _cells(r: RunRecord, timings: bool) -> list[str]:
@@ -295,29 +292,32 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.replace(" ", "").split(",") if tok)
 
 
-# config key -> (ExperimentConfig field, parser of its string value); a
+# config key -> (ExperimentConfig field, parser of its string value, help of
+# its sweep flag "--" + key with "_" as "-", or None for a file-only key); a
 # "train." field belongs to the TrainConfig, and sigma/kappa each set the
 # whole noise rule.  Every default lives on the dataclasses.
 _CONFIG_KEYS = {
-    "d_grid": ("d_grid", _ints),
-    "seeds": ("seeds", int),
-    "n1": ("n_1", int),
-    "n2": ("n_2", int),
-    "theta1": ("theta_1", float),
-    "theta2": ("theta_2", float),
-    "rc": ("r_c", float),
-    "rs": ("r_s", float),
-    "kappa": ("sigma_rule", lambda text: SigmaRule("scaling", float(text))),
-    "sigma": ("sigma_rule", lambda text: SigmaRule("fixed", float(text))),
-    "methods": ("methods", _names),
-    "out": ("output_path", str),
-    "seed_base": ("seed_base", int),
-    "learning_rate": ("train.learning_rate", float),
-    "max_iters": ("train.max_iters", int),
-    "penalty_weight": ("train.penalty_weight", float),
-    "l2_weight": ("train.l2_weight", float),
-    "tolerance": ("train.tolerance", float),
-    "anneal_schedule": ("train.anneal_schedule", int),
+    "d_grid": ("d_grid", _ints, "comma-separated dimensions"),
+    "seeds": ("seeds", int, "number of repetitions"),
+    "n1": ("n_1", int, "environment-1 sample size"),
+    "n2": ("n_2", int, "environment-2 sample size"),
+    "theta1": ("theta_1", float, "environment-1 spurious coefficient"),
+    "theta2": ("theta_2", float, "environment-2 spurious coefficient"),
+    "rc": ("r_c", float, "core mean norm"),
+    "rs": ("r_s", float, "spurious mean norm"),
+    "kappa": ("sigma_rule", lambda text: SigmaRule("scaling", float(text)),
+              "noise scaling constant"),
+    "sigma": ("sigma_rule", lambda text: SigmaRule("fixed", float(text)),
+              "fixed noise level (overrides scaling rule)"),
+    "methods": ("methods", _names, "comma-separated method names"),
+    "out": ("output_path", str, "output CSV path"),
+    "seed_base": ("seed_base", int, "first seed value"),
+    "learning_rate": ("train.learning_rate", float, None),
+    "max_iters": ("train.max_iters", int, "gradient-descent iteration cap"),
+    "penalty_weight": ("train.penalty_weight", float, "invariance penalty weight"),
+    "l2_weight": ("train.l2_weight", float, None),
+    "tolerance": ("train.tolerance", float, None),
+    "anneal_schedule": ("train.anneal_schedule", int, None),
 }
 
 
@@ -346,7 +346,7 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("give either 'sigma' (fixed rule) or 'kappa' (scaling rule), not both")
     fields, train = {}, {}
     for key, text in raw.items():
-        name, parse = _CONFIG_KEYS[key]
+        name, parse, _ = _CONFIG_KEYS[key]
         try:
             value = parse(text)
         except ValueError as exc:

@@ -16,9 +16,16 @@ import hashlib
 
 import numpy as np
 
-from .errors import TwoEnvError
+from .errors import ConfigError, TwoEnvError
 
 SEED_LIMIT = 2**64  # root seeds are 64-bit words; a larger one would alias a smaller
+
+
+def check_seed_block(base: int, count: int, base_name: str, count_name: str) -> None:
+    """Raise :class:`ConfigError` unless seeds ``base`` to ``base + count - 1`` are valid."""
+    if not 0 <= base <= SEED_LIMIT - count:
+        raise ConfigError(f"{base_name} must lie in [0, 2**64 - {count_name}] so that every "
+                          f"seed is below 2**64, got {base}")
 
 
 def _label_word(label) -> int:

@@ -2,8 +2,6 @@
 
 import math
 
-import numpy as np
-
 from twoenv.calibrate import (
     kappa_interpolation_rate,
     measure_rates,
@@ -11,24 +9,26 @@ from twoenv.calibrate import (
 )
 from twoenv import experiments
 from twoenv.experiments import ExperimentConfig, emit, run_sweep
-from twoenv.model import pool, sample_reduced
+from twoenv.model import sample_reduced
 from twoenv.presets import load_constants, theorem_preset
 from twoenv.rng import stream
 from twoenv.training import TrainConfig
 
 
-def test_preset_environments_pool_back_to_the_reduced_draw():
+def test_preset_environments_is_the_reduced_draw():
     preset = theorem_preset(8, 8, 1.0 / (4 * math.sqrt(16)) * 0.5, 0.2,
                             constants=load_constants(), strict=False)
-    inst, s_1, s_2 = preset_environments(preset, seed=3)
-    _, direct = sample_reduced(preset.d, preset.r_c, preset.r_s, 1.0, 0.0, preset.n_1,
-                               preset.n_2, preset.sigma, 3, stream(3, "preset-data"))
-    pooled = pool(s_1, s_2)
-    assert pooled.X.tobytes() == direct.X.tobytes()
-    np.testing.assert_array_equal(pooled.y, direct.y)
-    np.testing.assert_array_equal(pooled.env, direct.env)
-    assert s_1.ambient_d == s_2.ambient_d == pooled.ambient_d == preset.d
-    assert inst.d == pooled.d == preset.n_1 + preset.n_2 + 2
+    inst, data = preset_environments(preset, seed=3)
+    direct_inst, direct = sample_reduced(preset.d, preset.r_c, preset.r_s, 1.0, 0.0,
+                                         preset.n_1, preset.n_2, preset.sigma, 3,
+                                         stream(3, "preset-data"))
+    assert data.X.tobytes() == direct.X.tobytes()
+    assert data.y.tobytes() == direct.y.tobytes()
+    assert data.env.tobytes() == direct.env.tobytes()
+    assert inst.mu_c.tobytes() == direct_inst.mu_c.tobytes()
+    assert inst.mu_s.tobytes() == direct_inst.mu_s.tobytes()
+    assert data.ambient_d == preset.d
+    assert inst.d == data.d == preset.n_1 + preset.n_2 + 2
 
 
 def test_measure_rates_shape():

@@ -165,13 +165,13 @@ class TestMinWeightedBeta:
 
     def test_infeasible_margin(self):
         _, _, gd = _random_gram_instance(7)
-        too_big = GramData(gd.Z, gd.e1, gd.e2, 10.0, gd.theta_2)
+        too_big = GramData(gd.Z, gd.env, 10.0, gd.theta_2)
         with pytest.raises(InfeasibleMarginError):
             min_weighted_beta(too_big)
 
     def test_ill_conditioned_gram(self):
         Z = np.array([[1.0, 0.0], [1.0, 1e-9]])
-        gd = GramData(Z, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1, 0.0)
+        gd = GramData(Z, np.array([1, 2]), 0.1, 0.0)
         with pytest.raises(IllConditionedGramError):
             min_weighted_beta(gd)
 
@@ -422,10 +422,17 @@ class TestBoundChain:
 
 
 class TestGramData:
-    def test_rejects_bad_partition(self):
-        Z = np.eye(2)
-        with pytest.raises(TwoEnvError):
-            GramData(Z, np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.1, 0.0)
+    @pytest.mark.parametrize("env", [[1, 1, 1, 2, 2], [2, 1, 2, 1, 1, 2], [1, 1], [2, 2, 2]])
+    @pytest.mark.parametrize("theta_2", [0.0, -0.4, 0.7, -1.0])
+    def test_env_tags_give_the_indicator_formulas(self, env, theta_2):
+        # the former float indicators: u = e1 + theta_2 e2, canonical lambda = alpha e1
+        env = np.array(env)
+        e1, e2 = (env == 1).astype(np.float64), (env == 2).astype(np.float64)
+        gd = GramData(np.eye(len(env)), env, 0.1, theta_2)
+        assert gd.weights.tobytes() == (e1 + theta_2 * e2).tobytes()
+        r_c, r_s = 0.3, 0.7
+        alpha = 1.0 / (1.0 + float(e1.sum()) * (r_c**2 + r_s**2))
+        assert canonical_lambda(gd, r_c, r_s).tobytes() == (alpha * e1).tobytes()
 
     def test_derived_gram_is_checked_and_factored_once(self, monkeypatch):
         inst, data, gd = _random_gram_instance(23, n_1=5, n_2=5, d=80, theta_2=-0.4)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from twoenv.experiments import (
 )
 from twoenv.model import LinearModel
 from twoenv.training import TrainConfig, penalty_value_and_slope
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the config keys that are also sweep flags: those with help text
+FLAG_KEYS = [key for key, (_, _, help_text) in experiments._CONFIG_KEYS.items() if help_text]
 
 
 class TestResolveSigma:
@@ -306,11 +311,22 @@ class TestConfigFile:
             return built.pop()
 
         base = config_of("")
-        assert sorted(key for key, _ in cli._SWEEP_OVERRIDES) == sorted(self.FLAG_VALUES)
+        assert sorted(FLAG_KEYS) == sorted(self.FLAG_VALUES)
         for key, value in self.FLAG_VALUES.items():
             from_flag = config_of("", "--" + key.replace("_", "-"), value)
             assert from_flag == config_of(f"{key} = {value}\n"), key
             assert from_flag != base, key
+
+    def test_readme_key_table_matches_the_config_keys(self):
+        # README's "| `key` | `--flag` | meaning |" rows, kept by hand, against the table
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in README.read_text().splitlines() if line.startswith("| `")]
+        assert [key for key, _, _ in rows] == list(experiments._CONFIG_KEYS)
+        flags = [(key, flag, meaning) for key, flag, meaning in rows if flag]
+        assert [key for key, _, _ in flags] == FLAG_KEYS
+        for key, flag, meaning in flags:
+            assert flag == "--" + key.replace("_", "-")
+            assert meaning == experiments._CONFIG_KEYS[key][2]
 
     def test_negative_anneal_rejected(self):
         # a negative anneal iteration used to switch the penalty on at step 0
@@ -427,6 +443,8 @@ class TestCli:
         ] for value in ("nan", "inf")),
         ("rc", "--rc", "0"), ("rs", None, "-1"), ("theta1", "--theta1", "1.5"),
         ("theta2", None, "-2"), ("d_grid", "--d-grid", "1,16"), ("d_grid", None, "1,16"),
+        # an empty list used to run every cell, then fail to emit naming no key
+        ("methods", "--methods", ","), ("methods", None, " , "),
     ])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, key, flag, value):
         # every check of the form x <= 0 lets nan through; each bad value is
@@ -495,12 +513,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert flag.removeprefix("--") in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("flags, named", [(["--seeds", "0"], "--seeds"),
-                                              (["--sizes", ""], "--sizes")])
-    def test_calibrate_rejects_empty_measurement(self, tmp_path, capsys, flags, named):
+    @pytest.mark.parametrize("flags, named", [
+        (["--seeds", "0"], "--seeds"), (["--sizes", ""], "--sizes"),
+        (["--sizes", "0"], "--sizes"), (["--sizes", "-3"], "--sizes"),
+        (["--sizes", "20,0"], "--sizes"), (["--kappa-dmax", "1"], "--kappa-dmax"),
+        (["--kappa-dmax", "0"], "--kappa-dmax"), (["--kappa-dmax", "-5"], "--kappa-dmax")])
+    def test_calibrate_rejects_empty_measurement(self, tmp_path, capsys, monkeypatch, flags,
+                                                 named):
+        # --sizes 0 and -3 used to end in a ZeroDivisionError and a math domain
+        # error from measure_rates, and --kappa-dmax 1 in an error naming no flag
+        def measured(*args, **kwargs):
+            raise AssertionError("measured before the flags were checked")
+
+        monkeypatch.setattr(cli, "calibrate_constants", measured)
+        monkeypatch.setattr(cli, "kappa_interpolation_rate", measured)
         out = tmp_path / "constants.json"
         assert main(["calibrate", "--out", str(out)] + flags) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
@@ -524,3 +554,8 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload) == 3
         assert all(item["verdict"] == "ok" for item in payload)
+        # the report row: ChainReport's fields but attempts, in order, then the verdict
+        assert all(list(item) == [
+            "seed", "n_1", "n_2", "d", "theta_2", "gamma", "events_pass", "primal",
+            "dual_canonical", "closed_form", "weak_duality_ok", "closed_form_ok", "verdict"]
+            for item in payload)
