@@ -106,8 +106,9 @@ def _cmd_calibrate(args) -> int:
         sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
     except ValueError:
         raise ConfigError("--sizes: expected comma-separated integers") from None
-    if not sizes or min(sizes) < 1:
-        raise ConfigError(f"--sizes must name at least one size, each at least 1, got {sizes}")
+    # two_phase_learn splits each environment in halves, so it needs 2 rows
+    if not sizes or min(sizes) < 2:
+        raise ConfigError(f"--sizes must name at least one size, each at least 2, got {sizes}")
     if args.kappa_dmax < 2:
         raise ConfigError(f"--kappa-dmax must be at least 2, got {args.kappa_dmax}")
     base = load_constants(args.constants) if args.constants else load_constants()

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -228,6 +227,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[RunRecord]:
     ds, seeds = zip(*[(d, cfg.seed_base + rep) for d in cfg.d_grid for rep in range(cfg.seeds)])
     cells = ([cfg] * len(ds), ds, seeds)
     if workers > 1:
+        # imported here: a serial command would pay ~16 ms of start-up for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_cell, *cells))
     else:

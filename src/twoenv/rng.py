@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it at start-up, not in a command
 
 from .errors import ConfigError, TwoEnvError
 

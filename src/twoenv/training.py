@@ -32,15 +32,41 @@ separator or a non-separability witness, never an iteration-budget verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotrf, dpotrs
+import scipy
 
 from .errors import NonSeparableError, TwoEnvError
 from .model import LabeledDataset, LinearModel
+
+
+def _scipy_linalg_extension(name: str):
+    """Load scipy's f2py module ``scipy.linalg.<name>`` without ``scipy.linalg``.
+
+    The package ``__init__`` would load ~300 modules (``numpy.f2py`` and
+    ``numpy.testing`` among them) and double every command's start-up.  The
+    module is registered under its full name, so a later ``import
+    scipy.linalg`` reuses it and its routines are scipy's own objects.
+    """
+    full_name = f"scipy.linalg.{name}"
+    if full_name not in sys.modules:
+        spec = PathFinder.find_spec(full_name, [f"{d}/linalg" for d in scipy.__path__])
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no module {full_name}")
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full_name] = module
+    return sys.modules[full_name]
+
+
+dsymv = _scipy_linalg_extension("_fblas").dsymv
+dpotrf = _scipy_linalg_extension("_flapack").dpotrf
+dpotrs = _scipy_linalg_extension("_flapack").dpotrs
 
 PENALTY_KINDS = ("none", "irmv1", "vrex", "groupdro", "moment_match")
 

@@ -3,11 +3,16 @@
 import math
 
 from twoenv.calibrate import (
+    EPSILON,
     kappa_interpolation_rate,
     measure_rates,
     preset_environments,
+    two_phase_rate,
 )
 from twoenv import experiments
+from twoenv.errors import TwoEnvError
+from twoenv.estimators import two_phase_learn
+from twoenv.metrics import robust_error
 from twoenv.experiments import ExperimentConfig, emit, run_sweep
 from twoenv.model import sample_reduced
 from twoenv.presets import load_constants, theorem_preset
@@ -36,6 +41,25 @@ def test_measure_rates_shape():
     assert set(rates) >= {"n_e", "d", "mean_margin", "indictment", "two_phase"}
     for key in ("mean_margin", "indictment", "two_phase"):
         assert 0.0 <= rates[key] <= 1.0
+
+
+def test_two_phase_rate_counts_an_unfittable_draw_as_a_miss():
+    # at 3 rows per environment a held-out half often has no positive label;
+    # such a draw used to abort `twoenv calibrate --sizes 3` outright
+    preset = theorem_preset(3, 3, 1.0 / (4 * math.sqrt(6)), EPSILON,
+                            constants=load_constants(), strict=False)
+    hits = failures = 0
+    for seed in range(6):
+        inst, data = preset_environments(preset, seed)
+        try:
+            model, _ = two_phase_learn(data.by_env(1), data.by_env(2),
+                                       stream(seed, "preset-two-phase"))
+        except TwoEnvError:
+            failures += 1
+            continue
+        hits += robust_error(model, inst.mu_c, inst.mu_s, preset.sigma).error <= EPSILON
+    assert failures > 0 and hits > 0
+    assert two_phase_rate(preset, 6, EPSILON) == hits / 6
 
 
 def test_kappa_interpolation_rate_small():

@@ -1,7 +1,8 @@
 """Property tests of the exact margin solvers against independent scipy oracles.
 
 ``scipy.optimize`` serves only as the oracle here: the package itself must
-not import it (see ``test_cli_import_leaves_scipy_optimize_unloaded``).
+not import it (see ``test_cli_import_leaves_scipy_optimize_unloaded``, which
+with ``test_commands_load_no_module_after_set_up`` pins what start-up loads).
 """
 
 import os
@@ -20,6 +21,7 @@ from scipy.optimize import nnls as scipy_nnls
 import twoenv
 from twoenv import training
 from twoenv.errors import NonSeparableError, TwoEnvError
+from twoenv.experiments import METHODS
 from twoenv.model import ProblemInstance, sample_dataset, sample_orthogonal_means
 from twoenv.rng import stream
 from twoenv.training import WITNESS_RTOL, hard_margin_dual, nnls
@@ -163,12 +165,45 @@ def test_sampled_draws_agree_with_lp(seed, n_e, d, theta, sigma, dup):
     _check_verdict(np.vstack([Z, Z[:dup]]))
 
 
+def _run_python(code: str, cwd=None, **env) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(twoenv.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env, cwd=cwd).stdout
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds ~0.17 s of import time and ~16 MB of RSS to every
-    # command, scipy.special ~0.1 s
+    # command, scipy.special ~0.1 s, and the scipy.linalg package ~0.3 s: the
+    # trainer loads only its BLAS/LAPACK extension modules, which must still
+    # be the very objects scipy.linalg hands out once it is imported
     code = ("import sys, twoenv.cli; "
-            "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(twoenv.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False False"
+            "print(*(m in sys.modules for m in ('scipy.linalg', 'scipy.optimize', "
+            "'scipy.special'))); "
+            "import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack; "
+            "from twoenv import training as t; "
+            "print(t.dsymv is blas.dsymv, t.dpotrf is lapack.dpotrf, "
+            "t.dpotrs is lapack.dpotrs)")
+    assert _run_python(code).split("\n")[:2] == ["False False False", "True True True"]
+
+
+def test_commands_load_no_module_after_set_up(tmp_path):
+    # whatever a command imports is start-up cost paid inside its timed run
+    # (numpy.random, which numpy loads lazily, cost ~20 ms there); every
+    # command must find all it needs loaded by `import twoenv.cli`
+    methods = ",".join(METHODS)
+    code = f"""
+import sys
+from twoenv import cli
+before = set(sys.modules)
+codes = [cli.main(argv) for argv in (
+    ["sweep", "--d-grid", "16,64", "--seeds", "1", "--n1", "16", "--n2", "8",
+     "--methods", "{methods}", "--max-iters", "60", "--json", "sweep.json"],
+    ["verify", "--instances", "5"],
+    ["preset", "--n1", "100", "--n2", "100", "--gamma", "0.01", "--epsilon", "0.05"],
+    ["calibrate", "--sizes", "20", "--seeds", "2", "--kappa-dmax", "64"],
+)]
+print("exit codes", *codes, "loaded", *sorted(set(sys.modules) - before))
+"""
+    out = _run_python(code, cwd=tmp_path, TWOENV_WORKERS="1")
+    assert out.splitlines()[-1] == "exit codes 0 0 0 0 loaded"
