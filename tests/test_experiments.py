@@ -516,9 +516,9 @@ class TestCli:
     @pytest.mark.parametrize("flags, named", [
         (["--seeds", "0"], "--seeds"), (["--sizes", ""], "--sizes"),
         (["--sizes", "0"], "--sizes"), (["--sizes", "-3"], "--sizes"),
-        (["--sizes", "20,0"], "--sizes"), (["--sizes", "1"], "--sizes"),
-        (["--sizes", "40,1"], "--sizes"), (["--kappa-dmax", "1"], "--kappa-dmax"),
-        (["--kappa-dmax", "0"], "--kappa-dmax"), (["--kappa-dmax", "-5"], "--kappa-dmax")])
+        (["--sizes", "20,0"], "--sizes"), (["--kappa-dmax", "1"], "--kappa-dmax"),
+        (["--kappa-dmax", "0"], "--kappa-dmax"), (["--kappa-dmax", "-5"], "--kappa-dmax"),
+        (["--sizes", "1"], "--sizes"), (["--sizes", "40,1"], "--sizes")])
     def test_calibrate_rejects_empty_measurement(self, tmp_path, capsys, monkeypatch, flags,
                                                  named):
         # --sizes 0 and -3 used to end in a ZeroDivisionError and a math domain
