@@ -121,9 +121,12 @@ class ChainReport:
 
     def as_dict(self) -> dict:
         """The report row: every field but ``attempts``, then the verdict."""
-        row = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "attempts"}
+        row = {name: getattr(self, name) for name in _ROW_FIELDS}
         row["verdict"] = "ok" if self.chain_ok else "violated"
         return row
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ChainReport) if f.name != "attempts")
 
 
 def _chain_instance(seed: int, t: float):

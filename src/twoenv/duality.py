@@ -74,15 +74,54 @@ def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> Gra
     return GramData(Z=data.signed(), env=data.env, gamma=gamma, theta_2=theta_2)
 
 
+def _certify_spectrum(A: np.ndarray, lo: float, hi: float) -> bool:
+    """True when Cholesky factors place every eigenvalue of symmetric ``A`` in ``[lo, hi]``.
+
+    ``A`` must be finite (``dpotrf`` reports success on a NaN; a finite
+    ``||A||_F`` shows it, and an overflowing one only forgoes the
+    certificate), and ``A - (lo + tau) I`` and ``(hi - tau) I - A`` must
+    both have a :func:`chol_factor`; a side whose bound is infinite is
+    skipped.  False means "not certified", not "outside": the caller then
+    decides on the spectrum.  The margin ``tau = 8 n^2 eps (||A||_F +
+    |bound|)`` covers round-off at both ends.  A computed factor of ``B``
+    is exact for ``B + dB`` with ``||dB||_2 <= n gamma_{n+1} ||B||_2``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    Thm 10.3), and forming ``B`` rounds its diagonal by ``eps (|a_ii| +
+    |bound|)``; so a factor proves the extreme eigenvalue beyond its bound
+    by at least ``5 n^2 eps (||A||_F + |bound|)``.  ``eigvalsh`` is
+    backward stable: its eigenvalues lie within a small multiple of ``n
+    eps ||A||_2`` of the exact ones (LAPACK Users' Guide, sec. 4.7), which
+    is less.  So a certified ``A`` passes the eigenvalue rule too: the
+    verdict is always that rule's, and a spectrum is needed only outside
+    the bounds or within a few ``tau`` of one.
+    """
+    norm = math.sqrt(float(np.vdot(A, A)))  # not finite when an entry of A is not
+    if not (math.isfinite(norm) and lo <= hi):  # nor is a NaN bound certified
+        return False
+    n = len(A)
+    margin = 8.0 * n * n * np.finfo(np.float64).eps
+    diagonal = slice(None, None, n + 1)
+    if lo != -math.inf:
+        B = A.copy()
+        B.flat[diagonal] -= lo + margin * (norm + abs(lo))
+        if chol_factor(B) is None:
+            return False
+    if hi != math.inf:
+        B = -A
+        B.flat[diagonal] += hi - margin * (norm + abs(hi))
+        if chol_factor(B) is None:
+            return False
+    return True
+
+
 def _check_conditioning(K: np.ndarray) -> None:
     """Raise :class:`IllConditionedGramError` if ``K`` has an eigenvalue below ``MIN_EIG``.
 
-    A finite ``K - MIN_EIG I`` has a Cholesky factor when every eigenvalue
-    of ``K`` exceeds ``MIN_EIG``, which settles the common case for a
-    fraction of a spectrum's cost; ``eigvalsh`` decides and reports the rest.
-    A pass also makes ``K`` finite for every later :func:`chol_factor`.
+    :func:`_certify_spectrum` settles the common case for a fraction of a
+    spectrum's cost; ``eigvalsh`` decides and reports the rest.  A pass
+    also makes ``K`` finite for every later :func:`chol_factor`.
     """
-    if np.isfinite(K).all() and chol_factor(K - MIN_EIG * np.eye(len(K))) is not None:
+    if _certify_spectrum(K, MIN_EIG, math.inf):
         return
     evals = np.linalg.eigvalsh(K)
     if not evals[0] >= MIN_EIG:  # a NaN spectrum fails too
@@ -184,13 +223,13 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     Each round takes the margin multipliers ``lambda = nnls(K, u + nu gamma
     1)`` at a fixed norm multiplier ``nu``, warm-started from the previous
     active set, then ``nu`` from :func:`_norm_multiplier` on the new active
-    set (halved when that gives None).  Rounds start at ``nu =
-    sqrt(u'K^{-1}u)``, the optimum without margin constraints, and stop when
-    the active set and ``nu`` repeat; ``beta = (lambda - K^{-1}u)/nu`` and
-    ``iterations`` counts the rounds.  Before return, the margins, the norm
-    and ``gap`` (primal minus :func:`dual_value` at ``lambda``) are checked
-    to ``CERT_RTOL``, else :class:`TwoEnvError`.  A norm-inactive optimum
-    (the all-margins vertex) is returned directly.
+    set (computed once per set; halved when that gives None).  Rounds start
+    at ``nu = sqrt(u'K^{-1}u)``, the optimum without margin constraints, and
+    stop when the active set and ``nu`` repeat; ``beta = (lambda -
+    K^{-1}u)/nu`` and ``iterations`` counts the rounds.  Before return, the
+    margins, the norm and ``gap`` (primal minus :func:`dual_value` at
+    ``lambda``) are checked to ``CERT_RTOL``, else :class:`TwoEnvError`.  A
+    norm-inactive optimum (the all-margins vertex) is returned directly.
     """
     K = gd.gram
     u = gd.weights
@@ -199,7 +238,7 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     cho = gd.cho
 
     # feasibility: the hard-margin direction achieves the largest margin
-    mm_alpha, _ = hard_margin_dual(gd.Z)
+    mm_alpha, _ = hard_margin_dual(gd.Z, K)
     gamma_max = float((K @ mm_alpha).min()) / math.sqrt(float(mm_alpha @ (K @ mm_alpha)))
     if gamma > gamma_max:
         raise InfeasibleMarginError(
@@ -227,10 +266,14 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
 
     nu = math.sqrt(float(u @ q_u))
     active = np.ones(n, dtype=bool)
+    multipliers = {}  # _norm_multiplier by active set: the rounds revisit sets
     for rounds in range(1, 4 * n + 5):
         lam, _ = nnls(K, u + nu * gamma * ones, active)
         new_active = lam > 0.0
-        new_nu = _norm_multiplier(K, q_u, u, gamma, new_active) or 0.5 * nu
+        key = new_active.tobytes()
+        if key not in multipliers:
+            multipliers[key] = _norm_multiplier(K, q_u, u, gamma, new_active)
+        new_nu = multipliers[key] or 0.5 * nu
         if new_nu == nu and np.array_equal(new_active, active):
             break
         active, nu = new_active, new_nu
@@ -263,27 +306,69 @@ class SpectralEventReport:
 
     All noise-matrix quantities are normalized by ``sigma * sqrt(d)`` so
     the stated bounds apply for any noise scale; at ``sigma^2 = 1/d`` the
-    normalization is the identity.
+    normalization is the identity.  Each spectral verdict is decided on
+    construction by :func:`_certify_spectrum`, else by the extreme
+    eigenvalues; those (``sval_*``, ``gram_dev``, ``gram_eig_*``) are
+    computed from the stored matrices only when read.
     """
 
     t: float
-    sval_min: float
-    sval_max: float
+    noise_gram: np.ndarray = field(repr=False, compare=False)
     sval_lo_bound: float
     sval_hi_bound: float
-    sval_ok: bool
     g_mu_c: float
     g_mu_c_bound: float
     g_mu_c_ok: bool
     g_mu_s: float
     g_mu_s_bound: float
     g_mu_s_ok: bool
-    gram_dev: float
+    sample_gram: np.ndarray = field(repr=False, compare=False)
+    gram_deviation: np.ndarray = field(repr=False, compare=False)
     gram_dev_bound: float
-    gram_dev_ok: bool
-    gram_eig_min: float
-    gram_eig_max: float
-    gram_bounds_ok: bool
+    sval_ok: bool = field(init=False)
+    gram_dev_ok: bool = field(init=False)
+    gram_bounds_ok: bool = field(init=False)
+
+    def __post_init__(self):
+        lo, hi, dev = self.sval_lo_bound, self.sval_hi_bound, self.gram_dev_bound
+        object.__setattr__(self, "sval_ok", _certify_spectrum(
+            self.noise_gram, lo * lo if lo > 0 else -math.inf, hi * hi
+        ) or bool(lo <= self.sval_min and self.sval_max <= hi))
+        object.__setattr__(self, "gram_dev_ok", _certify_spectrum(
+            self.gram_deviation, -dev, dev
+        ) or bool(self.gram_dev <= dev))
+        object.__setattr__(self, "gram_bounds_ok", _certify_spectrum(
+            self.sample_gram, 0.5, 2.0
+        ) or bool(0.5 <= self.gram_eig_min and self.gram_eig_max <= 2.0))
+
+    @cached_property
+    def _noise_spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.noise_gram)
+
+    @cached_property
+    def _gram_spectrum(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.sample_gram)
+
+    @cached_property
+    def sval_min(self) -> float:
+        return math.sqrt(max(float(self._noise_spectrum[0]), 0.0))
+
+    @cached_property
+    def sval_max(self) -> float:
+        return math.sqrt(max(float(self._noise_spectrum[-1]), 0.0))
+
+    @cached_property
+    def gram_dev(self) -> float:
+        dev_eigs = np.linalg.eigvalsh(self.gram_deviation)
+        return float(max(abs(dev_eigs[0]), abs(dev_eigs[-1])))
+
+    @cached_property
+    def gram_eig_min(self) -> float:
+        return float(self._gram_spectrum[0])
+
+    @cached_property
+    def gram_eig_max(self) -> float:
+        return float(self._gram_spectrum[-1])
 
     @property
     def all_pass(self) -> bool:
@@ -322,12 +407,8 @@ def check_spectral_events(
     Gn -= np.asarray(mu_c)[None, :]
     Gn /= scale
 
-    gram_noise = Gn @ Gn.T
-    sq = np.linalg.eigvalsh(gram_noise)
-    sval_min = math.sqrt(max(float(sq[0]), 0.0))
-    sval_max = math.sqrt(max(float(sq[-1]), 0.0))
+    noise_gram = Gn @ Gn.T
     half_width = (math.sqrt(n) + t) / math.sqrt(d)
-    lo, hi = 1.0 - half_width, 1.0 + half_width
 
     r_c = float(np.linalg.norm(mu_c))
     r_s = float(np.linalg.norm(mu_s))
@@ -346,30 +427,21 @@ def check_spectral_events(
     mean_gram = (
         r_c**2 * np.outer(ones, ones) + r_s**2 * np.outer(theta_vec, theta_vec)
     ) / scale**2
-    sample_gram = gram_noise + cross + cross.T + mean_gram
+    sample_gram = noise_gram + cross + cross.T + mean_gram
     expected = np.eye(n) + mean_gram
-    dev_eigs = np.linalg.eigvalsh(sample_gram - expected)
-    gram_dev = float(max(abs(dev_eigs[0]), abs(dev_eigs[-1])))
-    gram_dev_bound = 3.0 * (math.sqrt(n) + t) / math.sqrt(d)
-    gram_eigs = np.linalg.eigvalsh(sample_gram)
 
     return SpectralEventReport(
         t=t,
-        sval_min=sval_min,
-        sval_max=sval_max,
-        sval_lo_bound=lo,
-        sval_hi_bound=hi,
-        sval_ok=bool(lo <= sval_min and sval_max <= hi),
+        noise_gram=noise_gram,
+        sval_lo_bound=1.0 - half_width,
+        sval_hi_bound=1.0 + half_width,
         g_mu_c=g_mu_c,
         g_mu_c_bound=mu_bound_c,
         g_mu_c_ok=bool(g_mu_c <= mu_bound_c),
         g_mu_s=g_mu_s,
         g_mu_s_bound=mu_bound_s,
         g_mu_s_ok=bool(g_mu_s <= mu_bound_s),
-        gram_dev=gram_dev,
-        gram_dev_bound=gram_dev_bound,
-        gram_dev_ok=bool(gram_dev <= gram_dev_bound),
-        gram_eig_min=float(gram_eigs[0]),
-        gram_eig_max=float(gram_eigs[-1]),
-        gram_bounds_ok=bool(0.5 <= gram_eigs[0] and gram_eigs[-1] <= 2.0),
+        sample_gram=sample_gram,
+        gram_deviation=sample_gram - expected,
+        gram_dev_bound=3.0 * (math.sqrt(n) + t) / math.sqrt(d),
     )

@@ -305,8 +305,8 @@ def sample_reduced(
         L = rng.standard_normal((n, k))  # G itself, not a factor of its Gram
     else:
         L = np.zeros((n, n))
-        L[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
-        L[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
+        L.flat[:: n + 1] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
+        L[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
 
     theta = np.repeat([theta_1, theta_2], [n_1, n_2])
     Z = np.empty((n, 2 + k))

@@ -614,8 +614,8 @@ def nnls(G: np.ndarray, b: np.ndarray, passive: np.ndarray) -> tuple[np.ndarray,
 WITNESS_RTOL = 1e-10  # non-separability threshold of hard_margin_dual, a round-off level
 
 
-def hard_margin_dual(Z: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Exact hard-margin multipliers for the signed rows ``Z``.
+def hard_margin_dual(Z: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Exact hard-margin multipliers for the signed rows ``Z``, with ``K = Z Z'``.
 
     ``min ||w|| s.t. Z w >= 1`` is the least-distance program
     ``min_{u>=0} ||[Z'; 1'] u - e_{k+1}||``, solved by :func:`nnls` for ``Z``
@@ -628,7 +628,6 @@ def hard_margin_dual(Z: np.ndarray) -> tuple[np.ndarray, dict]:
     :class:`NonSeparableError` carries the witness ``u~`` when that is at
     most ``WITNESS_RTOL max_i ||z_i||``.
     """
-    K = Z @ Z.T
     n = len(Z)
     rho2 = float(K.diagonal().max()) or 1.0  # all-zero rows: any witness is exact
     u, solves = nnls(K / rho2 + 1.0, np.ones(n), np.ones(n, dtype=bool))
@@ -654,7 +653,7 @@ def max_margin(data: LabeledDataset) -> LinearModel:
     if data.n == 0:
         raise TwoEnvError("empty dataset")
     Z = data.signed()
-    alpha, info = hard_margin_dual(Z)
+    alpha, info = hard_margin_dual(Z, Z @ Z.T)
     w = Z.T @ alpha
     return LinearModel(w, meta={"alpha": alpha, **info})
 

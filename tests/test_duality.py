@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from twoenv import duality, stream
-from twoenv.calibrate import bound_chain_study
+from twoenv.calibrate import _chain_instance, bound_chain_study
+from twoenv.cli import main
 from twoenv.duality import (
     GramData,
     canonical_lambda,
@@ -26,6 +27,7 @@ from twoenv.model import (
     sample_orthogonal_means,
     sample_reduced,
 )
+from twoenv.training import chol_solve, nnls
 
 from helpers import expected_gram, orthogonal_complement_stats
 
@@ -110,6 +112,22 @@ def brute_force_min_weighted(K, u, gamma, tol=1e-9):
     return best
 
 
+def _rounds_without_reuse(gd):
+    """``min_weighted_beta``'s rounds with the norm multiplier computed in every round."""
+    K, u, gamma = gd.gram, gd.weights, gd.gamma
+    q_u = chol_solve(gd.cho, u)
+    nu = math.sqrt(float(u @ q_u))
+    active = np.ones(gd.n, dtype=bool)
+    for rounds in range(1, 4 * gd.n + 5):
+        lam, _ = nnls(K, u + nu * gamma * np.ones(gd.n), active)
+        new_active = lam > 0.0
+        new_nu = duality._norm_multiplier(K, q_u, u, gamma, new_active) or 0.5 * nu
+        if new_nu == nu and np.array_equal(new_active, active):
+            return lam, nu, rounds
+        active, nu = new_active, new_nu
+    raise AssertionError("rounds did not settle")
+
+
 class TestMinWeightedBeta:
     def test_single_sample_exact(self):
         data = LabeledDataset(np.array([[1.0, 0.0]]), np.array([1]), np.array([1]))
@@ -163,6 +181,30 @@ class TestMinWeightedBeta:
         with pytest.raises(TwoEnvError, match="certify"):
             min_weighted_beta(gd)
 
+    def test_norm_multiplier_once_per_active_set(self, monkeypatch):
+        # each distinct active set gets one _norm_multiplier call, and the
+        # result is bitwise that of the rounds recomputing it every time
+        cases = []
+        for seed in range(20):
+            inst, data = _chain_instance(seed, 3.0)
+            gd = gram_from_dataset(data, 1.0 / (4.0 * math.sqrt(inst.n)), inst.theta_2)
+            cases.append((gd, _rounds_without_reuse(gd)))
+        real, seen = duality._norm_multiplier, []
+        monkeypatch.setattr(duality, "_norm_multiplier",
+                            lambda *a: seen.append(a[-1].tobytes()) or real(*a))
+        calls = rounds = 0
+        for gd, (lam, nu, ref_rounds) in cases:
+            seen.clear()
+            res = min_weighted_beta(gd)
+            assert len(seen) == len(set(seen))
+            assert res.iterations == ref_rounds
+            assert res.dual_lambda.tobytes() == lam.tobytes()
+            q_u = chol_solve(gd.cho, gd.weights)
+            assert res.beta.tobytes() == ((lam - q_u) / nu).tobytes()
+            calls += len(seen)
+            rounds += ref_rounds
+        assert calls < rounds  # some round met its starting set again
+
     def test_infeasible_margin(self):
         _, _, gd = _random_gram_instance(7)
         too_big = GramData(gd.Z, gd.env, 10.0, gd.theta_2)
@@ -182,7 +224,7 @@ class TestMinWeightedBeta:
 
 
 class TestCheckConditioning:
-    @pytest.mark.parametrize("rel", [1e-6, -1e-6])
+    @pytest.mark.parametrize("rel", [1e-6, -1e-6, 1e-9, -1e-9])
     def test_agrees_with_the_spectrum_next_to_the_threshold(self, monkeypatch, rel):
         rng = np.random.default_rng(29)
         Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
@@ -196,7 +238,7 @@ class TestCheckConditioning:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or real(a))
         if rel > 0:
             duality._check_conditioning(K)
-            assert spectra == []  # settled by the Cholesky factor of K - MIN_EIG I
+            assert spectra == []  # settled by duality._certify_spectrum
         else:
             with pytest.raises(IllConditionedGramError, match=f"{smallest:.3e} below"):
                 duality._check_conditioning(K)
@@ -208,6 +250,87 @@ class TestCheckConditioning:
         K[0, 1] = K[1, 0] = np.nan
         with pytest.raises(IllConditionedGramError, match="nan"):
             duality._check_conditioning(K)
+        # dpotrf would report success on K, so no spectrum bound is certified
+        assert not duality._certify_spectrum(K, -np.inf, np.inf)
+        rep = _event_report(K, K, K)
+        assert not (rep.sval_ok or rep.gram_dev_ok or rep.gram_bounds_ok)
+
+
+# the bounds of _event_report: sval in [0.8, 1.2], deviation within 0.6
+SVAL_LO, SVAL_HI, DEV_BOUND = 0.8, 1.2, 0.6
+# each event's spectrum bounds, and a spectrum that passes it with room
+EVENT_BOUNDS = {
+    "sval": (SVAL_LO**2, SVAL_HI**2, (0.7, 1.4)),
+    "gram_dev": (-DEV_BOUND, DEV_BOUND, (-0.5, 0.5)),
+    "gram_bounds": (0.5, 2.0, (0.6, 1.9)),
+}
+
+
+def _event_report(noise_gram, gram_deviation, sample_gram):
+    return duality.SpectralEventReport(
+        t=3.0, noise_gram=noise_gram, sval_lo_bound=SVAL_LO, sval_hi_bound=SVAL_HI,
+        g_mu_c=0.0, g_mu_c_bound=1.0, g_mu_c_ok=True, g_mu_s=0.0, g_mu_s_bound=1.0,
+        g_mu_s_ok=True, sample_gram=sample_gram, gram_deviation=gram_deviation,
+        gram_dev_bound=DEV_BOUND,
+    )
+
+
+def _with_spectrum(rng, evals):
+    Q, _ = np.linalg.qr(rng.standard_normal((len(evals), len(evals))))
+    A = (Q * evals) @ Q.T
+    return (A + A.T) / 2
+
+
+class TestSpectrumCertificate:
+    @pytest.mark.parametrize("rel", [1e-9, -1e-9])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("event", sorted(EVENT_BOUNDS))
+    def test_agrees_with_the_eigenvalue_rule_at_the_bound(self, monkeypatch, event, side, rel):
+        lo, hi, room = EVENT_BOUNDS[event]
+        rng = np.random.default_rng(31)
+        edge = (lo if side == "lo" else hi) * (1 + rel)
+        inside = lo <= edge <= hi
+        A = _with_spectrum(rng, np.concatenate([[edge], rng.uniform(*room, 29)]))
+        # the eigenvalue rule of each verdict, on the real spectrum
+        e = np.linalg.eigvalsh(A)
+        rule = {
+            "sval": SVAL_LO <= math.sqrt(max(e[0], 0.0)) and math.sqrt(max(e[-1], 0.0)) <= SVAL_HI,
+            "gram_dev": max(abs(e[0]), abs(e[-1])) <= DEV_BOUND,
+            "gram_bounds": 0.5 <= e[0] and e[-1] <= 2.0,
+        }[event]
+        assert rule == inside
+        others = {name: _with_spectrum(rng, rng.uniform(*bounds[2], 30))
+                  for name, bounds in EVENT_BOUNDS.items()}
+        others[event] = A
+        spectra = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or real(a))
+        rep = _event_report(others["sval"], others["gram_dev"], others["gram_bounds"])
+        verdict = {"sval": rep.sval_ok, "gram_dev": rep.gram_dev_ok,
+                   "gram_bounds": rep.gram_bounds_ok}[event]
+        assert verdict == rule and rep.all_pass == inside
+        # certified: no spectrum at all; otherwise one, of the event's matrix
+        assert len(spectra) == (0 if inside else 1)
+        assert all(a is A for a in spectra)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_margin_is_a_round_off_band(self, side):
+        # tau is about 1.3e-11 here: an eigenvalue 1e-13 inside a bound is left
+        # to the spectrum, one 1e-10 inside is certified
+        rest = np.random.default_rng(37).uniform(0.6, 1.9, 29)
+        for gap, certified in ((1e-13, False), (1e-10, True)):
+            edge = 0.5 + gap if side == "lo" else 2.0 - gap
+            A = _with_spectrum(np.random.default_rng(41), np.concatenate([[edge], rest]))
+            assert duality._certify_spectrum(A, 0.5, 2.0) == certified
+
+    def test_infinite_and_empty_bounds(self):
+        A = np.diag([1.0, 2.0])
+        assert duality._certify_spectrum(A, -np.inf, np.inf)
+        assert duality._certify_spectrum(A, 0.9, np.inf)
+        assert not duality._certify_spectrum(A, 1.1, np.inf)
+        assert not duality._certify_spectrum(A, -np.inf, 1.9)
+        assert not duality._certify_spectrum(A, 2.0, 1.0)
+        assert not duality._certify_spectrum(A, np.nan, 3.0)
 
 
 class TestDualValue:
@@ -419,6 +542,26 @@ class TestBoundChain:
         for rep in reports:
             assert rep.events_pass
             assert rep.chain_ok
+
+    def test_passing_instances_take_no_spectrum(self, monkeypatch):
+        spectra = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or real(a))
+        reports = bound_chain_study(50)
+        assert all(rep.attempts == 1 for rep in reports)
+        assert spectra == []
+
+    def test_report_is_the_eigenvalue_rule_report(self, monkeypatch, tmp_path, capsys):
+        # with the certificate refusing everything, eigvalsh decides every event
+        monkeypatch.chdir(tmp_path)
+        args = ["verify", "--instances", "200", "--seed-base", "7000000", "--out", "r.json"]
+        outputs = []
+        for run in ("certified", "eigenvalues"):
+            if run == "eigenvalues":
+                monkeypatch.setattr(duality, "_certify_spectrum", lambda A, lo, hi: False)
+            assert main(args) == 0
+            outputs.append((capsys.readouterr().out, (tmp_path / "r.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestGramData:

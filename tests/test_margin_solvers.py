@@ -117,7 +117,7 @@ def _check_verdict(Z):
                  method="highs")
     assert lp.status in (0, 2)  # feasible or infeasible, never undecided
     try:
-        alpha, info = hard_margin_dual(Z)
+        alpha, info = hard_margin_dual(Z, Z @ Z.T)
     except NonSeparableError as exc:
         assert lp.status == 2
         u = exc.witness

@@ -125,8 +125,12 @@ def _rebuild(seed, d, n_1, n_2, sigma, label="reduced"):
 
 
 class TestSampleReduced:
-    def test_follows_the_documented_draw_order(self):
-        d, n_1, n_2, sigma = 500, 6, 4, 0.3
+    # N = 2, 10, 60, 900 (N = 1 cannot be drawn: each environment needs a row);
+    # d = 902 is the smallest Bartlett draw at N = 900, as in calibrate's kappa check
+    @pytest.mark.parametrize("n_1, n_2, d", [(1, 1, 500), (6, 4, 500), (30, 30, 500),
+                                             (800, 100, 902)])
+    def test_follows_the_documented_draw_order(self, n_1, n_2, d):
+        sigma = 0.3
         n = n_1 + n_2
         inst, data = _reduced(d=d, n_1=n_1, n_2=n_2, sigma=sigma)
         y, Z = _rebuild(3, d, n_1, n_2, sigma)
