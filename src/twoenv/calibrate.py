@@ -99,6 +99,10 @@ def two_phase_rate(preset: PresetParams, seeds: int, epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+DUAL_TOL = 1e-6  # weak duality holds when dual(canonical lambda) <= primal + DUAL_TOL
+CLOSED_FORM_TOL = 1e-9  # the closed form holds when closed_form <= dual + CLOSED_FORM_TOL
+
+
 @dataclass(frozen=True)
 class ChainReport:
     seed: int
@@ -131,7 +135,8 @@ _ROW_FIELDS = tuple(f.name for f in fields(ChainReport) if f.name != "attempts")
 
 def _chain_instance(seed: int, t: float):
     """One random instance in the concentration regime, drawn exactly in
-    reduced coordinates (:func:`sample_reduced`; ``data.ambient_d`` is its d).
+    reduced coordinates (:func:`sample_reduced`; ``data.ambient_d`` is its d),
+    or None when the drawn sizes leave no spectral budget at this ``t``.
 
     Sizes are drawn with N <= 60 and d >= 20 N; the mean norms spend half
     of the spectral budget ``1/2 - (sqrt(N)+t)/sqrt(d)`` so the half-floor
@@ -146,7 +151,7 @@ def _chain_instance(seed: int, t: float):
     sigma = 1.0 / math.sqrt(d)
     budget = 0.5 - (math.sqrt(n) + t) / math.sqrt(d)
     if budget <= 0:
-        raise TwoEnvError("dimension too small for the concentration regime")
+        return None
     total = 0.5 * budget / math.sqrt(n)
     r_s, r_c = 0.75 * total, 0.25 * total
     theta_2 = -0.5 * float(rng.random())
@@ -155,34 +160,27 @@ def _chain_instance(seed: int, t: float):
     )
 
 
-def bound_chain_study(
-    instances: int,
-    t: float = 3.0,
-    seed_base: int = 0,
-    dual_tol: float = 1e-6,
-    closed_form_tol: float = 1e-9,
-) -> list[ChainReport]:
+def bound_chain_study(instances: int, t: float = 3.0, seed_base: int = 0) -> list[ChainReport]:
     """Sample instances passing the spectral events and check the chain
 
         closed_form <= dual(canonical lambda) <= primal optimum.
 
-    Draws failing the events at the given ``t`` are resampled (the chain is
-    only claimed conditional on the events)."""
+    Draws failing the events at the given ``t``, or whose sizes leave no
+    spectral budget, are resampled (the chain is only claimed conditional
+    on the events), at most 50 times per instance."""
     reports = []
     seed = seed_base
     for _ in range(instances):
         attempts = 0
         while True:
             attempts += 1
-            inst, data = _chain_instance(seed, t)
+            drawn = _chain_instance(seed, t)
             seed += 1
-            events = check_spectral_events(
-                data, inst.mu_c, inst.mu_s, inst.sigma, t, inst.theta_1, inst.theta_2
-            )
-            if events.all_pass:
+            if drawn is not None and check_spectral_events(*drawn, t).all_pass:
                 break
             if attempts > 50:
-                raise TwoEnvError("could not find an instance passing the events")
+                raise TwoEnvError(f"could not find an instance passing the events at t = {t}")
+        inst, data = drawn
         gamma = 1.0 / (4.0 * math.sqrt(inst.n))
         gd = gram_from_dataset(data, gamma, inst.theta_2)
         try:
@@ -206,8 +204,8 @@ def bound_chain_study(
                 primal=result.optimum,
                 dual_canonical=dual,
                 closed_form=cf,
-                weak_duality_ok=bool(dual <= result.optimum + dual_tol),
-                closed_form_ok=bool(cf <= dual + closed_form_tol),
+                weak_duality_ok=bool(dual <= result.optimum + DUAL_TOL),
+                closed_form_ok=bool(cf <= dual + CLOSED_FORM_TOL),
                 attempts=attempts,
             )
         )

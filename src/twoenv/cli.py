@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .calibrate import bound_chain_study, calibrate_constants, kappa_interpolation_rate
 from .errors import ConfigError, TwoEnvError
-from .experiments import _CONFIG_KEYS, build_config, emit, parse_config_file, run_sweep
+from .experiments import _CONFIG_KEYS, _ints, build_config, emit, parse_config_file, run_sweep
 from .presets import load_constants, save_constants, theorem_preset
 from .rng import check_seed_block
 
@@ -103,7 +103,7 @@ def _cmd_calibrate(args) -> int:
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
     try:
-        sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok)
+        sizes = _ints(args.sizes)
     except ValueError:
         raise ConfigError("--sizes: expected comma-separated integers") from None
     # two_phase_learn splits each environment in halves, so it needs 2 rows

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllConditionedGramError, InfeasibleMarginError, TwoEnvError
-from .model import LabeledDataset
+from .model import LabeledDataset, ProblemInstance
 from .training import chol_factor, chol_solve, hard_margin_dual, nnls
 
 MIN_EIG = 0.25  # half the spectral floor the concentration regime guarantees
@@ -112,6 +112,21 @@ def _certify_spectrum(A: np.ndarray, lo: float, hi: float) -> bool:
         if chol_factor(B) is None:
             return False
     return True
+
+
+def _spectrum_within(A: np.ndarray, lo: float, hi: float) -> bool:
+    """True when every eigenvalue of symmetric ``A`` lies in ``[lo, hi]``.
+
+    :func:`_certify_spectrum` settles the common case; ``eigvalsh`` decides
+    the rest.  A non-finite ``A`` (on which ``eigvalsh`` returns NaN or
+    raises) fails, and so would a NaN spectrum.
+    """
+    if _certify_spectrum(A, lo, hi):
+        return True
+    if not np.isfinite(A).all():
+        return False
+    evals = np.linalg.eigvalsh(A)
+    return bool(lo <= evals[0] and evals[-1] <= hi)
 
 
 def _check_conditioning(K: np.ndarray) -> None:
@@ -302,73 +317,13 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
 
 @dataclass(frozen=True)
 class SpectralEventReport:
-    """Measured values and verdicts for the high-probability events.
+    """Verdicts of the high-probability events on one draw."""
 
-    All noise-matrix quantities are normalized by ``sigma * sqrt(d)`` so
-    the stated bounds apply for any noise scale; at ``sigma^2 = 1/d`` the
-    normalization is the identity.  Each spectral verdict is decided on
-    construction by :func:`_certify_spectrum`, else by the extreme
-    eigenvalues; those (``sval_*``, ``gram_dev``, ``gram_eig_*``) are
-    computed from the stored matrices only when read.
-    """
-
-    t: float
-    noise_gram: np.ndarray = field(repr=False, compare=False)
-    sval_lo_bound: float
-    sval_hi_bound: float
-    g_mu_c: float
-    g_mu_c_bound: float
+    sval_ok: bool
     g_mu_c_ok: bool
-    g_mu_s: float
-    g_mu_s_bound: float
     g_mu_s_ok: bool
-    sample_gram: np.ndarray = field(repr=False, compare=False)
-    gram_deviation: np.ndarray = field(repr=False, compare=False)
-    gram_dev_bound: float
-    sval_ok: bool = field(init=False)
-    gram_dev_ok: bool = field(init=False)
-    gram_bounds_ok: bool = field(init=False)
-
-    def __post_init__(self):
-        lo, hi, dev = self.sval_lo_bound, self.sval_hi_bound, self.gram_dev_bound
-        object.__setattr__(self, "sval_ok", _certify_spectrum(
-            self.noise_gram, lo * lo if lo > 0 else -math.inf, hi * hi
-        ) or bool(lo <= self.sval_min and self.sval_max <= hi))
-        object.__setattr__(self, "gram_dev_ok", _certify_spectrum(
-            self.gram_deviation, -dev, dev
-        ) or bool(self.gram_dev <= dev))
-        object.__setattr__(self, "gram_bounds_ok", _certify_spectrum(
-            self.sample_gram, 0.5, 2.0
-        ) or bool(0.5 <= self.gram_eig_min and self.gram_eig_max <= 2.0))
-
-    @cached_property
-    def _noise_spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.noise_gram)
-
-    @cached_property
-    def _gram_spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.sample_gram)
-
-    @cached_property
-    def sval_min(self) -> float:
-        return math.sqrt(max(float(self._noise_spectrum[0]), 0.0))
-
-    @cached_property
-    def sval_max(self) -> float:
-        return math.sqrt(max(float(self._noise_spectrum[-1]), 0.0))
-
-    @cached_property
-    def gram_dev(self) -> float:
-        dev_eigs = np.linalg.eigvalsh(self.gram_deviation)
-        return float(max(abs(dev_eigs[0]), abs(dev_eigs[-1])))
-
-    @cached_property
-    def gram_eig_min(self) -> float:
-        return float(self._gram_spectrum[0])
-
-    @cached_property
-    def gram_eig_max(self) -> float:
-        return float(self._gram_spectrum[-1])
+    gram_dev_ok: bool
+    gram_bounds_ok: bool
 
     @property
     def all_pass(self) -> bool:
@@ -382,42 +337,36 @@ class SpectralEventReport:
 
 
 def check_spectral_events(
-    data: LabeledDataset,
-    mu_c: np.ndarray,
-    mu_s: np.ndarray,
-    sigma: float,
-    t: float,
-    theta_1: float,
-    theta_2: float,
+    inst: ProblemInstance, data: LabeledDataset, t: float
 ) -> SpectralEventReport:
-    """Check the singular-value and alignment events on a sampled dataset.
+    """Check the singular-value, alignment and Gram events on a draw of ``inst``.
 
     The noise matrix is reconstructed from the known means:
     ``G = Z - 1 mu_c' - (theta_1 e_1 + theta_2 e_2) mu_s'``.  With
     ``Z = G + M`` and rank-2 ``M``, the sample gram expands as
     ``GG' + GM' + MG' + MM'``, so a single N-by-d product plus two
     matrix-vector products covers every event.  ``d`` is the data's
-    ambient dimension, so a reduced draw is checked exactly too.
+    ambient dimension, so a reduced draw is checked exactly too.  Every
+    noise-matrix quantity is normalized by ``sigma * sqrt(d)``, so the
+    stated bounds apply for any noise scale; each spectral event is one
+    :func:`_spectrum_within` call.
     """
     Z = data.signed()
     n, d = data.n, data.ambient_d
-    theta_vec = np.where(data.env == 1, theta_1, theta_2).astype(np.float64)
-    scale = sigma * math.sqrt(d)
-    Gn = Z - theta_vec[:, None] * np.asarray(mu_s)[None, :]
-    Gn -= np.asarray(mu_c)[None, :]
+    mu_c, mu_s = inst.mu_c, inst.mu_s
+    theta_vec = np.where(data.env == 1, inst.theta_1, inst.theta_2).astype(np.float64)
+    scale = inst.sigma * math.sqrt(d)
+    Gn = Z - theta_vec[:, None] * mu_s[None, :]
+    Gn -= mu_c[None, :]
     Gn /= scale
 
     noise_gram = Gn @ Gn.T
     half_width = (math.sqrt(n) + t) / math.sqrt(d)
+    lo, hi = 1.0 - half_width, 1.0 + half_width
 
-    r_c = float(np.linalg.norm(mu_c))
-    r_s = float(np.linalg.norm(mu_s))
-    gn_mu_c = Gn @ np.asarray(mu_c)
-    gn_mu_s = Gn @ np.asarray(mu_s)
-    g_mu_c = float(np.linalg.norm(gn_mu_c))
-    g_mu_s = float(np.linalg.norm(gn_mu_s))
-    mu_bound_c = t * math.sqrt(n / d) * r_c
-    mu_bound_s = t * math.sqrt(n / d) * r_s
+    r_c, r_s = inst.r_c, inst.r_s
+    gn_mu_c = Gn @ mu_c
+    gn_mu_s = Gn @ mu_s
 
     # Zn Zn' assembled from the pieces above; mu_c and mu_s are orthogonal
     ones = np.ones(n)
@@ -428,20 +377,12 @@ def check_spectral_events(
         r_c**2 * np.outer(ones, ones) + r_s**2 * np.outer(theta_vec, theta_vec)
     ) / scale**2
     sample_gram = noise_gram + cross + cross.T + mean_gram
-    expected = np.eye(n) + mean_gram
+    dev = 3.0 * (math.sqrt(n) + t) / math.sqrt(d)
 
     return SpectralEventReport(
-        t=t,
-        noise_gram=noise_gram,
-        sval_lo_bound=1.0 - half_width,
-        sval_hi_bound=1.0 + half_width,
-        g_mu_c=g_mu_c,
-        g_mu_c_bound=mu_bound_c,
-        g_mu_c_ok=bool(g_mu_c <= mu_bound_c),
-        g_mu_s=g_mu_s,
-        g_mu_s_bound=mu_bound_s,
-        g_mu_s_ok=bool(g_mu_s <= mu_bound_s),
-        sample_gram=sample_gram,
-        gram_deviation=sample_gram - expected,
-        gram_dev_bound=3.0 * (math.sqrt(n) + t) / math.sqrt(d),
+        sval_ok=_spectrum_within(noise_gram, lo * lo if lo > 0 else -math.inf, hi * hi),
+        g_mu_c_ok=bool(np.linalg.norm(gn_mu_c) <= t * math.sqrt(n / d) * r_c),
+        g_mu_s_ok=bool(np.linalg.norm(gn_mu_s) <= t * math.sqrt(n / d) * r_s),
+        gram_dev_ok=_spectrum_within(sample_gram - (np.eye(n) + mean_gram), -dev, dev),
+        gram_bounds_ok=_spectrum_within(sample_gram, 0.5, 2.0),
     )

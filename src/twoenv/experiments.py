@@ -291,7 +291,8 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _names(text: str) -> tuple[str, ...]:
-    return tuple(tok for tok in text.replace(" ", "").split(",") if tok)
+    """The comma-separated tokens of ``text``, stripped; an inner space stays."""
+    return tuple(tok for tok in (part.strip() for part in text.split(",")) if tok)
 
 
 # config key -> (ExperimentConfig field, parser of its string value, help of

@@ -14,6 +14,8 @@ import pytest
 
 from twoenv import stream
 from twoenv.calibrate import (
+    CLOSED_FORM_TOL,
+    DUAL_TOL,
     bound_chain_study,
     max_margin_indictment_rate,
     mean_margin_rate,
@@ -111,8 +113,8 @@ def test_c04_two_phase_robustness():
 
 def test_c05_duality_chain():
     started = time.time()
-    reports = bound_chain_study(100, t=3.0, seed_base=0, dual_tol=1e-6,
-                                closed_form_tol=1e-9)
+    assert (DUAL_TOL, CLOSED_FORM_TOL) == (1e-6, 1e-9)
+    reports = bound_chain_study(100, t=3.0, seed_base=0)
     weak = sum(r.weak_duality_ok for r in reports)
     closed = sum(r.closed_form_ok for r in reports)
     ok = len(reports) == 100 and weak == 100 and closed == 100

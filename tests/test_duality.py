@@ -1,10 +1,14 @@
 """Margin-constrained program, dual bounds, and concentration events."""
 
 import itertools
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twoenv import duality, stream
 from twoenv.calibrate import _chain_instance, bound_chain_study
@@ -252,27 +256,17 @@ class TestCheckConditioning:
             duality._check_conditioning(K)
         # dpotrf would report success on K, so no spectrum bound is certified
         assert not duality._certify_spectrum(K, -np.inf, np.inf)
-        rep = _event_report(K, K, K)
-        assert not (rep.sval_ok or rep.gram_dev_ok or rep.gram_bounds_ok)
+        assert not any(duality._spectrum_within(K, lo, hi) for lo, hi, _ in EVENT_BOUNDS.values())
 
 
-# the bounds of _event_report: sval in [0.8, 1.2], deviation within 0.6
+# the spectrum bounds check_spectral_events gives each event at sval in
+# [0.8, 1.2] and a deviation within 0.6, and a spectrum that passes each with room
 SVAL_LO, SVAL_HI, DEV_BOUND = 0.8, 1.2, 0.6
-# each event's spectrum bounds, and a spectrum that passes it with room
 EVENT_BOUNDS = {
     "sval": (SVAL_LO**2, SVAL_HI**2, (0.7, 1.4)),
     "gram_dev": (-DEV_BOUND, DEV_BOUND, (-0.5, 0.5)),
     "gram_bounds": (0.5, 2.0, (0.6, 1.9)),
 }
-
-
-def _event_report(noise_gram, gram_deviation, sample_gram):
-    return duality.SpectralEventReport(
-        t=3.0, noise_gram=noise_gram, sval_lo_bound=SVAL_LO, sval_hi_bound=SVAL_HI,
-        g_mu_c=0.0, g_mu_c_bound=1.0, g_mu_c_ok=True, g_mu_s=0.0, g_mu_s_bound=1.0,
-        g_mu_s_ok=True, sample_gram=sample_gram, gram_deviation=gram_deviation,
-        gram_dev_bound=DEV_BOUND,
-    )
 
 
 def _with_spectrum(rng, evals):
@@ -291,7 +285,7 @@ class TestSpectrumCertificate:
         edge = (lo if side == "lo" else hi) * (1 + rel)
         inside = lo <= edge <= hi
         A = _with_spectrum(rng, np.concatenate([[edge], rng.uniform(*room, 29)]))
-        # the eigenvalue rule of each verdict, on the real spectrum
+        # each event's eigenvalue rule in its own terms, on the real spectrum
         e = np.linalg.eigvalsh(A)
         rule = {
             "sval": SVAL_LO <= math.sqrt(max(e[0], 0.0)) and math.sqrt(max(e[-1], 0.0)) <= SVAL_HI,
@@ -299,16 +293,10 @@ class TestSpectrumCertificate:
             "gram_bounds": 0.5 <= e[0] and e[-1] <= 2.0,
         }[event]
         assert rule == inside
-        others = {name: _with_spectrum(rng, rng.uniform(*bounds[2], 30))
-                  for name, bounds in EVENT_BOUNDS.items()}
-        others[event] = A
         spectra = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or real(a))
-        rep = _event_report(others["sval"], others["gram_dev"], others["gram_bounds"])
-        verdict = {"sval": rep.sval_ok, "gram_dev": rep.gram_dev_ok,
-                   "gram_bounds": rep.gram_bounds_ok}[event]
-        assert verdict == rule and rep.all_pass == inside
+        assert duality._spectrum_within(A, lo, hi) == rule
         # certified: no spectrum at all; otherwise one, of the event's matrix
         assert len(spectra) == (0 if inside else 1)
         assert all(a is A for a in spectra)
@@ -331,6 +319,34 @@ class TestSpectrumCertificate:
         assert not duality._certify_spectrum(A, -np.inf, 1.9)
         assert not duality._certify_spectrum(A, 2.0, 1.0)
         assert not duality._certify_spectrum(A, np.nan, 3.0)
+
+
+# (lo, hi, room for the eigenvalues away from the bound): finite and infinite bounds
+SPECTRUM_CASES = [(0.5, 2.0, (0.6, 1.9)), (-0.6, 0.6, (-0.5, 0.5)),
+                  (-math.inf, 1.44, (-3.0, 1.4)), (0.64, math.inf, (0.7, 3.0))]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(2, 12),
+       case=st.sampled_from(SPECTRUM_CASES), side=st.sampled_from(["lo", "hi"]),
+       outside=st.booleans())
+def test_spectrum_within_is_the_eigenvalue_rule(seed, n, k, case, side, outside):
+    lo, hi, room = case
+    bound = lo if (side == "lo" and lo != -math.inf) or hi == math.inf else hi
+    # an extreme eigenvalue 10^-k past or short of the bound, relative to it
+    step = 10.0**-k * (1 if (bound == hi) == outside else -1)
+    rng = np.random.default_rng(seed)
+    A = _with_spectrum(rng, np.concatenate([[bound + abs(bound) * step],
+                                            rng.uniform(*room, n - 1)]))
+    e = np.linalg.eigvalsh(A)
+    rule = bool(lo <= e[0] and e[-1] <= hi)
+    assert rule != outside
+    assert duality._spectrum_within(A, lo, hi) == rule
+    with mock.patch.object(duality, "_certify_spectrum", return_value=False):
+        assert duality._spectrum_within(A, lo, hi) == rule
+        i, j = rng.integers(0, n, 2)
+        A[i, j] = A[j, i] = np.nan
+        assert not duality._spectrum_within(A, lo, hi)
+    assert not duality._spectrum_within(A, lo, hi)
 
 
 class TestDualValue:
@@ -422,11 +438,56 @@ class TestSpectralEvents:
         for y in (1, -1) * 4:
             rows.append(y * (mu_c + mu_s))
             ys.append(y)
-        data = LabeledDataset(np.array(rows), np.array(ys), np.ones(8, dtype=int))
-        rep = check_spectral_events(data, mu_c, mu_s, sigma=1e-30, t=2 * math.sqrt(d),
-                                    theta_1=1.0, theta_2=1.0)
-        assert rep.sval_min == 0.0 and rep.sval_max == 0.0
+        data = LabeledDataset(np.array(rows), np.array(ys), np.repeat([1, 2], 4))
+        inst = ProblemInstance(mu_c, mu_s, 1.0, 1.0, 4, 4, 1e-30, 0)
+        spied = []
+        real = duality._spectrum_within
+        with mock.patch.object(duality, "_spectrum_within",
+                               lambda A, lo, hi: spied.append(A) or real(A, lo, hi)):
+            rep = check_spectral_events(inst, data, t=2 * math.sqrt(d))
+        assert not spied[0].any()  # the noise matrix's gram is exactly zero
         assert rep.sval_ok and rep.g_mu_c_ok and rep.g_mu_s_ok
+
+    @pytest.mark.parametrize("draw", ["dense", "reduced"])
+    def test_each_event_gets_the_matrix_and_bounds_of_its_definition(self, draw):
+        # built here from G = Z - 1 mu_c' - theta mu_s', normalized by sigma sqrt(d):
+        # the dense draw has a lower singular-value bound, the reduced one none
+        n_1, n_2, t, theta_2 = 6, 4, 3.0, -0.5
+        if draw == "dense":
+            d = 400
+            sigma = 0.7 / math.sqrt(d)
+            mu_c, mu_s = sample_orthogonal_means(d, 0.3, 0.5, stream(53, "spy-means"))
+            inst = ProblemInstance(mu_c, mu_s, 1.0, theta_2, n_1, n_2, sigma, 53)
+            data = sample_dataset(inst, stream(53, "spy-data"))
+        else:
+            d = 30
+            sigma = 1.3 / math.sqrt(d)
+            inst, data = sample_reduced(d, 0.3, 0.5, 1.0, theta_2, n_1, n_2, sigma, 53,
+                                        stream(53, "spy-data"))
+        n = n_1 + n_2
+        Z = data.signed()
+        theta = np.where(data.env == 1, 1.0, theta_2)
+        scale = sigma * math.sqrt(d)
+        G = (Z - np.outer(np.ones(n), inst.mu_c) - np.outer(theta, inst.mu_s)) / scale
+        half = (math.sqrt(n) + t) / math.sqrt(d)
+        assert (half < 1) == (draw == "dense")
+        dev = 3.0 * half
+        sample = Z @ Z.T / scale**2
+        expected = expected_gram(n_1, n_2, 1.0, theta_2, 0.3, 0.5, sigma, d) / scale**2
+        built = [(G @ G.T, (1 - half) ** 2 if half < 1 else -math.inf, (1 + half) ** 2),
+                 (sample - expected, -dev, dev), (sample, 0.5, 2.0)]
+        spied = []
+        real = duality._spectrum_within
+        with mock.patch.object(duality, "_spectrum_within",
+                               lambda A, lo, hi: spied.append((A, lo, hi)) or real(A, lo, hi)):
+            rep = check_spectral_events(inst, data, t)
+        assert len(spied) == len(built)
+        for (A, lo, hi), (B, b_lo, b_hi) in zip(spied, built):
+            assert np.abs(A - B).max() <= 1e-12
+            assert lo == pytest.approx(b_lo, rel=1e-12) and hi == pytest.approx(b_hi, rel=1e-12)
+        alignment = t * math.sqrt(n / d)
+        assert rep.g_mu_c_ok == (np.linalg.norm(G @ inst.mu_c) <= alignment * 0.3)
+        assert rep.g_mu_s_ok == (np.linalg.norm(G @ inst.mu_s) <= alignment * 0.5)
 
     def test_expected_gram_against_monte_carlo(self):
         n_1, n_2, d, draws = 3, 3, 40, 10_000
@@ -457,7 +518,7 @@ class TestSpectralEvents:
         for seed in range(seeds):
             inst, data = sample_reduced(d, 0.05, 0.1, 1.0, 0.0, n_e, n_e, sigma, seed,
                                         stream(seed, "freq"))
-            rep = check_spectral_events(data, inst.mu_c, inst.mu_s, sigma, t, 1.0, 0.0)
+            rep = check_spectral_events(inst, data, t)
             if not (rep.sval_ok and rep.g_mu_c_ok and rep.g_mu_s_ok):
                 failures += 1
         assert failures / seeds <= 6 * math.exp(-(t**2) / 2) + 0.01
@@ -562,6 +623,15 @@ class TestBoundChain:
             assert main(args) == 0
             outputs.append((capsys.readouterr().out, (tmp_path / "r.json").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_draws_without_a_spectral_budget_are_resampled(self, tmp_path, capsys):
+        # at t = 8 many size draws have sqrt(N) + t >= sqrt(d) / 2, so no budget
+        out = tmp_path / "r.json"
+        assert main(["verify", "--instances", "20", "--t", "8", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())) == 20
+        # at t = 100 none has one: the attempt cap ends the run, naming t
+        assert main(["verify", "--instances", "20", "--t", "100", "--out", str(out)]) == 1
+        assert "t = 100" in capsys.readouterr().err
 
 
 class TestGramData:

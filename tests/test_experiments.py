@@ -445,6 +445,8 @@ class TestCli:
         ("theta2", None, "-2"), ("d_grid", "--d-grid", "1,16"), ("d_grid", None, "1,16"),
         # an empty list used to run every cell, then fail to emit naming no key
         ("methods", "--methods", ","), ("methods", None, " , "),
+        # an inner space used to merge the tokens around it: d = 16, method mean
+        ("d_grid", "--d-grid", "1 6"), ("d_grid", None, "1 6"), ("methods", "--methods", "me an"),
     ])
     def test_non_finite_parameter_exits_one(self, tmp_path, capsys, key, flag, value):
         # every check of the form x <= 0 lets nan through; each bad value is
@@ -518,7 +520,8 @@ class TestCli:
         (["--sizes", "0"], "--sizes"), (["--sizes", "-3"], "--sizes"),
         (["--sizes", "20,0"], "--sizes"), (["--kappa-dmax", "1"], "--kappa-dmax"),
         (["--kappa-dmax", "0"], "--kappa-dmax"), (["--kappa-dmax", "-5"], "--kappa-dmax"),
-        (["--sizes", "1"], "--sizes"), (["--sizes", "40,1"], "--sizes")])
+        (["--sizes", "1"], "--sizes"), (["--sizes", "40,1"], "--sizes"),
+        (["--sizes", "4 0"], "--sizes")])
     def test_calibrate_rejects_empty_measurement(self, tmp_path, capsys, monkeypatch, flags,
                                                  named):
         # --sizes 0 and -3 used to end in a ZeroDivisionError and a math domain

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from twoenv import stream
-from twoenv.duality import check_spectral_events
 from twoenv.errors import DegenerateLabelsError
 from twoenv.estimators import mean_estimator, two_phase_learn
 from twoenv.experiments import ExperimentConfig, _fit, resolve_sigma
@@ -44,7 +43,8 @@ def _reduced(seed):
 
 
 def _statistics(inst, data, seed):
-    events = check_spectral_events(data, inst.mu_c, inst.mu_s, SIGMA, 3.0, THETA_1, THETA_2)
+    Z = data.signed()
+    gram_eigs = np.linalg.eigvalsh(Z @ Z.T / (SIGMA**2 * data.ambient_d))
     mm = max_margin(data)
     try:
         tp, _ = two_phase_learn(data.by_env(1), data.by_env(2), stream(seed, "eq-two-phase"))
@@ -52,8 +52,8 @@ def _statistics(inst, data, seed):
     except DegenerateLabelsError:  # a held-out half without positives: same law on both sides
         tp_robust = math.nan
     return (
-        events.gram_eig_min,
-        events.gram_eig_max,
+        gram_eigs[0],
+        gram_eigs[-1],
         normalized_margin(mean_estimator(data), data, SIGMA),
         spurious_core_ratio(mm, inst.mu_c, inst.mu_s),
         robust_error(mm, inst.mu_c, inst.mu_s, SIGMA).error,
