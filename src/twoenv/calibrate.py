@@ -233,8 +233,7 @@ def kappa_interpolation_rate(kappa: float, d_max: int, n_1: int, n_2: int, seeds
             rngmod.stream(seed, "kappa-data"),
         )
         model = mean_estimator(data)
-        margins = data.y * model.scores(data.X)
-        if margins.min() > 0:
+        if (data.signed() @ model.w).min() > 0:
             hits += 1
     return hits / seeds
 

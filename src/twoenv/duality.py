@@ -114,34 +114,31 @@ def _certify_spectrum(A: np.ndarray, lo: float, hi: float) -> bool:
     return True
 
 
-def _spectrum_within(A: np.ndarray, lo: float, hi: float) -> bool:
-    """True when every eigenvalue of symmetric ``A`` lies in ``[lo, hi]``.
-
-    :func:`_certify_spectrum` settles the common case; ``eigvalsh`` decides
-    the rest.  A non-finite ``A`` (on which ``eigvalsh`` returns NaN or
-    raises) fails, and so would a NaN spectrum.
-    """
+def _spectrum_ends(A: np.ndarray, lo: float, hi: float) -> tuple[float, float] | None:
+    """None when every eigenvalue of symmetric ``A`` lies in ``[lo, hi]``, else the
+    smallest and the largest.  :func:`_certify_spectrum` settles the common case and
+    ``eigvalsh`` the rest; a non-finite ``A`` (on which ``eigvalsh`` returns NaN or
+    raises) fails with NaN ends, and so would a NaN spectrum."""
     if _certify_spectrum(A, lo, hi):
-        return True
+        return None
     if not np.isfinite(A).all():
-        return False
+        return math.nan, math.nan
     evals = np.linalg.eigvalsh(A)
-    return bool(lo <= evals[0] and evals[-1] <= hi)
+    return None if lo <= evals[0] and evals[-1] <= hi else (evals[0], evals[-1])
+
+
+def _spectrum_within(A: np.ndarray, lo: float, hi: float) -> bool:
+    """True when every eigenvalue of symmetric ``A`` lies in ``[lo, hi]``."""
+    return _spectrum_ends(A, lo, hi) is None
 
 
 def _check_conditioning(K: np.ndarray) -> None:
-    """Raise :class:`IllConditionedGramError` if ``K`` has an eigenvalue below ``MIN_EIG``.
-
-    :func:`_certify_spectrum` settles the common case for a fraction of a
-    spectrum's cost; ``eigvalsh`` decides and reports the rest.  A pass
-    also makes ``K`` finite for every later :func:`chol_factor`.
+    """Raise :class:`IllConditionedGramError` if ``K`` has an eigenvalue below ``MIN_EIG``,
+    by :func:`_spectrum_within`'s rule: a pass also makes ``K`` finite for :func:`chol_factor`.
     """
-    if _certify_spectrum(K, MIN_EIG, math.inf):
-        return
-    evals = np.linalg.eigvalsh(K)
-    if not evals[0] >= MIN_EIG:  # a NaN spectrum fails too
+    if (ends := _spectrum_ends(K, MIN_EIG, math.inf)) is not None:
         raise IllConditionedGramError(
-            f"smallest gram eigenvalue {evals[0]:.3e} below threshold {MIN_EIG}"
+            f"smallest gram eigenvalue {ends[0]:.3e} below threshold {MIN_EIG}"
         )
 
 

@@ -35,7 +35,7 @@ def per_env_mean(data: LabeledDataset, env: int) -> LinearModel:
     mask = data.env == env
     if not mask.any():
         raise TwoEnvError(f"no rows tagged with environment {env}")
-    return LinearModel((data.y[mask, None] * data.X[mask]).mean(axis=0))
+    return LinearModel(data.signed()[mask].mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def two_phase_learn(
                 f"held-out half of environment {name} has no positive-label rows"
             )
 
-    w_1 = (fit_1.y[:, None] * fit_1.X).mean(axis=0)
-    w_2 = (fit_2.y[:, None] * fit_2.X).mean(axis=0)
+    w_1 = fit_1.signed().mean(axis=0)
+    w_2 = fit_2.signed().mean(axis=0)
 
     # Constraint coefficients: between-environment gap of the mean positive
     # score of each stage-1 classifier on the held-out halves.
@@ -102,9 +102,8 @@ def two_phase_learn(
     v_pos = base if (base[0] + base[1] > 0 or (base[0] + base[1] == 0 and base[0] > 0)) else -base
     v_neg = -v_pos
 
-    fine = pool(fine_1, fine_2)
-    fine_signed_scores = fine.y * np.column_stack([fine.X @ w_1, fine.X @ w_2]).T
-    per_component = fine_signed_scores.sum(axis=1)  # (sum y<w_1,x>, sum y<w_2,x>)
+    Z = pool(fine_1, fine_2).signed()
+    per_component = np.column_stack([Z @ w_1, Z @ w_2]).T.sum(axis=1)  # (sum y<w_k,x>)_k
     score_pos = float(v_pos @ per_component)
     score_neg = float(v_neg @ per_component)
 

@@ -130,8 +130,8 @@ class RunRecord:
 
 def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledDataset:
     theta = np.where(data.env == 1, theta_1, theta_2)
-    X = data.X - (data.y * theta)[:, None] * np.asarray(mu_s)[None, :]
-    return LabeledDataset(X, data.y, data.env, data.ambient_d)
+    Z = data.signed() - theta[:, None] * np.asarray(mu_s)[None, :]
+    return LabeledDataset.from_signed(Z, data.y, data.env, data.ambient_d)
 
 
 def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: int, d: int,
@@ -187,8 +187,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 model, train_data = _fit(method, data, cfg, mu_s, seed, d,
                                          env_views=env_views, prefixes=prefixes)
-                margins = train_data.y * model.scores(train_data.X)
-                train_acc = float((margins > 0).mean())
+                train_acc = float((train_data.signed() @ model.w > 0).mean())
                 margin = normalized_margin(model, train_data, sigma)
                 rob = robust_error(model, mu_c, mu_s, sigma).error
                 try:

@@ -84,7 +84,7 @@ def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) ->
         raise TwoEnvError("empty dataset")
     if sigma <= 0:
         raise TwoEnvError("sigma must be positive")
-    margins = data.y * model.scores(data.X)
+    margins = data.signed() @ model.w
     return float(margins.min() / (model.norm * (sigma * math.sqrt(data.ambient_d))))
 
 
@@ -101,7 +101,7 @@ def class_score_mean(w: np.ndarray, data: LabeledDataset) -> float:
     mask = data.y == 1
     if not mask.any():
         return math.nan
-    return float((data.X[mask] @ w).mean())
+    return float((data.signed()[mask] @ w).mean())
 
 
 def invariance_gaps(

@@ -5,6 +5,8 @@ with label ``y`` in an environment with spurious coefficient ``theta`` has
 mean ``y * (mu_c + theta * mu_s)`` and isotropic noise of scale ``sigma``.
 The core direction ``mu_c`` and the spurious direction ``mu_s`` are
 orthogonal and shared across environments; only ``theta`` differs.
+Learners and metrics see a sample only through its signed rows ``z_i = y_i x_i``,
+so a :class:`LabeledDataset` stores those alone, signed here once.
 """
 
 from __future__ import annotations
@@ -99,56 +101,67 @@ class ProblemInstance:
         return EnvironmentSpec(self.mu_c, self.mu_s, self.sigma, theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LabeledDataset:
-    """Rows ``X`` with labels in {-1,+1} and environment tags in {1,2}.
+    """Signed rows ``z_i = y_i x_i``, labels in {-1,+1} and environment tags in {1,2}.
 
+    The signed rows are the one matrix stored: the constructor signs the
+    rows ``X`` once, :meth:`from_signed` keeps rows signed already, and
+    ``X`` is derived on each read, bitwise the input (negation is exact).
     ``ambient_d`` is the dimension of the space the rows were drawn in.  It
     defaults to the column count ``d``; a reduced draw (see
     :func:`sample_reduced`) stores fewer columns than its ambient dimension.
     """
 
-    X: np.ndarray
+    _Z: np.ndarray
     y: np.ndarray
     env: np.ndarray
-    ambient_d: int | None = None
+    ambient_d: int
 
-    def __post_init__(self):
-        X = _freeze(self.X)
-        y = np.asarray(self.y, dtype=np.int64)
-        env = np.asarray(self.env, dtype=np.int64)
-        y.setflags(write=False)
-        env.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "env", env)
-        if X.ndim != 2:
+    def __init__(self, X, y, env, ambient_d: int | None = None, *, _signed: bool = False):
+        rows = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        env = np.asarray(env, dtype=np.int64)
+        if rows.ndim != 2:
             raise TwoEnvError("X must be a 2-d matrix")
-        ambient_d = X.shape[1] if self.ambient_d is None else int(self.ambient_d)
-        if ambient_d < X.shape[1]:
-            raise TwoEnvError(f"ambient_d {ambient_d} is below the column count {X.shape[1]}")
-        object.__setattr__(self, "ambient_d", ambient_d)
-        if X.shape[0] != y.shape[0] or X.shape[0] != env.shape[0]:
+        ambient_d = rows.shape[1] if ambient_d is None else int(ambient_d)
+        if ambient_d < rows.shape[1]:
+            raise TwoEnvError(f"ambient_d {ambient_d} is below the column count {rows.shape[1]}")
+        if rows.shape[0] != y.shape[0] or rows.shape[0] != env.shape[0]:
             raise TwoEnvError("X, y and env must have matching row counts")
         if not ((y == 1) | (y == -1)).all():
             raise TwoEnvError("labels must be -1 or +1")
         if not ((env == 1) | (env == 2)).all():
             raise TwoEnvError("environment tags must be 1 or 2")
+        for name, a in (("_Z", rows if _signed else y[:, None] * rows), ("y", y), ("env", env)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "ambient_d", ambient_d)
+
+    @classmethod
+    def from_signed(cls, Z, y, env, ambient_d: int | None = None) -> "LabeledDataset":
+        """A dataset whose signed rows are ``Z``, kept without a copy."""
+        return cls(Z, y, env, ambient_d, _signed=True)
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self._Z.shape[0]
 
     @property
     def d(self) -> int:
-        return self.X.shape[1]
+        return self._Z.shape[1]
+
+    @property
+    def X(self) -> np.ndarray:
+        """Unsigned rows ``x_i = y_i z_i``, computed afresh on each read."""
+        return _freeze(self.y[:, None] * self._Z)
 
     def signed(self) -> np.ndarray:
-        """Label-signed sample matrix: row i is ``y_i * x_i``."""
-        return self.y[:, None] * self.X
+        """Label-signed sample matrix: row i is ``y_i * x_i``.  Stored, not copied."""
+        return self._Z
 
     def restrict(self, mask: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(self.X[mask], self.y[mask], self.env[mask], self.ambient_d)
+        return self.from_signed(self._Z[mask], self.y[mask], self.env[mask], self.ambient_d)
 
     def by_env(self, env: int) -> "LabeledDataset":
         return self.restrict(self.env == env)
@@ -159,8 +172,8 @@ def pool(*parts: LabeledDataset) -> LabeledDataset:
     dims = sorted({p.ambient_d for p in parts})
     if len(dims) > 1:
         raise TwoEnvError(f"cannot pool datasets of different ambient dimensions {dims}")
-    return LabeledDataset(
-        np.concatenate([p.X for p in parts]),
+    return LabeledDataset.from_signed(
+        np.concatenate([p._Z for p in parts]),
         np.concatenate([p.y for p in parts]),
         np.concatenate([p.env for p in parts]),
         parts[0].ambient_d,
@@ -194,9 +207,6 @@ class LinearModel:
     @cached_property
     def norm(self) -> float:
         return float(np.linalg.norm(self.w))
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X) @ self.w
 
 
 def sample_orthogonal_means(
@@ -279,7 +289,8 @@ def sample_reduced(
     scored by ``<w, mu_c>``, ``<w, mu_s>``, ``||w||`` and margins, has the
     same law on this draw as on :func:`sample_dataset`'s dense one.
 
-    Rows are ``x_i = y_i z_i``, environment-1 rows first.  The returned
+    The dataset stores the rows ``z_i`` as drawn (see
+    :meth:`LabeledDataset.from_signed`), environment-1 rows first.  The returned
     instance lives in the reduced coordinates (its ``d`` is the column
     count); the dataset's ``ambient_d`` is ``d``, which margin
     normalizations read.  Draw order on ``rng``: environment-1 labels,
@@ -314,4 +325,4 @@ def sample_reduced(
     Z[:, 1] = theta * r_s + sigma * g[:, 1]
     Z[:, 2:] = sigma * L
     env = np.repeat(np.array([1, 2], dtype=np.int64), [n_1, n_2])
-    return instance, LabeledDataset(y[:, None] * Z, y, env, ambient_d=d)
+    return instance, LabeledDataset.from_signed(Z, y, env, ambient_d=d)

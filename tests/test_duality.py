@@ -258,6 +258,17 @@ class TestCheckConditioning:
         assert not duality._certify_spectrum(K, -np.inf, np.inf)
         assert not any(duality._spectrum_within(K, lo, hi) for lo, hi, _ in EVENT_BOUNDS.values())
 
+    def test_gram_with_a_nan_pair_fails_as_ill_conditioned(self):
+        # on such Grams eigvalsh raises LinAlgError rather than returning NaNs
+        for seed in range(20):
+            rng = stream(seed, "nan-gram")
+            Z = rng.standard_normal((6, 20))
+            K = Z @ Z.T
+            i, j = rng.choice(6, size=2, replace=False)
+            K[i, j] = K[j, i] = np.nan
+            with pytest.raises(IllConditionedGramError, match="nan"):
+                duality._check_conditioning(K)
+
 
 # the spectrum bounds check_spectral_events gives each event at sval in
 # [0.8, 1.2] and a deviation within 0.6, and a spectrum that passes each with room

@@ -181,6 +181,58 @@ class TestSampleReduced:
             LabeledDataset(data.X, data.y, data.env, ambient_d=11)
 
 
+def _same(a: LabeledDataset, b: LabeledDataset) -> bool:
+    return (a.signed().tobytes() == b.signed().tobytes() and a.y.tobytes() == b.y.tobytes()
+            and a.env.tobytes() == b.env.tobytes() and a.ambient_d == b.ambient_d)
+
+
+class TestSignedRows:
+    """A dataset stores its signed rows once; ``X`` is derived from them."""
+
+    def _data(self):
+        # signed zeros and both labels: negation must round-trip them exactly
+        X = np.array([[1.5, -0.0, 0.0], [-2.0, 0.0, -0.0], [3.0, -1e-300, 7.0], [0.5, 4.0, -1.0]])
+        return X, LabeledDataset(X, np.array([1, -1, -1, 1]), np.array([1, 2, 1, 2]))
+
+    def test_signed_is_stored_once_and_read_only(self):
+        X, data = self._data()
+        Z = data.signed()
+        assert data.signed() is Z and not Z.flags.writeable
+        assert Z.tobytes() == (data.y[:, None] * X).tobytes()
+        with pytest.raises(ValueError):
+            Z[0, 0] = 1.0
+
+    def test_x_is_read_only_and_bitwise_the_input(self):
+        X, data = self._data()
+        assert data.X.tobytes() == X.tobytes() and not data.X.flags.writeable
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 1.0
+        X[0, 0] = 9.0  # the input stays the caller's, writable and unshared
+        assert data.X[0, 0] == 1.5
+
+    def test_from_signed_keeps_the_rows(self):
+        X, data = self._data()
+        Z = data.y[:, None] * X
+        again = LabeledDataset.from_signed(Z, data.y, data.env)
+        assert again.signed() is Z and _same(again, data)
+
+    def test_derived_datasets_match_constructor_built_ones(self):
+        X, data = self._data()
+        mask = np.array([True, False, True, True])
+        assert _same(data.restrict(mask), LabeledDataset(X[mask], data.y[mask], data.env[mask]))
+        for env in (1, 2):
+            rows = data.env == env
+            assert _same(data.by_env(env), LabeledDataset(X[rows], data.y[rows], data.env[rows]))
+        pooled = pool(data.by_env(2), data)
+        order = np.r_[np.flatnonzero(data.env == 2), np.arange(4)]
+        assert _same(pooled, LabeledDataset(X[order], data.y[order], data.env[order]))
+
+    @pytest.mark.parametrize("d", [7, 500])  # the dense branch and the Bartlett branch
+    def test_reduced_draw_matches_a_constructor_built_dataset(self, d):
+        _, data = _reduced(d=d)
+        assert _same(data, LabeledDataset(data.X, data.y, data.env, data.ambient_d))
+
+
 class TestDomainTypes:
     def test_environment_spec_rejects_nonorthogonal_means(self):
         with pytest.raises(TwoEnvError):
