@@ -9,7 +9,7 @@ from .errors import (
     NonSeparableError,
     TwoEnvError,
 )
-from .estimators import TwoPhaseDiagnostics, mean_estimator, per_env_mean, two_phase_learn
+from .estimators import mean_estimator, per_env_mean, two_phase_learn
 from .experiments import (
     ExperimentConfig,
     RunRecord,
@@ -28,7 +28,6 @@ from .metrics import (
     spurious_core_ratio,
 )
 from .model import (
-    EnvironmentSpec,
     LabeledDataset,
     LinearModel,
     ProblemInstance,

@@ -85,8 +85,8 @@ def two_phase_rate(preset: PresetParams, seeds: int, epsilon: float) -> float:
     for seed in range(seeds):
         inst, data = preset_environments(preset, seed)
         try:
-            model, _ = two_phase_learn(data.by_env(1), data.by_env(2),
-                                       rngmod.stream(seed, "preset-two-phase"))
+            model = two_phase_learn(data.by_env(1), data.by_env(2),
+                                    rngmod.stream(seed, "preset-two-phase"))
         except TwoEnvError:
             continue
         if robust_error(model, inst.mu_c, inst.mu_s, preset.sigma).error <= epsilon:

@@ -294,8 +294,7 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
 
     beta = (lam - q_u) / nu
     value = float(u @ beta)
-    resid = u - K @ lam
-    dual = gamma * float(lam.sum()) - math.sqrt(max(float(resid @ chol_solve(cho, resid)), 0.0))
+    dual = dual_value(gd, lam)
     gap = value - dual
     margins = K @ beta
     if (

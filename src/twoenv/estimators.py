@@ -11,8 +11,6 @@ one with the higher held-out score wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rng as rngmod
@@ -38,20 +36,6 @@ def per_env_mean(data: LabeledDataset, env: int) -> LinearModel:
     return LinearModel(data.signed()[mask].mean(axis=0))
 
 
-@dataclass(frozen=True)
-class TwoPhaseDiagnostics:
-    """Everything stage 2 looked at, for inspection and export."""
-
-    w_1: np.ndarray
-    w_2: np.ndarray
-    constraint_coeffs: tuple[float, float]
-    v_pos: tuple[float, float]
-    v_neg: tuple[float, float]
-    chosen: str  # "pos" | "neg"
-    scores: tuple[float, float]  # (score of v_pos, score of v_neg)
-    split_seed: int
-
-
 def _split_env(
     data: LabeledDataset, rng: np.random.Generator
 ) -> tuple[LabeledDataset, LabeledDataset]:
@@ -67,8 +51,13 @@ def two_phase_learn(
     s_1: LabeledDataset,
     s_2: LabeledDataset,
     rng: np.random.Generator,
-) -> tuple[LinearModel, TwoPhaseDiagnostics]:
-    """Two-stage invariant learning on a pair of per-environment datasets."""
+) -> LinearModel:
+    """Two-stage invariant learning on a pair of per-environment datasets.
+
+    The model's ``meta`` holds the chosen ``v``, the constraint coefficients
+    ``(a_1, a_2)`` as ``constraint_coeffs``, and ``split_seed``, the seed of
+    the streams ``stream(split_seed, "split", e)`` that halve environment ``e``.
+    """
     for name, part in (("1", s_1), ("2", s_2)):
         if part.n < 2:
             raise TwoEnvError(f"environment {name} needs at least 2 rows to split")
@@ -95,34 +84,19 @@ def two_phase_learn(
         )
 
     # The constraint a_1 v_1 + a_2 v_2 = 0 is solved exactly by the ray
-    # through (-a_2, a_1); dividing by the larger coefficient puts the two
-    # candidates on the sup-norm unit sphere.
+    # through (-a_2, a_1); dividing by the larger coefficient puts v on the
+    # sup-norm unit sphere, oriented so that its entries sum to >= 0.
     scale = max(abs(a_1), abs(a_2))
-    base = np.array([-a_2, a_1]) / scale
-    v_pos = base if (base[0] + base[1] > 0 or (base[0] + base[1] == 0 and base[0] > 0)) else -base
-    v_neg = -v_pos
+    v = np.array([-a_2, a_1]) / scale
+    if not (v[0] + v[1] > 0 or (v[0] + v[1] == 0 and v[0] > 0)):
+        v = -v
 
+    # the antipode -v scores exactly -score; a tie (zero) keeps v
     Z = pool(fine_1, fine_2).signed()
     per_component = np.column_stack([Z @ w_1, Z @ w_2]).T.sum(axis=1)  # (sum y<w_k,x>)_k
-    score_pos = float(v_pos @ per_component)
-    score_neg = float(v_neg @ per_component)
+    if float(v @ per_component) < 0:
+        v = -v
 
-    # score_neg is exactly -score_pos; a tie (both zero) goes to v_pos, whose sum is >= 0
-    if score_pos >= 0:
-        v_star, chosen = v_pos, "pos"
-    else:
-        v_star, chosen = v_neg, "neg"
-
-    w = v_star[0] * w_1 + v_star[1] * w_2
-    model = LinearModel(w, meta={"v": (float(v_star[0]), float(v_star[1]))})
-    diag = TwoPhaseDiagnostics(
-        w_1=w_1,
-        w_2=w_2,
-        constraint_coeffs=(float(a_1), float(a_2)),
-        v_pos=(float(v_pos[0]), float(v_pos[1])),
-        v_neg=(float(v_neg[0]), float(v_neg[1])),
-        chosen=chosen,
-        scores=(score_pos, score_neg),
-        split_seed=split_seed,
-    )
-    return model, diag
+    meta = {"v": (float(v[0]), float(v[1])), "constraint_coeffs": (float(a_1), float(a_2)),
+            "split_seed": split_seed}
+    return LinearModel(v[0] * w_1 + v[1] * w_2, meta=meta)

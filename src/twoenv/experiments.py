@@ -151,8 +151,7 @@ def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: i
         return model, data
     if method == "two_phase":
         s_1, s_2 = env_views if env_views else (data.by_env(1), data.by_env(2))
-        model, _ = two_phase_learn(s_1, s_2, rngmod.stream(seed, "two_phase", d))
-        return model, data
+        return two_phase_learn(s_1, s_2, rngmod.stream(seed, "two_phase", d)), data
     if method == "max_margin":
         return max_margin(data), data
     if method == "oracle_no_spurious":

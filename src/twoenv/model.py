@@ -28,36 +28,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EnvironmentSpec:
-    """One mixture distribution: means, noise scale, spurious coefficient."""
-
-    mu_c: np.ndarray
-    mu_s: np.ndarray
-    sigma: float
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu_c", _freeze(self.mu_c))
-        object.__setattr__(self, "mu_s", _freeze(self.mu_s))
-        if self.mu_c.ndim != 1 or self.mu_s.ndim != 1 or self.mu_c.shape != self.mu_s.shape:
-            raise TwoEnvError("mu_c and mu_s must be 1-d vectors of equal length")
-        if self.sigma <= 0:
-            raise TwoEnvError(f"sigma must be positive, got {self.sigma}")
-        if not -1.0 <= self.theta <= 1.0:
-            raise TwoEnvError(f"theta must lie in [-1, 1], got {self.theta}")
-        r_c = float(np.linalg.norm(self.mu_c))
-        r_s = float(np.linalg.norm(self.mu_s))
-        if abs(float(self.mu_c @ self.mu_s)) > ORTHO_RTOL * r_c * r_s:
-            raise TwoEnvError("mu_c and mu_s must be orthogonal")
-
-    @property
-    def d(self) -> int:
-        return self.mu_c.shape[0]
-
-
-@dataclass(frozen=True)
 class ProblemInstance:
-    """A sampled learning problem: two environments sharing everything but theta."""
+    """A learning problem: two environments sharing everything but theta.
+
+    Environment ``e`` has ``n_e`` rows and spurious coefficient ``theta_e``.
+    Construction checks each shared part once: finite, nonzero, orthogonal
+    1-d means of equal length, a positive finite ``sigma``, thetas in [-1, 1].
+    """
 
     mu_c: np.ndarray
     mu_s: np.ndarray
@@ -71,14 +48,24 @@ class ProblemInstance:
     def __post_init__(self):
         object.__setattr__(self, "mu_c", _freeze(self.mu_c))
         object.__setattr__(self, "mu_s", _freeze(self.mu_s))
-        if self.n_1 <= 0 or self.n_2 <= 0:
+        mu_c, mu_s = self.mu_c, self.mu_s
+        # each check is written so that NaN fails it
+        if mu_c.ndim != 1 or mu_c.shape != mu_s.shape:
+            raise TwoEnvError("mu_c and mu_s must be 1-d vectors of equal length")
+        if not (self.n_1 > 0 and self.n_2 > 0):
             raise TwoEnvError("sample sizes must be positive")
+        if not (np.isfinite(mu_c).all() and np.isfinite(mu_s).all()):
+            raise TwoEnvError("mean directions must be finite")
         # entries, not norms: the norm of a vector of radius 1e-300 underflows to 0
-        if not (self.mu_c.any() and self.mu_s.any()):
+        if not (mu_c.any() and mu_s.any()):
             raise TwoEnvError("mean directions must be nonzero")
-        # validates orthogonality, sigma and the theta range for both environments
-        self.environment(1)
-        self.environment(2)
+        if not abs(float(mu_c @ mu_s)) <= ORTHO_RTOL * self.r_c * self.r_s:
+            raise TwoEnvError("mu_c and mu_s must be orthogonal")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise TwoEnvError(f"sigma must be positive and finite, got {self.sigma}")
+        for theta in (self.theta_1, self.theta_2):
+            if not -1.0 <= theta <= 1.0:
+                raise TwoEnvError(f"theta must lie in [-1, 1], got {theta}")
 
     @property
     def d(self) -> int:
@@ -95,10 +82,6 @@ class ProblemInstance:
     @property
     def r_s(self) -> float:
         return float(np.linalg.norm(self.mu_s))
-
-    def environment(self, env: int) -> EnvironmentSpec:
-        theta = {1: self.theta_1, 2: self.theta_2}[env]
-        return EnvironmentSpec(self.mu_c, self.mu_s, self.sigma, theta)
 
 
 @dataclass(frozen=True, init=False)
@@ -237,16 +220,16 @@ def _labels(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_environment(
-    spec: EnvironmentSpec, n: int, rng: np.random.Generator, env_tag: int
+    instance: ProblemInstance, env: int, rng: np.random.Generator
 ) -> LabeledDataset:
-    if n <= 0:
-        raise TwoEnvError("need at least one sample")
+    """Draw the rows of environment ``env`` (1 or 2): labels, then noise."""
+    n, theta = {1: (instance.n_1, instance.theta_1), 2: (instance.n_2, instance.theta_2)}[env]
     y = _labels(n, rng)
-    mean = spec.mu_c + spec.theta * spec.mu_s
-    X = rng.standard_normal((n, spec.d))
-    X *= spec.sigma
+    mean = instance.mu_c + theta * instance.mu_s
+    X = rng.standard_normal((n, instance.d))
+    X *= instance.sigma
     X += y[:, None] * mean[None, :]
-    return LabeledDataset(X, y, np.full(n, env_tag, dtype=np.int64))
+    return LabeledDataset(X, y, np.full(n, env, dtype=np.int64))
 
 
 def sample_dataset(instance: ProblemInstance, rng: np.random.Generator) -> LabeledDataset:
@@ -255,9 +238,7 @@ def sample_dataset(instance: ProblemInstance, rng: np.random.Generator) -> Label
     Draw order is fixed (labels then noise, environment 1 then 2), so the
     output is a pure function of ``(instance, rng state)``.
     """
-    s1 = sample_environment(instance.environment(1), instance.n_1, rng, env_tag=1)
-    s2 = sample_environment(instance.environment(2), instance.n_2, rng, env_tag=2)
-    return pool(s1, s2)
+    return pool(sample_environment(instance, 1, rng), sample_environment(instance, 2, rng))
 
 
 def sample_reduced(
@@ -301,8 +282,8 @@ def sample_reduced(
     row-major order.
     """
     n = n_1 + n_2
-    if n_1 <= 0 or n_2 <= 0 or r_c <= 0 or r_s <= 0:
-        raise TwoEnvError("sample sizes and radii must be positive")
+    if not (n_1 > 0 and n_2 > 0 and 0 < r_c < np.inf and 0 < r_s < np.inf):
+        raise TwoEnvError("sample sizes and radii must be positive, radii finite")
     if d < 2:
         raise TwoEnvError("need d >= 2 to place two orthogonal directions")
     k = min(d - 2, n)

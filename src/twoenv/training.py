@@ -227,7 +227,6 @@ class TrainTrace:
     """How a run ended; the same values sit in the model's ``meta``."""
 
     stop_reason: str = "max_iters"  # "converged", "stalled" or "max_iters"
-    final_grad_norm: float = math.nan
 
     @property
     def converged(self) -> bool:
@@ -485,8 +484,6 @@ def gd_train(
         # the last accepted step moved the state; measure its gradient once
         gnorm = math.sqrt(space.direction(cur.coeff, ridge(cur.state))[2])
 
-    trace.final_grad_norm = gnorm
-
     w = space.weights(cur.state)
     if float(np.linalg.norm(w)) == 0.0:
         raise TwoEnvError("training made no progress from the zero initializer")
@@ -655,7 +652,7 @@ def max_margin(data: LabeledDataset) -> LinearModel:
     Z = data.signed()
     alpha, info = hard_margin_dual(Z, Z @ Z.T)
     w = Z.T @ alpha
-    return LinearModel(w, meta={"alpha": alpha, **info})
+    return LinearModel(w, meta=info)
 
 
 def cosine_similarity(u, v) -> float:

@@ -52,8 +52,8 @@ def test_two_phase_rate_counts_an_unfittable_draw_as_a_miss():
     for seed in range(6):
         inst, data = preset_environments(preset, seed)
         try:
-            model, _ = two_phase_learn(data.by_env(1), data.by_env(2),
-                                       stream(seed, "preset-two-phase"))
+            model = two_phase_learn(data.by_env(1), data.by_env(2),
+                                    stream(seed, "preset-two-phase"))
         except TwoEnvError:
             failures += 1
             continue

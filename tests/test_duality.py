@@ -422,18 +422,27 @@ class TestClosedFormBound:
         val = closed_form_bound(20, 10, 0.05, 0.0, 1e-12, 10**18, 3.0)
         assert val == pytest.approx(0.5 * 20 * 0.05, rel=1e-6)
 
-    def test_is_pure_arithmetic(self):
-        n_1, n_2, gamma, th, r_c, d, t = 7, 3, 0.11, -0.2, 0.02, 5000, 2.5
+    @pytest.mark.parametrize("n_1, n_2, gamma, theta_2, r_c, d, t", [
+        (6, 2, 0.5, 0.25, 0.1, 800, 1.0),
+        (6, 2, 0.5, -0.25, 0.1, 800, 1.0),
+        (10, 5, 0.1, 1.0, 0.02, 10_000, 2.0),
+        (10, 5, 0.1, -1.0, 0.02, 10_000, 2.0),
+        (40, 40, 0.3, 0.0, 0.05, 10**7, 3.0),
+        (3, 9, 0.05, -0.6, 0.5, 50, 0.0),
+        (7, 3, 0.11, -0.2, 0.02, 5000, 2.5),
+    ])
+    def test_is_pure_arithmetic(self, n_1, n_2, gamma, theta_2, r_c, d, t):
+        # the docstring's expression, one term per summand, summed exactly
         n = n_1 + n_2
-        manual = 0.5 * (
-            n_1 * gamma
-            - math.sqrt(2 * n_2) * n_1 * r_c**2
-            - math.sqrt(18 * n) * (math.sqrt(n) + t) / math.sqrt(d)
-            - math.sqrt(8 * n_2) * 0.2
-        )
-        assert closed_form_bound(n_1, n_2, gamma, th, r_c, d, t) == pytest.approx(
-            manual, rel=1e-15
-        )
+        terms = [
+            (n_1 + max(theta_2, 0.0) * n_2) * gamma,
+            -math.sqrt(2 * n_2) * n_1 * r_c**2,
+            -math.sqrt(18 * n) * (math.sqrt(n) + t) / math.sqrt(d),
+            -math.sqrt(8 * n_2) * max(-theta_2, 0.0),
+        ]
+        expected = 0.5 * math.fsum(terms)
+        got = closed_form_bound(n_1, n_2, gamma, theta_2, r_c, d, t)
+        assert got == pytest.approx(expected, rel=1e-15)
 
 
 class TestSpectralEvents:

@@ -7,11 +7,11 @@ import pytest
 
 from twoenv import stream
 from twoenv.errors import DegenerateConstraintError, DegenerateLabelsError, TwoEnvError
-from twoenv.estimators import mean_estimator, per_env_mean, two_phase_learn
+from twoenv.estimators import _split_env, mean_estimator, per_env_mean, two_phase_learn
 from twoenv.metrics import normalized_margin
 from twoenv.model import (
-    EnvironmentSpec,
     LabeledDataset,
+    ProblemInstance,
     pool,
     sample_environment,
     sample_orthogonal_means,
@@ -49,12 +49,9 @@ class TestMeanEstimator:
         hits = 0
         for seed in range(20):
             mu_c, mu_s = sample_orthogonal_means(d, r, r, stream(seed, "p3"))
-            env_1 = sample_environment(
-                EnvironmentSpec(mu_c, mu_s, sigma, 1.0), n_e, stream(seed, "p3a"), 1
-            )
-            env_2 = sample_environment(
-                EnvironmentSpec(mu_c, mu_s, sigma, 0.0), n_e, stream(seed, "p3b"), 2
-            )
+            inst = ProblemInstance(mu_c, mu_s, 1.0, 0.0, n_e, n_e, sigma, seed)
+            env_1 = sample_environment(inst, 1, stream(seed, "p3a"))
+            env_2 = sample_environment(inst, 2, stream(seed, "p3b"))
             data = pool(env_1, env_2)
             if normalized_margin(mean_estimator(data), data, sigma) >= target:
                 hits += 1
@@ -83,11 +80,11 @@ class TestPerEnvMean:
         # E[w_e] = mu_c + theta_e mu_s, checked per coordinate at 4 SE
         d, n, draws, sigma, theta = 6, 16, 10_000, 0.8, -0.4
         mu_c, mu_s = sample_orthogonal_means(d, 1.0, 2.0, stream(3))
-        spec = EnvironmentSpec(mu_c, mu_s, sigma, theta)
+        inst = ProblemInstance(mu_c, mu_s, theta, theta, n, n, sigma, 3)
         rng = stream(3, "draws")
         acc = np.zeros(d)
         for _ in range(draws):
-            data = sample_environment(spec, n, rng, 1)
+            data = sample_environment(inst, 1, rng)
             acc += per_env_mean(data, 1).w
         acc /= draws
         se = sigma / math.sqrt(n * draws)
@@ -100,43 +97,51 @@ class TestTwoPhase:
         # result is the second stage-1 classifier, the core direction
         mu_c, mu_s = sample_orthogonal_means(12, 1.0, 2.0, stream(4))
         d_1, d_2 = noiseless_pair(mu_c, mu_s, 1.0, 0.0, reps=4)
-        model, diag = two_phase_learn(d_1, d_2, stream(4, "tp"))
+        model = two_phase_learn(d_1, d_2, stream(4, "tp"))
         assert model.meta["v"] == pytest.approx((0.0, 1.0), abs=1e-12)
         np.testing.assert_allclose(model.w, mu_c, atol=1e-12)
-        assert diag.chosen == "pos"
 
     def test_noiseless_antisymmetric_coefficients(self):
         mu_c, mu_s = sample_orthogonal_means(12, 1.0, 2.0, stream(5))
         d_1, d_2 = noiseless_pair(mu_c, mu_s, 1.0, -1.0, reps=4)
-        model, _ = two_phase_learn(d_1, d_2, stream(5, "tp"))
+        model = two_phase_learn(d_1, d_2, stream(5, "tp"))
         assert model.meta["v"] == pytest.approx((1.0, 1.0), abs=1e-12)
         np.testing.assert_allclose(model.w, 2.0 * mu_c, atol=1e-12)
 
-    def test_constraint_feasibility_and_antipodality(self):
-        rng = stream(6)
+    def test_constraint_feasibility_and_held_out_score(self):
+        fitted = 0
         for trial in range(25):
             d_1 = random_dataset(stream(6, "a", trial), n=14, d=9)
             d_2 = random_dataset(stream(6, "b", trial), n=12, d=9)
             try:
-                model, diag = two_phase_learn(d_1, d_2, stream(6, "tp", trial))
+                model = two_phase_learn(d_1, d_2, stream(6, "tp", trial))
             except DegenerateLabelsError:
                 continue
-            a_1, a_2 = diag.constraint_coeffs
+            fitted += 1
+            a_1, a_2 = model.meta["constraint_coeffs"]
             v = model.meta["v"]
             assert abs(a_1 * v[0] + a_2 * v[1]) <= 1e-9 * max(abs(a_1), abs(a_2))
-            assert max(abs(diag.v_pos[0]), abs(diag.v_pos[1])) == pytest.approx(1.0, rel=1e-12)
-            assert diag.v_neg == pytest.approx((-diag.v_pos[0], -diag.v_pos[1]), rel=1e-12)
-            score_win = max(diag.scores)
-            chosen_score = diag.scores[0] if diag.chosen == "pos" else diag.scores[1]
-            assert chosen_score == score_win
+            assert max(abs(v[0]), abs(v[1])) == pytest.approx(1.0, rel=1e-12)
+            # the held-out score of v, recomputed from the recorded split;
+            # its antipode -v scores the negative, so v must score >= 0
+            seed = model.meta["split_seed"]
+            halves = [_split_env(part, stream(seed, "split", k))
+                      for k, part in ((1, d_1), (2, d_2))]
+            assert [fit.n for fit, _ in halves] == [7, 6]
+            (fit_1, fine_1), (fit_2, fine_2) = halves
+            w_k = [fit_1.signed().mean(axis=0), fit_2.signed().mean(axis=0)]
+            np.testing.assert_allclose(model.w, v[0] * w_k[0] + v[1] * w_k[1], rtol=1e-12)
+            held_out = pool(fine_1, fine_2).signed()
+            assert float((held_out @ model.w).sum()) >= 0.0
+        assert fitted >= 20
 
     def test_split_is_seed_deterministic(self):
         d_1 = random_dataset(stream(7, "a"), n=10, d=5)
         d_2 = random_dataset(stream(7, "b"), n=10, d=5)
-        m1, g1 = two_phase_learn(d_1, d_2, stream(7, "tp"))
-        m2, g2 = two_phase_learn(d_1, d_2, stream(7, "tp"))
+        m1 = two_phase_learn(d_1, d_2, stream(7, "tp"))
+        m2 = two_phase_learn(d_1, d_2, stream(7, "tp"))
         np.testing.assert_array_equal(m1.w, m2.w)
-        assert g1.split_seed == g2.split_seed
+        assert m1.meta == m2.meta
 
     def test_missing_fine_positives(self):
         X = np.ones((4, 3))

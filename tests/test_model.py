@@ -6,7 +6,6 @@ import pytest
 from twoenv import stream
 from twoenv.errors import TwoEnvError
 from twoenv.model import (
-    EnvironmentSpec,
     LabeledDataset,
     LinearModel,
     ProblemInstance,
@@ -56,7 +55,7 @@ class TestSampleOrthogonalMeans:
             sample_orthogonal_means(5, 1.0, 0.0, stream(0))
 
     def test_orthogonality_invariant_many_seeds(self):
-        # EnvironmentSpec's orthogonality tolerance, quantified broadly.
+        # ProblemInstance's orthogonality tolerance, quantified broadly.
         for d in (2, 10, 1000):
             for seed in range(1000):
                 mu_c, mu_s = sample_orthogonal_means(d, 1.0, 2.0, stream(seed, "ortho", d))
@@ -70,18 +69,19 @@ def _instance(d=16, sigma=0.5, theta_1=1.0, theta_2=0.0, n_1=10, n_2=6, seed=5):
 
 class TestSampleDataset:
     def test_noiseless_rows_equal_class_means(self):
-        inst = _instance(sigma=1e-30)
+        inst = _instance(sigma=1e-30, theta_2=-0.5)
         data = sample_dataset(inst, stream(5, "data"))
-        env_1 = data.by_env(1)
-        expect = inst.mu_c + inst.mu_s
-        for i in range(env_1.n):
-            np.testing.assert_allclose(env_1.y[i] * env_1.X[i], expect, atol=1e-25)
+        for env, theta in ((1, 1.0), (2, -0.5)):
+            part = data.by_env(env)
+            expect = inst.mu_c + theta * inst.mu_s
+            for i in range(part.n):
+                np.testing.assert_allclose(part.y[i] * part.X[i], expect, atol=1e-25)
 
     def test_law_of_large_numbers_single_env(self):
         d, n, sigma = 8, 100_000, 0.7
         mu_c, mu_s = sample_orthogonal_means(d, 1.0, 2.0, stream(9))
-        spec = EnvironmentSpec(mu_c, mu_s, sigma, theta=0.0)
-        data = sample_environment(spec, n, stream(9, "lln"), env_tag=1)
+        inst = ProblemInstance(mu_c, mu_s, 0.0, 0.0, n, n, sigma, 9)
+        data = sample_environment(inst, 1, stream(9, "lln"))
         signed_mean = data.signed().mean(axis=0)
         np.testing.assert_allclose(signed_mean, mu_c, atol=4 * sigma / np.sqrt(n))
 
@@ -234,16 +234,36 @@ class TestSignedRows:
 
 
 class TestDomainTypes:
-    def test_environment_spec_rejects_nonorthogonal_means(self):
-        with pytest.raises(TwoEnvError):
-            EnvironmentSpec(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 1.0, 0.0)
+    def test_instance_rejects_nonorthogonal_means(self):
+        with pytest.raises(TwoEnvError, match="orthogonal"):
+            ProblemInstance(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 1.0, 0.0, 3, 3, 1.0, 0)
 
-    def test_environment_spec_rejects_bad_scalars(self):
+    def test_instance_rejects_bad_scalars(self):
         mu_c, mu_s = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        with pytest.raises(TwoEnvError, match="sigma"):
+            ProblemInstance(mu_c, mu_s, 0.0, 0.0, 3, 3, 0.0, 0)
+        for theta_1, theta_2 in ((1.5, 0.0), (0.0, -1.5)):
+            with pytest.raises(TwoEnvError, match="theta"):
+                ProblemInstance(mu_c, mu_s, theta_1, theta_2, 3, 3, 1.0, 0)
+
+    def test_instance_rejects_mismatched_means(self):
+        for mu_s in (np.array([0.0, 1.0, 0.0]), np.array([[0.0, 1.0]])):
+            with pytest.raises(TwoEnvError, match="1-d"):
+                ProblemInstance(np.array([1.0, 0.0]), mu_s, 1.0, 0.0, 3, 3, 1.0, 0)
+
+    @pytest.mark.parametrize("sigma, r_c, r_s, match", [
+        (np.nan, 1.0, 2.0, "sigma"),
+        (np.inf, 1.0, 2.0, "sigma"),
+        (0.5, np.nan, 2.0, "finite"),
+        (0.5, 1.0, np.inf, "finite"),
+    ])
+    def test_non_finite_inputs_are_rejected(self, sigma, r_c, r_s, match):
+        # NaN compares false with everything, so each check must fail on it
         with pytest.raises(TwoEnvError):
-            EnvironmentSpec(mu_c, mu_s, 0.0, 0.0)
-        with pytest.raises(TwoEnvError):
-            EnvironmentSpec(mu_c, mu_s, 1.0, 1.5)
+            sample_reduced(16, r_c, r_s, 1.0, 0.0, 5, 4, sigma, 0, stream(0))
+        mu_c, mu_s = np.array([r_c, 0.0]), np.array([0.0, r_s])
+        with pytest.raises(TwoEnvError, match=match):
+            ProblemInstance(mu_c, mu_s, 1.0, 0.0, 5, 4, sigma, 0)
 
     def test_dataset_validation(self):
         X = np.zeros((3, 2))
@@ -282,8 +302,9 @@ class TestDomainTypes:
 
     def test_instance_requires_shared_geometry(self):
         mu_c, mu_s = sample_orthogonal_means(4, 1.0, 1.0, stream(0))
-        inst = ProblemInstance(mu_c, mu_s, 1.0, -0.5, 3, 3, 0.1, 0)
-        assert inst.environment(1).theta == 1.0
-        assert inst.environment(2).theta == -0.5
+        inst = ProblemInstance(mu_c, mu_s, 1.0, -0.5, 3, 2, 0.1, 0)
+        for env, n in ((1, 3), (2, 2)):
+            part = sample_environment(inst, env, stream(0, "env", env))
+            assert part.n == n and part.d == 4 and (part.env == env).all()
         assert inst.r_c == pytest.approx(1.0)
-        assert inst.n == 6
+        assert inst.n == 5

@@ -47,7 +47,7 @@ def _statistics(inst, data, seed):
     gram_eigs = np.linalg.eigvalsh(Z @ Z.T / (SIGMA**2 * data.ambient_d))
     mm = max_margin(data)
     try:
-        tp, _ = two_phase_learn(data.by_env(1), data.by_env(2), stream(seed, "eq-two-phase"))
+        tp = two_phase_learn(data.by_env(1), data.by_env(2), stream(seed, "eq-two-phase"))
         tp_robust = robust_error(tp, inst.mu_c, inst.mu_s, SIGMA).error
     except DegenerateLabelsError:  # a held-out half without positives: same law on both sides
         tp_robust = math.nan

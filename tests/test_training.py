@@ -261,14 +261,14 @@ class TestGdTrain:
         assert trace.stop_reason == "stalled" and not trace.converged
         assert model.meta["stop_reason"] == "stalled"
         assert model.meta["iters"] < 3000 - 1
-        assert trace.final_grad_norm > 1e-3
+        assert model.meta["grad_norm"] > 1e-3
 
     def test_easy_run_converges(self):
         data = random_dataset(stream(79), n=30, d=2)  # non-separable: finite minimizer
         model, trace = gd_train(data, TrainConfig(tolerance=1e-6, max_iters=3000))
         assert trace.stop_reason == "converged" and trace.converged
         assert model.meta["stop_reason"] == "converged"
-        assert trace.final_grad_norm <= 1e-6
+        assert model.meta["grad_norm"] <= 1e-6
 
     @pytest.mark.parametrize("weight", [0.0, 100.0])
     def test_penalty_free_run_does_not_wait_for_the_anneal(self, weight):
@@ -474,6 +474,7 @@ class TestMaxMargin:
         )
         model = max_margin(data)
         np.testing.assert_allclose(model.w, [1.0, 0.0], atol=1e-8)
+        assert sorted(model.meta) == ["gap", "iterations"]
 
     def test_kkt_feasibility(self):
         for seed in range(10):
