@@ -129,13 +129,22 @@ class RunRecord:
 
 
 def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledDataset:
+    """``data`` with each row's spurious mean ``theta_e mu_s`` subtracted.
+
+    One copy of the rows, updated in place on the columns where ``mu_s`` is
+    nonzero (one column of a reduced draw): bitwise the full outer-product
+    subtraction unless a stored entry is -0.0.
+    """
     theta = np.where(data.env == 1, theta_1, theta_2)
-    Z = data.signed() - theta[:, None] * np.asarray(mu_s)[None, :]
+    mu_s = np.asarray(mu_s)
+    Z = data.signed().copy()
+    for j in np.flatnonzero(mu_s):
+        Z[:, j] -= theta * mu_s[j]
     return LabeledDataset.from_signed(Z, data.y, data.env, data.ambient_d)
 
 
 def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: int, d: int,
-         env_views=None, prefixes=None) -> tuple[LinearModel, LabeledDataset]:
+         prefixes=None) -> tuple[LinearModel, LabeledDataset]:
     """Fit one method; returns the model and the dataset its train metrics use.
 
     ``prefixes`` is the GD prefix store of ``data`` (see :func:`gd_train`).
@@ -150,8 +159,8 @@ def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: i
         model, _ = gd_train(data, replace(cfg.train, penalty_kind=method), prefixes=prefixes)
         return model, data
     if method == "two_phase":
-        s_1, s_2 = env_views if env_views else (data.by_env(1), data.by_env(2))
-        return two_phase_learn(s_1, s_2, rngmod.stream(seed, "two_phase", d)), data
+        return two_phase_learn(data.by_env(1), data.by_env(2),
+                               rngmod.stream(seed, "two_phase", d)), data
     if method == "max_margin":
         return max_margin(data), data
     if method == "oracle_no_spurious":
@@ -176,7 +185,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
         rngmod.stream(seed, "data", d),
     )
     mu_c, mu_s = instance.mu_c, instance.mu_s
-    env_views = (data.by_env(1), data.by_env(2))
+    envs = (data.by_env(1), data.by_env(2))  # views of the draw's rows
     prefixes: dict = {}  # oracle_no_spurious trains on other data and gets none
 
     records = []
@@ -184,8 +193,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
         start = time.perf_counter()
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                model, train_data = _fit(method, data, cfg, mu_s, seed, d,
-                                         env_views=env_views, prefixes=prefixes)
+                model, train_data = _fit(method, data, cfg, mu_s, seed, d, prefixes=prefixes)
                 train_acc = float((train_data.signed() @ model.w > 0).mean())
                 margin = normalized_margin(model, train_data, sigma)
                 rob = robust_error(model, mu_c, mu_s, sigma).error
@@ -195,7 +203,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
                     ratio = math.nan
                 values = dict(
                     train_acc=train_acc, robust_acc=1.0 - rob, margin=margin, ratio=ratio,
-                    eopp_gap=invariance_gaps(model, env_views[0], env_views[1]),
+                    eopp_gap=invariance_gaps(model, *envs),
                     interpolating=bool(train_acc == 1.0 and margin > 0.0),
                 )
         except (TwoEnvError, np.linalg.LinAlgError, FloatingPointError) as exc:

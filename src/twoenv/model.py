@@ -27,6 +27,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_sizes(*sizes) -> None:
+    for n in sizes:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise TwoEnvError(f"sample sizes must be positive integers, got {n!r}")
+
+
+def _check_radii(r_c: float, r_s: float) -> None:
+    # written so that NaN fails it
+    if not (0 < r_c < np.inf and 0 < r_s < np.inf):
+        raise TwoEnvError("radii must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A learning problem: two environments sharing everything but theta.
@@ -52,8 +64,7 @@ class ProblemInstance:
         # each check is written so that NaN fails it
         if mu_c.ndim != 1 or mu_c.shape != mu_s.shape:
             raise TwoEnvError("mu_c and mu_s must be 1-d vectors of equal length")
-        if not (self.n_1 > 0 and self.n_2 > 0):
-            raise TwoEnvError("sample sizes must be positive")
+        _check_sizes(self.n_1, self.n_2)
         if not (np.isfinite(mu_c).all() and np.isfinite(mu_s).all()):
             raise TwoEnvError("mean directions must be finite")
         # entries, not norms: the norm of a vector of radius 1e-300 underflows to 0
@@ -147,7 +158,22 @@ class LabeledDataset:
         return self.from_signed(self._Z[mask], self.y[mask], self.env[mask], self.ambient_d)
 
     def by_env(self, env: int) -> "LabeledDataset":
-        return self.restrict(self.env == env)
+        """The rows of environment ``env`` (see :func:`env_rows`): a view of the
+        stored rows when they form one block, as every sampler emits them,
+        and otherwise a copy."""
+        rows = env_rows(self.env, env)
+        return self.from_signed(self._Z[rows], self.y[rows], self.env[rows], self.ambient_d)
+
+
+def env_rows(env: np.ndarray, e: int) -> slice | np.ndarray:
+    """Selector of the rows tagged ``e``: a basic slice when they form one
+    contiguous block, so that indexing with it takes a view, and otherwise
+    the boolean mask ``env == e``, whose indexing copies."""
+    mask = env == e
+    rows = np.flatnonzero(mask)
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return mask
 
 
 def pool(*parts: LabeledDataset) -> LabeledDataset:
@@ -204,8 +230,7 @@ def sample_orthogonal_means(
     """
     if d < 2:
         raise TwoEnvError("need d >= 2 to place two orthogonal directions")
-    if r_c <= 0 or r_s <= 0:
-        raise TwoEnvError("radii must be positive")
+    _check_radii(r_c, r_s)
     g1 = rng.standard_normal(d)
     u1 = g1 / np.linalg.norm(g1)
     g2 = rng.standard_normal(d)
@@ -223,7 +248,9 @@ def sample_environment(
     instance: ProblemInstance, env: int, rng: np.random.Generator
 ) -> LabeledDataset:
     """Draw the rows of environment ``env`` (1 or 2): labels, then noise."""
-    n, theta = {1: (instance.n_1, instance.theta_1), 2: (instance.n_2, instance.theta_2)}[env]
+    if env not in (1, 2):
+        raise TwoEnvError(f"environment must be 1 or 2, got {env!r}")
+    n, theta = (instance.n_1, instance.theta_1) if env == 1 else (instance.n_2, instance.theta_2)
     y = _labels(n, rng)
     mean = instance.mu_c + theta * instance.mu_s
     X = rng.standard_normal((n, instance.d))
@@ -279,13 +306,15 @@ def sample_reduced(
     the N x 2 normals ``g`` in row-major order, then either the N x (d-2)
     normals of ``G`` in row-major order (``d - 2 < N``) or the N chi-square
     variates followed by the N(N-1)/2 below-diagonal normals of ``L`` in
-    row-major order.
+    row-major order.  The rows are one array, allocated once: ``L`` (or
+    ``G``) is written into its noise block and scaled by ``sigma`` there,
+    so a wide draw peaks at about 1.6 times its rows.
     """
-    n = n_1 + n_2
-    if not (n_1 > 0 and n_2 > 0 and 0 < r_c < np.inf and 0 < r_s < np.inf):
-        raise TwoEnvError("sample sizes and radii must be positive, radii finite")
+    _check_sizes(n_1, n_2)
+    _check_radii(r_c, r_s)
     if d < 2:
         raise TwoEnvError("need d >= 2 to place two orthogonal directions")
+    n = n_1 + n_2
     k = min(d - 2, n)
     basis = np.eye(2, 2 + k)
     instance = ProblemInstance(
@@ -293,17 +322,16 @@ def sample_reduced(
     )
     y = np.concatenate([_labels(n_1, rng), _labels(n_2, rng)])
     g = rng.standard_normal((n, 2))
-    if k < n:
-        L = rng.standard_normal((n, k))  # G itself, not a factor of its Gram
-    else:
-        L = np.zeros((n, n))
-        L.flat[:: n + 1] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
-        L[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
-
     theta = np.repeat([theta_1, theta_2], [n_1, n_2])
-    Z = np.empty((n, 2 + k))
+    Z = np.zeros((n, 2 + k))
     Z[:, 0] = r_c + sigma * g[:, 0]
     Z[:, 1] = theta * r_s + sigma * g[:, 1]
-    Z[:, 2:] = sigma * L
+    noise = Z[:, 2:]  # a view: the noise block is written in place
+    if k < n:
+        noise[...] = rng.standard_normal((n, k))  # G itself, not a factor of its Gram
+    else:
+        noise[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
+        noise[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
+    noise *= sigma
     env = np.repeat(np.array([1, 2], dtype=np.int64), [n_1, n_2])
     return instance, LabeledDataset.from_signed(Z, y, env, ambient_d=d)

@@ -42,7 +42,7 @@ import numpy as np
 import scipy
 
 from .errors import NonSeparableError, TwoEnvError
-from .model import LabeledDataset, LinearModel
+from .model import LabeledDataset, LinearModel, env_rows
 
 
 def _scipy_linalg_extension(name: str):
@@ -118,21 +118,9 @@ def _slope(m: np.ndarray) -> np.ndarray:
 
 
 def _env_masks(data: LabeledDataset) -> list[slice | np.ndarray]:
-    """Row selectors of the environments present, in order 1, 2.
-
-    An environment whose rows form one contiguous block, as every sampler
-    emits them, gets a basic ``slice`` (a view, no gather); any other gets
-    its boolean mask.
-    """
-    selectors = []
-    for e in (1, 2):
-        rows = np.flatnonzero(data.env == e)
-        if rows.size == 0:
-            continue
-        first, last = int(rows[0]), int(rows[-1])
-        selectors.append(slice(first, last + 1) if last - first + 1 == rows.size
-                         else data.env == e)
-    return selectors
+    """Row selectors (see :func:`env_rows`) of the environments present, in order 1, 2."""
+    selectors = [env_rows(data.env, e) for e in (1, 2)]
+    return [rows for rows in selectors if isinstance(rows, slice) or rows.any()]
 
 
 def penalty_value_and_slope(

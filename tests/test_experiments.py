@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twoenv import cli, experiments, training
+from twoenv import cli, experiments, stream, training
 from twoenv.cli import main
 from twoenv.errors import ConfigError, TwoEnvError
 from twoenv.experiments import (
@@ -23,7 +24,13 @@ from twoenv.experiments import (
     resolve_sigma,
     run_sweep,
 )
-from twoenv.model import LinearModel
+from twoenv.model import (
+    LinearModel,
+    ProblemInstance,
+    sample_dataset,
+    sample_orthogonal_means,
+    sample_reduced,
+)
 from twoenv.training import TrainConfig, penalty_value_and_slope
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -198,6 +205,48 @@ class TestPrefixSharing:
         assert all(store is handed[3 * i + 1][1] for i, store in enumerate(stores))
         assert all(len(store) == 1 for store in stores)
         assert all(store is None for _, store in handed[2::3])
+
+
+class TestCellMemory:
+    """A cell holds its rows, one stripped copy and one Gram at a time."""
+
+    @staticmethod
+    def _full_subtraction(data, mu_s, theta_1, theta_2):
+        theta = np.where(data.env == 1, theta_1, theta_2)
+        return data.signed() - theta[:, None] * np.asarray(mu_s)[None, :]
+
+    @pytest.mark.parametrize("d", [7, 500])  # reduced draws: dense and Bartlett branches
+    @pytest.mark.parametrize("theta_1, theta_2", [(1.0, 0.0), (0.7, -0.4)])
+    def test_strip_is_the_full_subtraction_on_reduced_draws(self, d, theta_1, theta_2):
+        inst, data = sample_reduced(d, 1.0, 2.0, theta_1, theta_2, 6, 4, 0.3, 5, stream(5, "s"))
+        cleaned = experiments._strip_spurious(data, inst.mu_s, theta_1, theta_2)
+        full = self._full_subtraction(data, inst.mu_s, theta_1, theta_2)
+        assert cleaned.signed().tobytes() == full.tobytes()
+        assert not np.shares_memory(cleaned.signed(), data.signed())
+        assert (cleaned.y is data.y and cleaned.env is data.env
+                and cleaned.ambient_d == data.ambient_d)
+
+    def test_strip_is_the_full_subtraction_on_a_dense_mean(self):
+        mu_c, mu_s = sample_orthogonal_means(40, 1.0, 2.0, stream(6, "means"))
+        inst = ProblemInstance(mu_c, mu_s, 0.9, -0.3, 7, 5, 0.5, 6)
+        data = sample_dataset(inst, stream(6, "rows"))
+        assert np.count_nonzero(mu_s) == 40
+        cleaned = experiments._strip_spurious(data, mu_s, 0.9, -0.3)
+        assert cleaned.signed().tobytes() == self._full_subtraction(data, mu_s, 0.9, -0.3).tobytes()
+
+    def test_cell_peak_is_about_three_copies_of_its_rows(self):
+        methods = ("erm", "irmv1", "vrex", "two_phase", "oracle_no_spurious")
+        train = TrainConfig(max_iters=300, penalty_weight=100.0, anneal_schedule=100)
+        cfg = _tiny_config(d_grid=(5000,), n_1=200, n_2=100, methods=methods, train=train)
+        tracemalloc.start()
+        try:
+            records = experiments.run_cell(cfg, 5000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.error is None for r in records)
+        rows = 300 * 302 * 8  # N x (N + 2) signed rows of the reduced draw
+        assert peak <= 3.25 * rows
 
 
 class TestEmit:

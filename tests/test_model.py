@@ -1,5 +1,7 @@
 """Sampling operations and domain-type invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from twoenv.model import (
     LabeledDataset,
     LinearModel,
     ProblemInstance,
+    env_rows,
     sample_dataset,
     sample_environment,
     pool,
@@ -53,6 +56,13 @@ class TestSampleOrthogonalMeans:
             sample_orthogonal_means(5, -1.0, 1.0, stream(0))
         with pytest.raises(TwoEnvError):
             sample_orthogonal_means(5, 1.0, 0.0, stream(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_radii_that_are_not_positive_and_finite(self, bad):
+        # NaN compares false with everything: a `r <= 0` check let it through
+        for r_c, r_s in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(TwoEnvError, match="radii"):
+                sample_orthogonal_means(4, r_c, r_s, stream(0))
 
     def test_orthogonality_invariant_many_seeds(self):
         # ProblemInstance's orthogonality tolerance, quantified broadly.
@@ -156,6 +166,16 @@ class TestSampleReduced:
         assert noise.shape == (10, 10) and np.all(np.triu(noise, 1) == 0)
         assert data.ambient_d == 12 and np.all(np.diag(noise) > 0)
 
+    def test_wide_draw_writes_its_rows_in_place(self):
+        # Z, the below-diagonal normals (about half of Z) and the n x n bool mask
+        tracemalloc.start()
+        try:
+            _, data = _reduced(d=24_576, n_1=200, n_2=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * data.signed().nbytes
+
     def test_needs_d_at_least_2(self):
         for d in (1, 0):
             with pytest.raises(TwoEnvError):
@@ -228,6 +248,24 @@ class TestSignedRows:
         assert _same(pooled, LabeledDataset(X[order], data.y[order], data.env[order]))
 
     @pytest.mark.parametrize("d", [7, 500])  # the dense branch and the Bartlett branch
+    def test_by_env_is_a_view_of_contiguous_rows(self, d):
+        _, data = _reduced(d=d)
+        for env, rows in ((1, slice(0, 6)), (2, slice(6, 10))):
+            part = data.by_env(env)
+            assert np.shares_memory(part.signed(), data.signed())
+            assert env_rows(data.env, env) == rows and not part.signed().flags.writeable
+            assert _same(part, data.restrict(data.env == env))
+
+    def test_by_env_copies_spread_rows(self):
+        X, data = self._data()  # environments interleaved: 1, 2, 1, 2
+        for env in (1, 2):
+            rows = env_rows(data.env, env)
+            assert isinstance(rows, np.ndarray) and rows.tolist() == (data.env == env).tolist()
+            part = data.by_env(env)
+            assert not np.shares_memory(part.signed(), data.signed())
+            assert _same(part, data.restrict(data.env == env))
+
+    @pytest.mark.parametrize("d", [7, 500])  # the dense branch and the Bartlett branch
     def test_reduced_draw_matches_a_constructor_built_dataset(self, d):
         _, data = _reduced(d=d)
         assert _same(data, LabeledDataset(data.X, data.y, data.env, data.ambient_d))
@@ -264,6 +302,21 @@ class TestDomainTypes:
         mu_c, mu_s = np.array([r_c, 0.0]), np.array([0.0, r_s])
         with pytest.raises(TwoEnvError, match=match):
             ProblemInstance(mu_c, mu_s, 1.0, 0.0, 5, 4, sigma, 0)
+
+    @pytest.mark.parametrize("n_1", [3.5, True, 0, -1, np.float64(3.0)])
+    def test_sample_sizes_must_be_positive_ints(self, n_1):
+        mu_c, mu_s = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        with pytest.raises(TwoEnvError, match="sample sizes"):
+            ProblemInstance(mu_c, mu_s, 1.0, 0.0, n_1, 2, 1.0, 0)
+        with pytest.raises(TwoEnvError, match="sample sizes"):
+            sample_reduced(16, 1.0, 2.0, 1.0, 0.0, 2, n_1, 0.5, 0, stream(0))
+        inst = ProblemInstance(mu_c, mu_s, 1.0, 0.0, np.int64(3), 2, 1.0, 0)
+        assert inst.n == 5
+
+    @pytest.mark.parametrize("env", [0, 3, -1])
+    def test_environment_must_be_1_or_2(self, env):
+        with pytest.raises(TwoEnvError, match="environment"):
+            sample_environment(_instance(), env, stream(0))
 
     def test_dataset_validation(self):
         X = np.zeros((3, 2))
