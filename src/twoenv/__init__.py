@@ -1,5 +1,7 @@
 """Two-environment Gaussian mixture laboratory for invariant linear classification."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DegenerateConstraintError,
@@ -47,5 +49,7 @@ from .training import (
     max_margin,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; the submodules the imports bind here are not exported
+__all__ = [name for name in dir()
+           if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from typing import Optional
@@ -79,14 +80,17 @@ class TrainConfig:
     penalty_weight: float = 0.0
     l2_weight: float = 0.0
     tolerance: float = 1e-8
-    anneal_schedule: Optional[int] = None  # iteration at which the penalty activates
+    anneal_schedule: int = 0  # iteration at which the penalty activates
 
     def __post_init__(self):
         # every comparison with NaN is false, so each test is written to fail on it
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise TwoEnvError("learning_rate must be positive and finite")
-        if self.max_iters < 1:
-            raise TwoEnvError("max_iters must be at least 1")
+        # a float anneal iteration would never equal the loop counter
+        for name, low in (("max_iters", 1), ("anneal_schedule", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise TwoEnvError(f"{name} must be an integer of at least {low}, not {value!r}")
         if self.penalty_kind not in PENALTY_KINDS:
             raise TwoEnvError(f"unknown penalty kind {self.penalty_kind!r}")
         for name in ("penalty_weight", "l2_weight"):
@@ -95,26 +99,6 @@ class TrainConfig:
                 raise TwoEnvError(f"{name} must be nonnegative and finite")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise TwoEnvError("tolerance must be positive and finite")
-        if self.anneal_schedule is not None and self.anneal_schedule < 0:
-            raise TwoEnvError("anneal_schedule must be nonnegative")
-
-
-def _loss(m: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, -m)
-
-
-def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
-    """``sigmoid(-m)`` as ``exp(min(-m, 0) - log1p(exp(-|m|)))``, the trainer's form.
-
-    Neither exponential overflows and nothing cancels; :func:`gd_train`
-    takes the same operations in place, so the two agree bit for bit.
-    """
-    return np.exp(np.minimum(-m, 0.0) - np.log1p(np.exp(-np.abs(m))))
-
-
-def _slope(m: np.ndarray) -> np.ndarray:
-    # d/dm log(1 + exp(-m)) = -sigmoid(-m)
-    return -_sigmoid_neg(m)
 
 
 def _env_masks(data: LabeledDataset) -> list[slice | np.ndarray]:
@@ -128,8 +112,8 @@ def penalty_value_and_slope(
     m: np.ndarray,
     masks: list[slice | np.ndarray],
     *,
-    ell: Optional[np.ndarray] = None,
-    s: Optional[np.ndarray] = None,
+    ell: np.ndarray,
+    s: np.ndarray,
     out: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray]:
     """Penalty value and its derivative with respect to the margins.
@@ -137,9 +121,9 @@ def penalty_value_and_slope(
     ``masks`` select each environment's rows (disjoint slices or boolean
     masks) and together cover every row of ``m``, as :func:`_env_masks`
     gives them: every env tag is 1 or 2, and a penalized kind needs both
-    environments.  ``ell = log(1 + exp(-m))`` and ``s = sigmoid(-m)`` may
-    be passed in by a caller that already has them; otherwise they are
-    computed here.  ``out``, if given, receives the derivative in place of
+    environments.  The caller passes the losses ``ell = log(1 + exp(-m))``
+    and sigmoids ``s = sigmoid(-m)`` of the margins, as :func:`_evaluate`
+    computes them.  ``out``, if given, receives the derivative in place of
     a fresh array; it must not share memory with ``m``, ``ell`` or ``s``.
     Means are ``sum / count``, bitwise equal to
     ``ndarray.mean``.  Each row's derivative takes the same operations
@@ -151,10 +135,6 @@ def penalty_value_and_slope(
     if kind == "none":
         dm.fill(0.0)
         return 0.0, dm
-    if ell is None:
-        ell = _loss(m)
-    if s is None:
-        s = _sigmoid_neg(m)
 
     if kind == "irmv1":
         # squared per-environment risk gradient w.r.t. a scalar multiplier at
@@ -320,6 +300,30 @@ class _Point:
         return point
 
 
+def _evaluate(kind: str, masks: list[slice | np.ndarray], l2: float, space, neg_m: np.ndarray,
+              u: np.ndarray, p: _Point, lam: float) -> None:
+    """Evaluate the objective at ``p`` with penalty weight ``lam`` into ``p``'s buffers.
+
+    ``neg_m`` and ``u`` are scratch.  The gradient is
+    ``space.direction(p.coeff, 2 l2 p.state)``.
+    """
+    m, ell, s = p.m, p.ell, p.s
+    n = m.size
+    np.negative(m, out=neg_m)
+    np.exp(np.minimum(m, neg_m, out=u), out=u)
+    np.log1p(u, out=u)  # u = log1p(exp(-|m|))
+    # ell = u + max(-m, 0); s = exp(-(u + max(m, 0))), as min(-m, 0) - u
+    np.add(np.maximum(neg_m, 0.0, out=ell), u, out=ell)
+    np.exp(np.subtract(np.minimum(neg_m, 0.0, out=s), u, out=s), out=s)
+    pen, _ = penalty_value_and_slope(kind if lam else "none", m, masks, ell=ell, s=s, out=p.dm)
+    p.total = float(ell.sum()) / n + lam * pen
+    if l2:
+        p.total += l2 * space.sq_norm(p.state, m)
+    np.divide(s, -float(n), out=p.coeff)  # -s / n
+    if lam and kind != "none":
+        p.coeff += np.multiply(p.dm, lam, out=p.dm)
+
+
 def gd_train(
     data: LabeledDataset,
     config: TrainConfig,
@@ -344,8 +348,9 @@ def gd_train(
     The run allocates its buffers once: state, margins, losses, sigmoids,
     penalty slope and objective slope for the current iterate, the same
     for the candidate, swapped when a step is accepted, so no candidate
-    allocates.  Each evaluation takes one ``e = exp(-|m|)`` and derives
-    from it the losses ``log1p(e) + max(-m, 0)`` and, with one more
+    allocates.  Each evaluation (:func:`_evaluate`, which :func:`objective_value`
+    and :func:`objective_gradient` also run) takes one ``e = exp(-|m|)`` and
+    derives from it the losses ``log1p(e) + max(-m, 0)`` and, with one more
     ``exp``, the sigmoids ``exp(-(log1p(e) + max(m, 0)))``; neither form
     overflows or cancels.  It then makes exactly one call to
     :func:`penalty_value_and_slope`, which reads its per-environment slices
@@ -385,34 +390,17 @@ def gd_train(
     # scratch for one evaluation, shared by both points
     neg_m, u = np.zeros_like(cur.m), np.zeros_like(cur.m)
 
-    n = data.n
     l2 = config.l2_weight
     ridge_buf = np.zeros_like(cur.state) if l2 else None
     trace = TrainTrace()
+    evaluate = partial(_evaluate, kind, masks, l2, space, neg_m, u)
 
     def ridge(st: np.ndarray) -> Optional[np.ndarray]:
         return np.multiply(st, 2.0 * l2, out=ridge_buf) if l2 else None
 
-    def evaluate(p: _Point, lam: float) -> None:
-        m, ell, s = p.m, p.ell, p.s
-        np.negative(m, out=neg_m)
-        np.exp(np.minimum(m, neg_m, out=u), out=u)
-        np.log1p(u, out=u)  # u = log1p(exp(-|m|))
-        # ell = u + max(-m, 0); s = exp(-(u + max(m, 0))), as min(-m, 0) - u
-        np.add(np.maximum(neg_m, 0.0, out=ell), u, out=ell)
-        np.exp(np.subtract(np.minimum(neg_m, 0.0, out=s), u, out=s), out=s)
-        pen, _ = penalty_value_and_slope(kind if lam else "none", m, masks,
-                                         ell=ell, s=s, out=p.dm)
-        p.total = float(ell.sum()) / n + lam * pen
-        if l2:
-            p.total += l2 * space.sq_norm(p.state, m)
-        np.divide(s, -float(n), out=p.coeff)  # -s / n
-        if lam and kind != "none":
-            p.coeff += np.multiply(p.dm, lam, out=p.dm)
-
     # the penalty is off before the anneal iteration; a penalty-free
     # objective never changes there
-    anneal = config.anneal_schedule or 0
+    anneal = config.anneal_schedule
     penalized = kind != "none" and config.penalty_weight > 0
     min_stop_iter = anneal if penalized else 0
     lr = max_lr = config.learning_rate
@@ -479,25 +467,25 @@ def gd_train(
     return LinearModel(w, meta=meta), trace
 
 
-def objective_gradient(data: LabeledDataset, config: TrainConfig, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the full objective at ``w`` (for verification)."""
-    masks = _env_masks(data)
-    Z = data.signed()
-    m = Z @ np.asarray(w, dtype=np.float64)
-    _, pen_dm = penalty_value_and_slope(config.penalty_kind, m, masks)
-    coeff = _slope(m) / data.n + config.penalty_weight * pen_dm
-    return Z.T @ coeff + 2.0 * config.l2_weight * np.asarray(w)
+def _evaluate_at(data: LabeledDataset, config: TrainConfig, w) -> tuple[_WSpace, _Point]:
+    """:func:`gd_train`'s evaluation of the full objective at ``w``, on the direct path."""
+    space = _WSpace(data.signed())
+    w = np.asarray(w, dtype=np.float64)
+    p = _Point(w, space.Z @ w)
+    _evaluate(config.penalty_kind, _env_masks(data), config.l2_weight, space,
+              np.zeros_like(p.m), np.zeros_like(p.m), p, config.penalty_weight)
+    return space, p
 
 
 def objective_value(data: LabeledDataset, config: TrainConfig, w: np.ndarray) -> float:
-    masks = _env_masks(data)
-    m = data.signed() @ np.asarray(w, dtype=np.float64)
-    pen, _ = penalty_value_and_slope(config.penalty_kind, m, masks)
-    return (
-        float(_loss(m).mean())
-        + config.penalty_weight * pen
-        + config.l2_weight * float(np.asarray(w) @ np.asarray(w))
-    )
+    """The full objective at ``w``, evaluated as :func:`gd_train` evaluates it."""
+    return _evaluate_at(data, config, w)[1].total
+
+
+def objective_gradient(data: LabeledDataset, config: TrainConfig, w: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the full objective at ``w``, as :func:`gd_train` forms it."""
+    space, p = _evaluate_at(data, config, w)
+    return space.direction(p.coeff, 2.0 * config.l2_weight * p.state)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,41 +38,49 @@ def noiseless_pair(mu_c, mu_s, theta_1, theta_2, reps=2):
     return d_1, d_2
 
 
-def reference_gd(data: LabeledDataset, config: TrainConfig, w0=None) -> np.ndarray:
-    """From-scratch w-space descent with the trainer's backtracking rule.
+def logistic_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Losses ``log(1 + exp(-m))`` by ``logaddexp`` and sigmoids ``sigmoid(-m)`` by ``tanh``."""
+    return np.logaddexp(0.0, -m), 0.5 * (1.0 - np.tanh(0.5 * m))
 
-    Every candidate's margins are recomputed as ``Z @ w`` and its gradient
-    as ``Z' coeff``; nothing is carried from one step to the next.
+
+def reference_objective(data: LabeledDataset, config: TrainConfig, w: np.ndarray,
+                        lam: float) -> tuple[float, np.ndarray]:
+    """The penalized objective at ``w`` with penalty weight ``lam``, and its gradient.
+
+    Independent of the trainer's evaluation: the margins are ``Z @ w``, the
+    losses and sigmoids come from :func:`logistic_parts`, and the penalty
+    is always evaluated, whatever ``lam``.
     """
     Z = data.signed()
     masks = [data.env == e for e in (1, 2) if (data.env == e).any()]
+    m = Z @ w
+    ell, s = logistic_parts(m)
+    pen, pen_dm = penalty_value_and_slope(config.penalty_kind, m, masks, ell=ell, s=s)
+    total = float(ell.mean()) + lam * pen + config.l2_weight * float(w @ w)
+    coeff = -s / data.n + lam * pen_dm
+    return total, Z.T @ coeff + 2.0 * config.l2_weight * w
+
+
+def reference_gd(data: LabeledDataset, config: TrainConfig, w0=None) -> np.ndarray:
+    """From-scratch w-space descent with the trainer's backtracking rule.
+
+    Every candidate's objective and gradient come from
+    :func:`reference_objective`; nothing is carried from one step to the next.
+    """
     w = np.zeros(data.d) if w0 is None else np.array(w0, dtype=np.float64)
-
-    def lam_at(it):
-        if config.anneal_schedule is not None and it < config.anneal_schedule:
-            return 0.0
-        return config.penalty_weight
-
-    def objective(w, lam):
-        m = Z @ w
-        pen, pen_dm = penalty_value_and_slope(config.penalty_kind, m, masks)
-        total = (float(np.logaddexp(0.0, -m).mean()) + lam * pen
-                 + config.l2_weight * float(w @ w))
-        coeff = -0.5 * (1.0 - np.tanh(0.5 * m)) / data.n + lam * pen_dm
-        return total, Z.T @ coeff + 2.0 * config.l2_weight * w
-
+    anneal = config.anneal_schedule
     penalized = config.penalty_kind != "none" and config.penalty_weight > 0
-    min_stop_iter = (config.anneal_schedule or 0) if penalized else 0
+    min_stop_iter = anneal if penalized else 0
     lr = config.learning_rate
     for it in range(config.max_iters):
-        lam = lam_at(it)
-        total, grad = objective(w, lam)
+        lam = 0.0 if it < anneal else config.penalty_weight
+        total, grad = reference_objective(data, config, w, lam)
         if np.linalg.norm(grad) <= config.tolerance and it >= min_stop_iter:
             break
         step = lr
         while True:
             cand = w - step * grad
-            total_c, _ = objective(cand, lam)
+            total_c, _ = reference_objective(data, config, cand, lam)
             if math.isfinite(total_c) and total_c <= total:
                 break
             step *= 0.5

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twoenv import duality, stream
+from twoenv import calibrate, duality, stream
 from twoenv.calibrate import _chain_instance, bound_chain_study
 from twoenv.cli import main
 from twoenv.duality import (
@@ -616,7 +616,42 @@ class TestOrthogonalComplement:
             orthogonal_complement_stats(np.ones(4), data, np.ones(4))
 
 
+def _biting_chain_instance(seed, t):
+    """``_chain_instance``'s rules in a regime where the closed form bites.
+
+    theta_2 is drawn in [-0.05, 0] and d in [10^4 N, 2 10^4 N), where the
+    spectral budget is always positive, with stream labels of its own.
+    """
+    rng = stream(seed, "biting-chain-sizes")
+    n_1 = int(rng.integers(8, 31))
+    n_2 = int(rng.integers(8, 31))
+    n = n_1 + n_2
+    d = int(rng.integers(10_000 * n, 20_000 * n))
+    total = 0.5 * (0.5 - (math.sqrt(n) + t) / math.sqrt(d)) / math.sqrt(n)
+    theta_2 = -0.05 * float(rng.random())
+    return sample_reduced(d, 0.25 * total, 0.75 * total, 1.0, theta_2, n_1, n_2,
+                          1.0 / math.sqrt(d), seed, stream(seed, "biting-chain-data"))
+
+
 class TestBoundChain:
+    def test_chain_holds_where_the_closed_form_bites(self, monkeypatch):
+        """Every link on 100 instances of :func:`_biting_chain_instance` at t = 3.
+
+        On C05-style draws the closed form is always negative, with at least
+        2.55 of slack, and primal - dual is at least 0.017.  Here (seeds
+        0-99) the closed form is positive on 68 of 100, its least slack to
+        the dual is 0.303, and the least primal - dual is 3.0e-4; the test
+        asks for a positive closed form on at least 60 and for both links
+        with no tolerance.
+        """
+        monkeypatch.setattr(calibrate, "_chain_instance", _biting_chain_instance)
+        reports = bound_chain_study(100, t=3.0, seed_base=0)
+        assert len(reports) == 100
+        for rep in reports:
+            assert rep.events_pass and rep.chain_ok
+            assert rep.closed_form <= rep.dual_canonical <= rep.primal
+        assert sum(rep.closed_form > 0.0 for rep in reports) >= 60
+
     def test_small_study_holds(self):
         reports = bound_chain_study(5, t=3.0, seed_base=500)
         assert len(reports) == 5

@@ -207,3 +207,20 @@ print("exit codes", *codes, "loaded", *sorted(set(sys.modules) - before))
 """
     out = _run_python(code, cwd=tmp_path, TWOENV_WORKERS="1")
     assert out.splitlines()[-1] == "exit codes 0 0 0 0 loaded"
+
+
+def test_package_exports_names_not_submodules():
+    # the submodules the package's imports bind (errors, model, training, ...)
+    # are reachable as attributes, but `from twoenv import *` gives names only
+    assert twoenv.__all__ == [
+        "AlignmentRow", "ConfigError", "DegenerateConstraintError", "DegenerateLabelsError",
+        "ExperimentConfig", "IllConditionedGramError", "InfeasibleMarginError",
+        "LabeledDataset", "LinearModel", "NonSeparableError", "PresetParams",
+        "ProblemInstance", "RunRecord", "SigmaRule", "TrainConfig", "TwoEnvError",
+        "cosine_similarity", "emit", "error_at_theta", "gaussian_tail", "gaussian_tail_inv",
+        "gd_train", "invariance_gaps", "irm_margin_alignment", "load_constants",
+        "max_margin", "mean_estimator", "normalized_margin", "per_env_mean", "pool",
+        "resolve_sigma", "robust_error", "run_sweep", "sample_dataset",
+        "sample_orthogonal_means", "sample_reduced", "spurious_core_ratio", "stream",
+        "theorem_preset", "two_phase_learn",
+    ]

@@ -30,10 +30,9 @@ from twoenv.training import (
     objective_gradient,
     objective_value,
     penalty_value_and_slope,
-    _slope,
 )
 
-from helpers import random_dataset, reference_gd
+from helpers import logistic_parts, random_dataset, reference_gd, reference_objective
 
 
 class TestTrainConfig:
@@ -41,6 +40,19 @@ class TestTrainConfig:
         with pytest.raises(TwoEnvError, match="anneal_schedule"):
             TrainConfig(anneal_schedule=-3)
         assert TrainConfig(anneal_schedule=0).anneal_schedule == 0
+        assert TrainConfig().anneal_schedule == 0
+
+    @pytest.mark.parametrize("field", ["max_iters", "anneal_schedule"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, None, "3"])
+    def test_iteration_settings_must_be_integers(self, field, value):
+        # a float anneal iteration never equals the loop counter, so its
+        # penalty would never switch on; a bool is an int to Python
+        with pytest.raises(TwoEnvError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(max_iters=np.int64(60), anneal_schedule=np.int32(50))
+        assert (cfg.max_iters, cfg.anneal_schedule) == (60, 50)
 
 
 class TestGdTrain:
@@ -59,8 +71,10 @@ class TestGdTrain:
         X = np.full((6, 1), c)
         data = LabeledDataset(X, np.ones(6, dtype=int), np.array([1, 1, 1, 2, 2, 2]))
         m = data.signed() @ np.array([1.0])
-        value, _ = penalty_value_and_slope("irmv1", m, [data.env == 1, data.env == 2])
-        expected = 2.0 * (c * float(_slope(np.array([c]))[0])) ** 2
+        ell, s = logistic_parts(m)
+        value, _ = penalty_value_and_slope("irmv1", m, [data.env == 1, data.env == 2],
+                                           ell=ell, s=s)
+        expected = 2.0 * (c / (1.0 + np.exp(c))) ** 2
         assert value == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["none", "irmv1", "vrex", "groupdro", "moment_match"])
@@ -90,14 +104,17 @@ class TestGdTrain:
             np.array([1] * 5 + [2] * 5),
         )
         m = data.signed() @ rng.standard_normal(4)
-        value, _ = penalty_value_and_slope(kind, m, [data.env == 1, data.env == 2])
+        ell, s = logistic_parts(m)
+        value, _ = penalty_value_and_slope(kind, m, [data.env == 1, data.env == 2],
+                                           ell=ell, s=s)
         if kind == "groupdro":
             # max of equal losses equals either one; zero-gap, not zero level
             assert value == pytest.approx(float(np.logaddexp(0, -m[:5]).mean()), rel=1e-12)
         elif kind == "irmv1":
             # per-environment scale-gradient terms coincide; the penalty is
             # twice the single-environment value, with no cross-env surcharge
-            half, _ = penalty_value_and_slope(kind, m[:5], [np.ones(5, dtype=bool)])
+            half, _ = penalty_value_and_slope(kind, m[:5], [np.ones(5, dtype=bool)],
+                                              ell=ell[:5], s=s[:5])
             assert value == pytest.approx(2.0 * half, rel=1e-12)
         else:
             assert value == pytest.approx(0.0, abs=1e-15)
@@ -140,8 +157,7 @@ class TestGdTrain:
             w = np.zeros(ds.d)
             Z = ds.signed()
             for _ in range(300):
-                mrg = Z @ w
-                coeff = _slope(mrg) / ds.n
+                coeff = -logistic_parts(Z @ w)[1] / ds.n
                 w = w - 0.1 * (Z.T @ coeff)
             assert np.linalg.norm(model.w - w) <= 1e-8 * np.linalg.norm(w)
 
@@ -184,16 +200,15 @@ class TestGdTrain:
     @pytest.mark.parametrize("d", [8, 30])
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_logged_objective_is_the_reference_objective(self, kind, d, l2, monkeypatch):
-        # the trainer's loss form and carried margins against objective_value,
-        # which recomputes Z @ w and takes logaddexp and _sigmoid_neg; the losses and
-        # penalty of the trainer's last evaluation are read off the one
-        # penalty call it makes per evaluation
+        # the trainer's loss form and carried margins against the reference
+        # objective, which recomputes Z @ w and takes logaddexp and tanh; the
+        # losses and penalty of the trainer's last evaluation are read off the
+        # one penalty call it makes per evaluation
         seen = []
 
         def spy(kind_, m, masks, *args, **kwargs):
             pen, dm = penalty_value_and_slope(kind_, m, masks, *args, **kwargs)
-            if "ell" in kwargs:  # the trainer's calls, not objective_value's
-                seen.append((kind_, float(kwargs["ell"].sum()), pen))
+            seen.append((kind_, float(kwargs["ell"].sum()), pen))
             return pen, dm
 
         monkeypatch.setattr(training, "penalty_value_and_slope", spy)
@@ -208,7 +223,7 @@ class TestGdTrain:
         assert last_kind == kind
         w = model.w
         logged = loss_sum / data.n + cfg.penalty_weight * pen + l2 * float(w @ w)
-        reference = objective_value(data, cfg, w)
+        reference, _ = reference_objective(data, cfg, w, cfg.penalty_weight)
         assert logged == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("d", [8, 30])
@@ -379,8 +394,7 @@ class TestPrefixSharing:
         assert _same_run(gd_train(data, other, prefixes=prefixes), gd_train(data, other))
         assert len(prefixes) == 2
 
-    @pytest.mark.parametrize("anneal, max_iters", [(None, 300), (0, 300), (100, 100),
-                                                   (100, 60)])
+    @pytest.mark.parametrize("anneal, max_iters", [(0, 300), (100, 100), (100, 60)])
     def test_no_prefix_outside_the_run(self, anneal, max_iters):
         # a run that never reaches its anneal iteration neither stores nor resumes
         data = random_dataset(stream(97), n=12, d=30)
@@ -419,15 +433,15 @@ class TestGdStep:
             np.testing.assert_array_equal(sel, interleaved.env == e)
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
-    def test_penalty_bitwise_equal_across_selectors_and_precompute(self, kind):
+    def test_penalty_bitwise_equal_across_selectors(self, kind):
         rng = stream(85, kind)
         m = 3.0 * rng.standard_normal(30)
         env = np.array([1] * 18 + [2] * 12)
         data = LabeledDataset(np.ones((30, 1)), np.ones(30, dtype=int), env)
         slices = training._env_masks(data)
         assert all(isinstance(sel, slice) for sel in slices)
-        shared = {"ell": np.logaddexp(0.0, -m), "s": training._sigmoid_neg(m)}
-        ref_value, ref_dm = penalty_value_and_slope(kind, m, [env == 1, env == 2])
+        ell, s = logistic_parts(m)
+        ref_value, ref_dm = penalty_value_and_slope(kind, m, [env == 1, env == 2], ell=ell, s=s)
         if kind in ("vrex", "groupdro"):
             # sum / count is bitwise the ndarray.mean the loss levels used to take
             losses = [float(np.logaddexp(0.0, -m[env == e]).mean()) for e in (1, 2)]
@@ -435,8 +449,8 @@ class TestGdStep:
             spread = sum((le - mean_loss) ** 2 for le in losses) / 2
             assert ref_value == (spread if kind == "vrex" else max(losses))
         for masks in (slices, [env == 1, env == 2]):
-            for extra in ({}, shared):
-                value, dm = penalty_value_and_slope(kind, m, masks, **extra)
+            for out in (None, np.full(30, np.nan)):
+                value, dm = penalty_value_and_slope(kind, m, masks, ell=ell, s=s, out=out)
                 assert value == ref_value
                 assert dm.tobytes() == ref_dm.tobytes()
 
