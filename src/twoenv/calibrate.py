@@ -176,7 +176,7 @@ def bound_chain_study(instances: int, t: float = 3.0, seed_base: int = 0) -> lis
             attempts += 1
             drawn = _chain_instance(seed, t)
             seed += 1
-            if drawn is not None and check_spectral_events(*drawn, t).all_pass:
+            if drawn is not None and all(check_spectral_events(*drawn, t)):
                 break
             if attempts > 50:
                 raise TwoEnvError(f"could not find an instance passing the events at t = {t}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,25 +312,14 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralEventReport:
-    """Verdicts of the high-probability events on one draw."""
+class SpectralEventReport(NamedTuple):
+    """Verdicts of the high-probability events on one draw; ``all(report)`` joins them."""
 
     sval_ok: bool
     g_mu_c_ok: bool
     g_mu_s_ok: bool
     gram_dev_ok: bool
     gram_bounds_ok: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.sval_ok
-            and self.g_mu_c_ok
-            and self.g_mu_s_ok
-            and self.gram_dev_ok
-            and self.gram_bounds_ok
-        )
 
 
 def check_spectral_events(

@@ -18,7 +18,9 @@ from .errors import DegenerateConstraintError, DegenerateLabelsError, TwoEnvErro
 from .metrics import class_score_mean
 from .model import LabeledDataset, LinearModel, pool
 
-COEFF_FLOOR = 1e-15
+# a constraint coefficient at most this fraction of the class-score means it
+# is the difference of is round-off: relative, so the test is scale-free
+COEFF_RTOL = 1e-15
 
 
 def mean_estimator(data: LabeledDataset) -> LinearModel:
@@ -76,9 +78,9 @@ def two_phase_learn(
 
     # Constraint coefficients: between-environment gap of the mean positive
     # score of each stage-1 classifier on the held-out halves.
-    a_1 = class_score_mean(w_1, fine_1) - class_score_mean(w_1, fine_2)
-    a_2 = class_score_mean(w_2, fine_1) - class_score_mean(w_2, fine_2)
-    if abs(a_1) < COEFF_FLOOR and abs(a_2) < COEFF_FLOOR:
+    scores = [(class_score_mean(w, fine_1), class_score_mean(w, fine_2)) for w in (w_1, w_2)]
+    a_1, a_2 = (s_1 - s_2 for s_1, s_2 in scores)
+    if all(abs(s_1 - s_2) <= COEFF_RTOL * max(abs(s_1), abs(s_2)) for s_1, s_2 in scores):
         raise DegenerateConstraintError(
             f"constraint coefficients ({a_1!r}, {a_2!r}) are both numerically zero"
         )

@@ -143,20 +143,16 @@ def _strip_spurious(data: LabeledDataset, mu_s, theta_1, theta_2) -> LabeledData
     return LabeledDataset.from_signed(Z, data.y, data.env, data.ambient_d)
 
 
-def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: int, d: int,
-         prefixes=None) -> tuple[LinearModel, LabeledDataset]:
-    """Fit one method; returns the model and the dataset its train metrics use.
-
-    ``prefixes`` is the GD prefix store of ``data`` (see :func:`gd_train`).
-    """
+def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: int,
+         d: int) -> tuple[LinearModel, LabeledDataset]:
+    """Fit one method; returns the model and the dataset its train metrics use."""
     if method == "mean":
         return mean_estimator(data), data
     if method == "erm":
-        model, _ = gd_train(data, replace(cfg.train, penalty_kind="none", penalty_weight=0.0),
-                            prefixes=prefixes)
+        model, _ = gd_train(data, replace(cfg.train, penalty_kind="none", penalty_weight=0.0))
         return model, data
     if method in ("irmv1", "vrex", "groupdro", "moment_match"):
-        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method), prefixes=prefixes)
+        model, _ = gd_train(data, replace(cfg.train, penalty_kind=method))
         return model, data
     if method == "two_phase":
         return two_phase_learn(data.by_env(1), data.by_env(2),
@@ -173,8 +169,8 @@ def _fit(method: str, data: LabeledDataset, cfg: ExperimentConfig, mu_s, seed: i
 def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
     """All requested methods on one sampled instance.
 
-    The GD fits on the draw share their pre-anneal steps through one prefix
-    store, so a fit that resumes from it reports a ``wall_ms`` without them.
+    The GD fits on the draw share their pre-anneal steps (see :func:`gd_train`),
+    so a fit that resumes reports a ``wall_ms`` without those steps.
     Each method's fit and metrics run with numpy overflow, division by zero
     and invalid operations raising, so a NaN or inf they would produce
     becomes that method's error row instead of a value in the output.
@@ -186,14 +182,13 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
     )
     mu_c, mu_s = instance.mu_c, instance.mu_s
     envs = (data.by_env(1), data.by_env(2))  # views of the draw's rows
-    prefixes: dict = {}  # oracle_no_spurious trains on other data and gets none
 
     records = []
     for method in cfg.methods:
         start = time.perf_counter()
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                model, train_data = _fit(method, data, cfg, mu_s, seed, d, prefixes=prefixes)
+                model, train_data = _fit(method, data, cfg, mu_s, seed, d)
                 train_acc = float((train_data.signed() @ model.w > 0).mean())
                 margin = normalized_margin(model, train_data, sigma)
                 rob = robust_error(model, mu_c, mu_s, sigma).error

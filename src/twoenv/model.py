@@ -154,6 +154,11 @@ class LabeledDataset:
         """Label-signed sample matrix: row i is ``y_i * x_i``.  Stored, not copied."""
         return self._Z
 
+    @cached_property
+    def gd_prefixes(self) -> dict:
+        """Pre-anneal iterates of :func:`twoenv.training.gd_train` runs on this object alone."""
+        return {}
+
     def restrict(self, mask: np.ndarray) -> "LabeledDataset":
         return self.from_signed(self._Z[mask], self.y[mask], self.env[mask], self.ambient_d)
 
@@ -208,10 +213,6 @@ class LinearModel:
             raise TwoEnvError("w must be finite")
         if self.norm == 0.0:
             raise TwoEnvError("zero-norm model rejected")
-
-    @property
-    def d(self) -> int:
-        return self.w.shape[0]
 
     @cached_property
     def norm(self) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -36,15 +37,32 @@ CONSTANT_NAMES = ("c_r", "c_r_prime", "C_r", "C_d", "C_d_prime", "C_s", "C_c")
 
 
 def load_constants(path: Optional[str] = None) -> dict:
-    """Read the frozen constants file (package default unless a path is given)."""
+    """Read the frozen constants file (package default unless a path is given).
+
+    The file is a JSON object in which the seven constants and ``kappa`` are
+    positive finite numbers; otherwise :class:`ConfigError` names the file
+    and the key.
+    """
     if path is None:
-        text = resources.files("twoenv").joinpath("calibrated_constants.json").read_text()
+        source = resources.files("twoenv").joinpath("calibrated_constants.json")
     else:
-        text = Path(path).read_text()
-    values = json.loads(text)
-    missing = [k for k in CONSTANT_NAMES if k not in values]
-    if missing:
-        raise TwoEnvError(f"constants file missing entries: {missing}")
+        source = Path(path)
+    try:
+        values = json.loads(source.read_text())
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigError(f"constants file {source}: not JSON ({exc})") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"constants file {source}: expected a JSON object")
+    for key in (*CONSTANT_NAMES, "kappa"):
+        if key not in values:
+            raise ConfigError(f"constants file {source}: missing {key!r}")
+        value = values[key]
+        # a bool is an int to Python; the comparisons fail on NaN, inf and
+        # an integer too large for a float
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value <= sys.float_info.max):
+            raise ConfigError(f"constants file {source}: {key!r} must be a positive finite "
+                              f"number, got {value!r}")
     return values
 
 

@@ -17,7 +17,8 @@ evaluation takes ``e = exp(-|m|)`` once and derives the logistic losses
 from it; the loss, its slope and the per-environment penalty share them.
 Runs on one dataset that differ only in their penalty take the same steps
 until the penalty switches on at the anneal iteration; :func:`gd_train`
-can store the iterate there and start later runs from it (``prefixes``).
+stores the iterate there on the dataset object and starts later runs on it
+from there.
 On a 2-CPU Xeon box with one BLAS thread, at N=900, a step costs about
 0.23 ms on the span path against 0.16-0.18 ms for ``dsymv`` alone, and
 about 0.23 ms on the direct path at d=320 against 0.15-0.18 ms for its two
@@ -32,6 +33,7 @@ separator or a non-separability witness, never an iteration-budget verdict.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -83,9 +85,15 @@ class TrainConfig:
     anneal_schedule: int = 0  # iteration at which the penalty activates
 
     def __post_init__(self):
-        # every comparison with NaN is false, so each test is written to fail on it
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise TwoEnvError("learning_rate must be positive and finite")
+        # a bool is an int to Python; every comparison with NaN is false, so
+        # each test is written to fail on it
+        for name, zero_ok in (("learning_rate", False), ("penalty_weight", True),
+                              ("l2_weight", True), ("tolerance", False)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0))):
+                sign = "nonnegative" if zero_ok else "positive"
+                raise TwoEnvError(f"{name} must be a {sign} finite number, not {value!r}")
         # a float anneal iteration would never equal the loop counter
         for name, low in (("max_iters", 1), ("anneal_schedule", 0)):
             value = getattr(self, name)
@@ -93,12 +101,6 @@ class TrainConfig:
                 raise TwoEnvError(f"{name} must be an integer of at least {low}, not {value!r}")
         if self.penalty_kind not in PENALTY_KINDS:
             raise TwoEnvError(f"unknown penalty kind {self.penalty_kind!r}")
-        for name in ("penalty_weight", "l2_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise TwoEnvError(f"{name} must be nonnegative and finite")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise TwoEnvError("tolerance must be positive and finite")
 
 
 def _env_masks(data: LabeledDataset) -> list[slice | np.ndarray]:
@@ -328,7 +330,6 @@ def gd_train(
     data: LabeledDataset,
     config: TrainConfig,
     w0: Optional[np.ndarray] = None,
-    prefixes: Optional[dict] = None,
 ) -> tuple[LinearModel, TrainTrace]:
     """Full-batch gradient descent from zero on the penalized logistic objective.
 
@@ -361,20 +362,19 @@ def gd_train(
     its operator product.  ``w0`` warm-starts the iteration at the cost of
     one product for its margins.
 
-    ``prefixes`` lets the runs on one dataset share their pre-anneal steps.
-    The penalty weight is zero before the anneal iteration, so every run
-    from zero on the same data with the same ``learning_rate``,
-    ``tolerance``, ``l2_weight`` and ``anneal_schedule`` takes the same steps
-    up to it, whatever its penalty.  The first such run to reach the anneal
-    iteration stores a copy of its iterate there (state, margins, losses,
-    sigmoids, slopes, objective and step size) in the dict under those four
-    fields; a later one starts from that copy at the anneal iteration.  The
-    model, ``meta`` and trace are those of a run from zero, bit for bit, and
-    ``meta["iters"]`` still counts from zero.  Nothing is stored for a run
-    with ``w0``, for an anneal iteration outside ``(0, max_iters)``, or when
-    a pre-anneal iterate met the tolerance (a penalty-free run stops there,
-    a penalized one does not).  The caller owns the dict and must hand it
-    only to runs on the same ``data``.
+    The runs on one dataset object share their pre-anneal steps.  The
+    penalty weight is zero before the anneal iteration, so every run from
+    zero on the same data with the same ``learning_rate``, ``tolerance``,
+    ``l2_weight`` and ``anneal_schedule`` takes the same steps up to it,
+    whatever its penalty.  The first such run to reach the anneal iteration
+    stores a copy of its iterate there (state, margins, losses, sigmoids,
+    slopes, objective and step size) in ``data.gd_prefixes`` under those
+    four fields; a later one starts from that copy at the anneal iteration.
+    The model, ``meta`` and trace are those of a run from zero, bit for bit,
+    and ``meta["iters"]`` still counts from zero.  Nothing is stored for a
+    run with ``w0``, for an anneal iteration outside ``(0, max_iters)``, or
+    when a pre-anneal iterate met the tolerance (a penalty-free run stops
+    there, a penalized one does not).
     """
     if data.n == 0:
         raise TwoEnvError("empty dataset")
@@ -408,11 +408,9 @@ def gd_train(
     tolerance = config.tolerance
     lam = 0.0 if anneal > 0 else config.penalty_weight
 
-    # the fields that fix the steps before the anneal iteration
-    key = None
-    if prefixes is not None and w0 is None and 0 < anneal < config.max_iters:
-        key = (max_lr, tolerance, l2, anneal)
-    prefix = prefixes.get(key) if key is not None else None
+    # the fields that fix the steps before the anneal iteration; None is never stored
+    key = (max_lr, tolerance, l2, anneal) if w0 is None and 0 < anneal < config.max_iters else None
+    prefix = data.gd_prefixes.get(key)
     if prefix is None:
         first = 0
         evaluate(cur, lam)
@@ -429,7 +427,7 @@ def gd_train(
     for it in range(first, config.max_iters):
         if it == anneal:
             if key is not None and prefix is None and not met_tolerance:
-                prefixes[key] = (cur.copy(), lr)
+                data.gd_prefixes[key] = (cur.copy(), lr)
             if lam != config.penalty_weight:
                 lam = config.penalty_weight
                 evaluate(cur, lam)

@@ -56,11 +56,10 @@ def test_gd_note_reads_a_resumed_run(tracing):
     data = random_dataset(stream(89), n=12, d=30)
     cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=100,
                       max_iters=300)
-    prefixes = {}
-    gd_train(data, replace(cfg, penalty_kind="none"), prefixes=prefixes)
-    out = gd_train(data, cfg, prefixes=prefixes)
-    note = tracing._gd_note((data, cfg), {"prefixes": prefixes}, out)
+    gd_train(data, replace(cfg, penalty_kind="none"))
+    out = gd_train(data, cfg)
+    note = tracing._gd_note((data, cfg), {}, out)
     model, trace = out
-    assert len(prefixes) == 1 and not trace.converged
+    assert len(data.gd_prefixes) == 1 and not trace.converged
     assert note["cap"] is True
     assert note["steps"] == model.meta["iters"] + 1 == cfg.max_iters

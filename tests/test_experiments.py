@@ -31,6 +31,7 @@ from twoenv.model import (
     sample_orthogonal_means,
     sample_reduced,
 )
+from twoenv.presets import load_constants
 from twoenv.training import TrainConfig, penalty_value_and_slope
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -89,6 +90,28 @@ class TestRunSweep:
         emit(run_sweep(cfg), "csv", p1)
         emit(run_sweep(cfg), "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_scale_free_learners_commute_with_a_power_of_two(self):
+        # sigma, r_c and r_s times c = 2^-27 multiply every row by c exactly:
+        # the accuracies, margin and ratio stay bitwise, and eopp_gap scales
+        # by c^2 (by 1 for max_margin, whose w scales by 1/c).  two_phase's
+        # degeneracy test used an absolute 1e-15 floor, and both of its d=16
+        # rows were error rows at this scale
+        def sweep(c):
+            return run_sweep(_tiny_config(
+                d_grid=(16, 2000), seeds=2, r_c=c, r_s=2.0 * c, sigma_rule=SigmaRule("fixed", c),
+                methods=("two_phase", "mean", "max_margin")))
+
+        unit, small = sweep(1.0), sweep(2.0**-27)
+        assert len(unit) == len(small) == 12
+        assert sum(r.method == "two_phase" for r in small) == 4
+        invariant = ("train_acc", "robust_acc", "margin", "ratio")
+        for u, s in zip(unit, small):
+            assert (s.method, s.d, s.seed, s.error) == (u.method, u.d, u.seed, None)
+            # repr is exact for floats and equal for two nans
+            assert ([repr(getattr(s, k)) for k in invariant]
+                    == [repr(getattr(u, k)) for k in invariant])
+            assert s.eopp_gap == (1.0 if u.method == "max_margin" else 4.0**-27) * u.eopp_gap
 
     def test_every_cell_present_once(self):
         cfg = _tiny_config(d_grid=(8, 32), seeds=3, methods=("mean", "erm"))
@@ -190,21 +213,23 @@ class TestPrefixSharing:
         handed = []
         real = experiments.gd_train
 
-        def spy(data, config, *args, prefixes=None, **kwargs):
-            handed.append((config.penalty_kind, prefixes))
-            return real(data, config, *args, prefixes=prefixes, **kwargs)
+        def spy(data, config, *args, **kwargs):
+            handed.append((config.penalty_kind, data))
+            return real(data, config, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "gd_train", spy)
         train = TrainConfig(max_iters=150, penalty_weight=100.0, anneal_schedule=100)
         cfg = _tiny_config(d_grid=(16, 64), seeds=2, train=train,
                            methods=("erm", "vrex", "oracle_no_spurious"))
         run_sweep(cfg)
-        stores = [store for _, store in handed[::3]]
-        assert len(handed) == 3 * 4 and all(isinstance(store, dict) for store in stores)
-        assert len({id(store) for store in stores}) == 4
-        assert all(store is handed[3 * i + 1][1] for i, store in enumerate(stores))
-        assert all(len(store) == 1 for store in stores)
-        assert all(store is None for _, store in handed[2::3])
+        draws = [data for _, data in handed[::3]]
+        assert len(handed) == 3 * 4
+        assert len({id(data.gd_prefixes) for data in draws}) == 4
+        assert all(data is handed[3 * i + 1][1] for i, data in enumerate(draws))
+        assert all(len(data.gd_prefixes) == 1 for data in draws)
+        # the oracle trains on a stripped copy, whose store is its own
+        assert all(oracle.gd_prefixes is not data.gd_prefixes
+                   for (_, oracle), data in zip(handed[2::3], draws))
 
 
 class TestCellMemory:
@@ -381,6 +406,12 @@ class TestConfigFile:
         # a negative anneal iteration used to switch the penalty on at step 0
         with pytest.raises(TwoEnvError, match="anneal_schedule"):
             build_config({"d_grid": "8", "seeds": "1", "anneal_schedule": "-3"})
+
+
+def _constants_text(drop=None, **edits):
+    """The packaged constants as JSON text, with ``drop`` left out and ``edits`` applied."""
+    values = {key: value for key, value in load_constants().items() if key != drop}
+    return json.dumps({**values, **edits})
 
 
 class TestCli:
@@ -586,6 +617,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["preset", "calibrate"])
+    @pytest.mark.parametrize("text, named", [
+        pytest.param(_constants_text(c_r=-1), "'c_r'", id="negative"),
+        pytest.param(_constants_text(c_r="x"), "'c_r'", id="string"),
+        pytest.param(_constants_text(C_s=True), "'C_s'", id="bool"),
+        pytest.param(_constants_text(C_c=0), "'C_c'", id="zero"),
+        pytest.param(_constants_text(C_d=math.inf), "'C_d'", id="inf"),
+        pytest.param(_constants_text(kappa=math.nan), "'kappa'", id="nan"),
+        pytest.param(_constants_text(drop="kappa"), "'kappa'", id="no-kappa"),
+        pytest.param('{"c_r": ', "not JSON", id="malformed"),
+        pytest.param("\xff{", "not JSON", id="not-utf8"),
+        pytest.param("[1, 2]", "JSON object", id="array")])
+    def test_bad_constants_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, text, named):
+        # c_r = -1 used to end in a math domain error, "x" in a bare
+        # ValueError, a malformed file in a JSONDecodeError, a file without
+        # kappa in a KeyError after calibrate had measured every rate, and a
+        # file that is not UTF-8 in a UnicodeDecodeError
+        def measured(*args, **kwargs):
+            raise AssertionError("measured before the constants were checked")
+
+        monkeypatch.setattr(cli, "calibrate_constants", measured)
+        monkeypatch.setattr(cli, "kappa_interpolation_rate", measured)
+        path, out = tmp_path / "constants.json", tmp_path / "out.json"
+        path.write_text(text, encoding="latin-1")  # one byte a character: "\xff" is no UTF-8
+        argv = {"preset": ["preset", "--n1", "100", "--n2", "100", "--gamma", "0.01",
+                           "--epsilon", "0.05"],
+                "calibrate": ["calibrate", "--out", str(out)]}[command]
+        assert main(argv + ["--constants", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert str(path) in captured.err and named in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_verify_rejects_empty_study(self, tmp_path, capsys, count):

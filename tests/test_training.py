@@ -15,6 +15,7 @@ from twoenv.metrics import normalized_margin
 from twoenv.model import (
     LabeledDataset,
     ProblemInstance,
+    pool,
     sample_dataset,
     sample_orthogonal_means,
     sample_reduced,
@@ -53,6 +54,20 @@ class TestTrainConfig:
     def test_numpy_integers_are_integers(self):
         cfg = TrainConfig(max_iters=np.int64(60), anneal_schedule=np.int32(50))
         assert (cfg.max_iters, cfg.anneal_schedule) == (60, 50)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "penalty_weight", "l2_weight",
+                                       "tolerance"])
+    @pytest.mark.parametrize("value", [True, False, None, "1e-8", 1j])
+    def test_float_settings_must_be_real_numbers(self, field, value):
+        # a bool used to pass as 1 or 0, and a string ended in a bare
+        # TypeError from math.isfinite
+        with pytest.raises(TwoEnvError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_ints_and_numpy_floats_are_real_numbers(self):
+        cfg = TrainConfig(learning_rate=1, penalty_weight=np.float32(2.0), l2_weight=0,
+                          tolerance=np.float64(1e-6))
+        assert (cfg.learning_rate, cfg.penalty_weight, cfg.l2_weight) == (1, 2.0, 0)
 
 
 class TestGdTrain:
@@ -321,8 +336,13 @@ def _same_run(a, b):
             and trace_a == trace_b)
 
 
+def _fresh(data):
+    """Another dataset object over the same arrays, so with an empty prefix store."""
+    return LabeledDataset.from_signed(data.signed(), data.y, data.env, data.ambient_d)
+
+
 class TestPrefixSharing:
-    """Runs on one dataset resume from the iterate stored at the anneal iteration."""
+    """Runs on one dataset object resume from the iterate stored at the anneal iteration."""
 
     @pytest.mark.parametrize("lr", [0.1, 20.0])  # 20: steps halve before the anneal
     @pytest.mark.parametrize("d", [8, 30])  # N=12: direct path at 8, span path at 30
@@ -333,11 +353,10 @@ class TestPrefixSharing:
                           max_iters=300, learning_rate=lr)
         # the run that records has another penalty than the one that resumes
         recorder = replace(cfg, penalty_kind="irmv1" if kind == "none" else "none")
-        prefixes = {}
-        assert _same_run(gd_train(data, recorder, prefixes=prefixes), gd_train(data, recorder))
-        assert len(prefixes) == 1
-        assert _same_run(gd_train(data, cfg, prefixes=prefixes), gd_train(data, cfg))
-        assert len(prefixes) == 1
+        assert _same_run(gd_train(data, recorder), gd_train(_fresh(data), recorder))
+        assert len(data.gd_prefixes) == 1
+        assert _same_run(gd_train(data, cfg), gd_train(_fresh(data), cfg))
+        assert len(data.gd_prefixes) == 1
 
     def test_resumed_run_skips_the_prefix_evaluations(self, monkeypatch):
         # at rate 20 this draw halves a step before many anneal iterations in
@@ -352,19 +371,20 @@ class TestPrefixSharing:
         monkeypatch.setattr(training, "penalty_value_and_slope", spy)
         data = random_dataset(stream(91, "none", 8), n=12, d=8)
 
-        def evaluations(config, **kwargs):
+        def evaluations(data, config):
             calls.clear()
-            out = gd_train(data, config, **kwargs)
+            out = gd_train(data, config)
             return len(calls), out
 
         for anneal in range(1, 21):
             cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=anneal,
                               max_iters=anneal + 50, learning_rate=20.0)
-            prefix, _ = evaluations(replace(cfg, max_iters=anneal))  # the steps before it
-            fresh, fresh_out = evaluations(cfg)
-            prefixes = {}
-            evaluations(replace(cfg, penalty_kind="none"), prefixes=prefixes)
-            resumed, resumed_out = evaluations(cfg, prefixes=prefixes)
+            # the steps before it
+            prefix, _ = evaluations(_fresh(data), replace(cfg, max_iters=anneal))
+            fresh, fresh_out = evaluations(_fresh(data), cfg)
+            shared = _fresh(data)
+            evaluations(shared, replace(cfg, penalty_kind="none"))
+            resumed, resumed_out = evaluations(shared, cfg)
             assert _same_run(resumed_out, fresh_out)
             assert resumed == fresh - prefix
         assert prefix > 1 + 20  # one evaluation at the start, one per step and the halvings
@@ -376,11 +396,10 @@ class TestPrefixSharing:
         data = random_dataset(stream(79), n=30, d=2)
         erm = TrainConfig(tolerance=1e-4, anneal_schedule=500, max_iters=3000)
         vrex = replace(erm, penalty_kind="vrex", penalty_weight=100.0)
-        prefixes = {}
         for cfg in (vrex, erm, vrex, erm):
-            out = gd_train(data, cfg, prefixes=prefixes)
-            assert _same_run(out, gd_train(data, cfg))
-            assert not prefixes
+            out = gd_train(data, cfg)
+            assert _same_run(out, gd_train(_fresh(data), cfg))
+            assert not data.gd_prefixes
         assert gd_train(data, erm)[0].meta["iters"] < 500
 
     @pytest.mark.parametrize("field, value", [("learning_rate", 0.05), ("tolerance", 1e-9),
@@ -388,11 +407,10 @@ class TestPrefixSharing:
     def test_each_prefix_field_keys_its_own_prefix(self, field, value):
         data = random_dataset(stream(95), n=12, d=30)
         base = TrainConfig(anneal_schedule=100, max_iters=300)
-        prefixes = {}
-        gd_train(data, base, prefixes=prefixes)
+        gd_train(data, base)
         other = replace(base, penalty_kind="vrex", penalty_weight=1.0, **{field: value})
-        assert _same_run(gd_train(data, other, prefixes=prefixes), gd_train(data, other))
-        assert len(prefixes) == 2
+        assert _same_run(gd_train(data, other), gd_train(_fresh(data), other))
+        assert len(data.gd_prefixes) == 2
 
     @pytest.mark.parametrize("anneal, max_iters", [(0, 300), (100, 100), (100, 60)])
     def test_no_prefix_outside_the_run(self, anneal, max_iters):
@@ -400,24 +418,48 @@ class TestPrefixSharing:
         data = random_dataset(stream(97), n=12, d=30)
         cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=anneal,
                           max_iters=max_iters)
-        prefixes = {}
-        assert _same_run(gd_train(data, cfg, prefixes=prefixes), gd_train(data, cfg))
-        assert not prefixes
-        gd_train(data, replace(cfg, anneal_schedule=100, max_iters=300), prefixes=prefixes)
-        assert _same_run(gd_train(data, cfg, prefixes=prefixes), gd_train(data, cfg))
+        assert _same_run(gd_train(data, cfg), gd_train(_fresh(data), cfg))
+        assert not data.gd_prefixes
+        gd_train(data, replace(cfg, anneal_schedule=100, max_iters=300))
+        assert _same_run(gd_train(data, cfg), gd_train(_fresh(data), cfg))
 
     def test_warm_start_neither_stores_nor_resumes(self):
         data = random_dataset(stream(99), n=12, d=30)
         cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=100,
                           max_iters=300)
         w0 = gd_train(data, replace(cfg, max_iters=20))[0].w
-        prefixes = {}
-        assert _same_run(gd_train(data, cfg, w0=w0, prefixes=prefixes),
-                         gd_train(data, cfg, w0=w0))
-        assert not prefixes
-        gd_train(data, cfg, prefixes=prefixes)
-        assert _same_run(gd_train(data, cfg, w0=w0, prefixes=prefixes),
-                         gd_train(data, cfg, w0=w0))
+        assert _same_run(gd_train(data, cfg, w0=w0), gd_train(_fresh(data), cfg, w0=w0))
+        assert not data.gd_prefixes
+        gd_train(data, cfg)
+        assert _same_run(gd_train(data, cfg, w0=w0), gd_train(_fresh(data), cfg, w0=w0))
+
+    def test_runs_on_other_data_share_nothing(self):
+        # two draws of one shape: a store shared across them would start the
+        # V-REx run on b from the iterate that the ERM run on a stored
+        a, b = (random_dataset(stream(93, name), n=12, d=30) for name in "ab")
+        cfg = TrainConfig(penalty_kind="vrex", penalty_weight=1.0, anneal_schedule=100,
+                          max_iters=300)
+        gd_train(a, replace(cfg, penalty_kind="none"))
+        (key, (point, lr)), = a.gd_prefixes.items()
+
+        def contents():
+            arrays = ("state", "m", "ell", "s", "dm", "coeff")
+            return [getattr(point, name).tobytes() for name in arrays] + [point.total]
+
+        stored = contents()
+        assert _same_run(gd_train(b, cfg), gd_train(_fresh(b), cfg))
+        assert list(a.gd_prefixes) == [key] and a.gd_prefixes[key] == (point, lr)
+        assert contents() == stored
+        assert len(b.gd_prefixes) == 1 and b.gd_prefixes[key][0] is not point
+
+    def test_derived_datasets_have_stores_of_their_own(self):
+        data = random_dataset(stream(93, "derived"), n=12, d=30)
+        cfg = TrainConfig(anneal_schedule=100, max_iters=300)
+        gd_train(data, cfg)
+        derived = [data.by_env(1), data.restrict(np.ones(data.n, dtype=bool)),
+                   pool(data), _fresh(data)]
+        assert len(data.gd_prefixes) == 1
+        assert all(part.gd_prefixes == {} for part in derived)
 
 
 class TestGdStep:
