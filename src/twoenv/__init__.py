@@ -41,7 +41,6 @@ from .model import (
 from .presets import PresetParams, load_constants, theorem_preset
 from .rng import stream
 from .training import (
-    AlignmentRow,
     TrainConfig,
     cosine_similarity,
     gd_train,

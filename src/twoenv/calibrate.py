@@ -12,7 +12,7 @@ the acceptance suite read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 from . import rng as rngmod
 from .duality import (
@@ -69,7 +69,7 @@ def max_margin_indictment_rate(preset: PresetParams, seeds: int) -> float:
             ratio = spurious_core_ratio(model, inst.mu_c, inst.mu_s)
         except TwoEnvError:
             continue
-        rob = robust_error(model, inst.mu_c, inst.mu_s, preset.sigma).error
+        rob = robust_error(model, inst.mu_c, inst.mu_s, preset.sigma)
         if ratio >= 1.0 and rob >= 0.5:
             hits += 1
     return hits / seeds
@@ -89,7 +89,7 @@ def two_phase_rate(preset: PresetParams, seeds: int, epsilon: float) -> float:
                                     rngmod.stream(seed, "preset-two-phase"))
         except TwoEnvError:
             continue
-        if robust_error(model, inst.mu_c, inst.mu_s, preset.sigma).error <= epsilon:
+        if robust_error(model, inst.mu_c, inst.mu_s, preset.sigma) <= epsilon:
             hits += 1
     return hits / seeds
 
@@ -117,20 +117,14 @@ class ChainReport:
     closed_form: float
     weak_duality_ok: bool
     closed_form_ok: bool
-    attempts: int
 
     @property
     def chain_ok(self) -> bool:
         return self.weak_duality_ok and self.closed_form_ok
 
     def as_dict(self) -> dict:
-        """The report row: every field but ``attempts``, then the verdict."""
-        row = {name: getattr(self, name) for name in _ROW_FIELDS}
-        row["verdict"] = "ok" if self.chain_ok else "violated"
-        return row
-
-
-_ROW_FIELDS = tuple(f.name for f in fields(ChainReport) if f.name != "attempts")
+        """The report row: every field, then the verdict."""
+        return {**asdict(self), "verdict": "ok" if self.chain_ok else "violated"}
 
 
 def _chain_instance(seed: int, t: float):
@@ -206,7 +200,6 @@ def bound_chain_study(instances: int, t: float = 3.0, seed_base: int = 0) -> lis
                 closed_form=cf,
                 weak_duality_ok=bool(dual <= result.optimum + DUAL_TOL),
                 closed_form_ok=bool(cf <= dual + CLOSED_FORM_TOL),
-                attempts=attempts,
             )
         )
     return reports

@@ -191,7 +191,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
                 model, train_data = _fit(method, data, cfg, mu_s, seed, d)
                 train_acc = float((train_data.signed() @ model.w > 0).mean())
                 margin = normalized_margin(model, train_data, sigma)
-                rob = robust_error(model, mu_c, mu_s, sigma).error
+                rob = robust_error(model, mu_c, mu_s, sigma)
                 try:
                     ratio = spurious_core_ratio(model, mu_c, mu_s)
                 except TwoEnvError:
@@ -199,7 +199,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
                 values = dict(
                     train_acc=train_acc, robust_acc=1.0 - rob, margin=margin, ratio=ratio,
                     eopp_gap=invariance_gaps(model, *envs),
-                    interpolating=bool(train_acc == 1.0 and margin > 0.0),
+                    interpolating=margin > 0.0,
                 )
         except (TwoEnvError, np.linalg.LinAlgError, FloatingPointError) as exc:
             # a numerical failure costs its own row, never the sweep

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +52,8 @@ def error_at_theta(model: LinearModel, mu_c, mu_s, sigma: float, theta: float) -
     return float(gaussian_tail((wc + theta * ws) / (sigma * norm)))
 
 
-class RobustError(NamedTuple):
-    error: float
-    worst_theta: float
-
-
-def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> RobustError:
-    """Worst-case error over theta in [-1, 1], with the maximizing theta.
+def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> float:
+    """Worst-case error over theta in [-1, 1].
 
     The argument of Q is affine in theta and Q is decreasing, so the
     maximum sits at the endpoint ``theta = -sign(<w, mu_s>)``; no search.
@@ -67,9 +61,7 @@ def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> RobustError:
     if sigma <= 0:
         raise TwoEnvError("sigma must be positive")
     wc, ws, norm = _alignments(model, mu_c, mu_s)
-    worst = -float(np.sign(ws))
-    err = float(gaussian_tail((wc - abs(ws)) / (sigma * norm)))
-    return RobustError(err, worst)
+    return float(gaussian_tail((wc - abs(ws)) / (sigma * norm)))
 
 
 def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) -> float:
@@ -97,11 +89,9 @@ def spurious_core_ratio(model: LinearModel, mu_c, mu_s) -> float:
 
 
 def class_score_mean(w: np.ndarray, data: LabeledDataset) -> float:
-    """Mean score ``<w, x>`` over the positive-label rows of ``data``; nan if none."""
-    mask = data.y == 1
-    if not mask.any():
-        return math.nan
-    return float((data.signed()[mask] @ w).mean())
+    """Mean score ``<w, x>`` over the positive-label rows of ``data``, which
+    the caller has checked to be there."""
+    return float((data.signed()[data.y == 1] @ w).mean())
 
 
 def invariance_gaps(

@@ -78,11 +78,7 @@ class PresetParams:
     sigma: float
     n_1: int
     n_2: int
-    gamma: float
-    epsilon: float
-    delta: float
     invariant_margin_floor: float
-    constants: dict
 
     def __post_init__(self):
         for name in ("r_c", "r_s", "sigma"):
@@ -158,9 +154,5 @@ def theorem_preset(
         sigma=sigma,
         n_1=n_1,
         n_2=n_2,
-        gamma=gamma,
-        epsilon=epsilon,
-        delta=delta,
         invariant_margin_floor=floor,
-        constants=c,
     )

@@ -638,34 +638,21 @@ def cosine_similarity(u, v) -> float:
     return float(u @ v / (nu * nv))
 
 
-@dataclass(frozen=True)
-class AlignmentRow:
-    d: int
-    cos_ridge_path: float
-
-
 # the ridge levels of irm_margin_alignment's warm-started route, largest first
 RIDGE_SCHEDULE = (1e-1, 1e-2, 1e-3)
 
 
-def irm_margin_alignment(
-    datasets: list[tuple[int, LabeledDataset]],
-    config: TrainConfig,
-) -> list[AlignmentRow]:
+def irm_margin_alignment(data: LabeledDataset, config: TrainConfig) -> float:
     """Cosine of the ridge-path direction against the hard-margin separator.
 
     The direction is the minimizer at the last level of a decaying ridge
     schedule, each level warm-started from the one before.  Non-separable
     inputs propagate :class:`NonSeparableError`.
     """
-    rows = []
-    for d, data in datasets:
-        svm = max_margin(data)
-
-        w_warm = None
-        for lam2 in RIDGE_SCHEDULE:
-            cfg = replace(config, penalty_kind="irmv1", l2_weight=lam2)
-            model, _ = gd_train(data, cfg, w0=w_warm)
-            w_warm = model.w
-        rows.append(AlignmentRow(d, cosine_similarity(w_warm, svm.w)))
-    return rows
+    svm = max_margin(data)
+    w_warm = None
+    for lam2 in RIDGE_SCHEDULE:
+        cfg = replace(config, penalty_kind="irmv1", l2_weight=lam2)
+        model, _ = gd_train(data, cfg, w0=w_warm)
+        w_warm = model.w
+    return cosine_similarity(w_warm, svm.w)

@@ -76,7 +76,7 @@ def test_c01_closed_form_error_oracle():
             wrong += int(((X @ w) * y <= 0).sum())
         worst_mc = max(worst_mc, abs(closed - wrong / n_mc))
 
-        rob = robust_error(model, mu_c, mu_s, sigma).error
+        rob = robust_error(model, mu_c, mu_s, sigma)
         grid_max = max(error_at_theta(model, mu_c, mu_s, sigma, t) for t in grid)
         worst_grid = max(worst_grid, abs(rob - grid_max))
     ok = worst_mc <= 0.002 and worst_grid <= 1e-12
@@ -200,8 +200,7 @@ def test_c08_ridge_path_max_margin_alignment():
         mu_c, mu_s = sample_orthogonal_means(d, 1.0, 2.0, stream(seed, "c8-means"))
         inst = ProblemInstance(mu_c, mu_s, 1.0, 0.0, n_1, n_2, sigma, seed)
         data = sample_dataset(inst, stream(seed, "c8-data"))
-        rows = irm_margin_alignment([(d, data)], cfg)
-        if rows[0].cos_ridge_path >= 0.9:
+        if irm_margin_alignment(data, cfg) >= 0.9:
             hits += 1
     _verdict(8, "ridge-path alignment with max margin", hits >= 20,
              f"cosine >= 0.9 in {hits}/25 seeds (need >= 20)", started)

@@ -57,7 +57,7 @@ def test_two_phase_rate_counts_an_unfittable_draw_as_a_miss():
         except TwoEnvError:
             failures += 1
             continue
-        hits += robust_error(model, inst.mu_c, inst.mu_s, preset.sigma).error <= EPSILON
+        hits += robust_error(model, inst.mu_c, inst.mu_s, preset.sigma) <= EPSILON
     assert failures > 0 and hits > 0
     assert two_phase_rate(preset, 6, EPSILON) == hits / 6
 

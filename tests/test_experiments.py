@@ -673,7 +673,7 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload) == 3
         assert all(item["verdict"] == "ok" for item in payload)
-        # the report row: ChainReport's fields but attempts, in order, then the verdict
+        # the report row: ChainReport's fields, in order, then the verdict
         assert all(list(item) == [
             "seed", "n_1", "n_2", "d", "theta_2", "gamma", "events_pass", "primal",
             "dual_canonical", "closed_form", "weak_duality_ok", "closed_form_ok", "verdict"]

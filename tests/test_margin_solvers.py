@@ -213,7 +213,7 @@ def test_package_exports_names_not_submodules():
     # the submodules the package's imports bind (errors, model, training, ...)
     # are reachable as attributes, but `from twoenv import *` gives names only
     assert twoenv.__all__ == [
-        "AlignmentRow", "ConfigError", "DegenerateConstraintError", "DegenerateLabelsError",
+        "ConfigError", "DegenerateConstraintError", "DegenerateLabelsError",
         "ExperimentConfig", "IllConditionedGramError", "InfeasibleMarginError",
         "LabeledDataset", "LinearModel", "NonSeparableError", "PresetParams",
         "ProblemInstance", "RunRecord", "SigmaRule", "TrainConfig", "TwoEnvError",

@@ -103,13 +103,13 @@ class TestRobustError:
     def test_core_classifier(self):
         mu_c, mu_s = _geometry(r_c=1.0)
         res = robust_error(LinearModel(mu_c), mu_c, mu_s, 0.5)
-        assert res.error == pytest.approx(gaussian_tail(2.0), abs=1e-15)
+        assert res == pytest.approx(gaussian_tail(2.0), abs=1e-15)
 
     def test_pure_spurious_classifier(self):
         mu_c, mu_s = _geometry(r_s=2.0)
         res = robust_error(LinearModel(mu_s), mu_c, mu_s, 0.5)
-        assert res.error == pytest.approx(gaussian_tail(-4.0), abs=1e-15)
-        assert res.error >= 0.5
+        assert res == pytest.approx(gaussian_tail(-4.0), abs=1e-15)
+        assert res >= 0.5
 
     def test_matches_grid_maximum(self):
         mu_c, mu_s = _geometry(d=30, seed=3)
@@ -119,9 +119,11 @@ class TestRobustError:
             model = LinearModel(rng.standard_normal(30))
             grid_max = max(error_at_theta(model, mu_c, mu_s, 0.6, t) for t in grid)
             res = robust_error(model, mu_c, mu_s, 0.6)
-            assert res.error == pytest.approx(grid_max, abs=1e-12)
-            assert res.error >= grid_max
-            assert -1.0 <= res.worst_theta <= 1.0
+            assert res == pytest.approx(grid_max, abs=1e-12)
+            assert res >= grid_max
+            # the maximum sits at the endpoint theta = -sign(<w, mu_s>)
+            worst = -float(np.sign(model.w @ mu_s))
+            assert res == error_at_theta(model, mu_c, mu_s, 0.6, worst)
 
     def test_ratio_error_link(self):
         # a spurious-to-core ratio of at least one forces robust error >= 1/2
@@ -137,7 +139,7 @@ class TestRobustError:
             if abs(ratio) < 1.0:
                 continue
             checked += 1
-            assert robust_error(model, mu_c, mu_s, 0.4).error >= 0.5 - 1e-12
+            assert robust_error(model, mu_c, mu_s, 0.4) >= 0.5 - 1e-12
 
 
 class TestNormalizedMargin:

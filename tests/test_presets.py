@@ -24,7 +24,7 @@ class TestTheoremPreset:
         n_e = 100
         n = 2 * n_e
         p = theorem_preset(n_e, n_e, _gamma(n), 0.1)
-        c_r_mult = p.constants["C_r"]
+        c_r_mult = load_constants()["C_r"]
         expected = 1.0 / (c_r_mult * (1.0 + 4.0 * math.sqrt(n_e) * math.sqrt(n) / n_e))
         assert (p.r_c**2 / p.r_s**2) == pytest.approx(expected, rel=1e-12)
 

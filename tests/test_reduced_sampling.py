@@ -48,7 +48,7 @@ def _statistics(inst, data, seed):
     mm = max_margin(data)
     try:
         tp = two_phase_learn(data.by_env(1), data.by_env(2), stream(seed, "eq-two-phase"))
-        tp_robust = robust_error(tp, inst.mu_c, inst.mu_s, SIGMA).error
+        tp_robust = robust_error(tp, inst.mu_c, inst.mu_s, SIGMA)
     except DegenerateLabelsError:  # a held-out half without positives: same law on both sides
         tp_robust = math.nan
     return (
@@ -56,7 +56,7 @@ def _statistics(inst, data, seed):
         gram_eigs[-1],
         normalized_margin(mean_estimator(data), data, SIGMA),
         spurious_core_ratio(mm, inst.mu_c, inst.mu_s),
-        robust_error(mm, inst.mu_c, inst.mu_s, SIGMA).error,
+        robust_error(mm, inst.mu_c, inst.mu_s, SIGMA),
         tp_robust,
     )
 
@@ -108,7 +108,7 @@ def _gd_statistics(inst, data, seed):
         return _fit(method, data, GD_CONFIG, inst.mu_s, seed, GD_D)[0]
 
     def robust(model):
-        return robust_error(model, inst.mu_c, inst.mu_s, GD_SIGMA).error
+        return robust_error(model, inst.mu_c, inst.mu_s, GD_SIGMA)
 
     erm = fit("erm")
     try:

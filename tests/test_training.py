@@ -638,12 +638,11 @@ class TestAlignment:
         rng = stream(53)
         data = random_dataset(rng, n=8, d=120)
         cfg = TrainConfig(max_iters=4000, penalty_weight=1.0)
-        rows = irm_margin_alignment([(120, data)], cfg)
-        assert rows[0].d == 120
-        assert -1.0 <= rows[0].cos_ridge_path <= 1.0
+        cos = irm_margin_alignment(data, cfg)
+        assert isinstance(cos, float) and -1.0 <= cos <= 1.0
 
     def test_alignment_propagates_nonseparable(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         data = LabeledDataset(X, np.array([1, -1]), np.array([1, 2]))
         with pytest.raises(NonSeparableError):
-            irm_margin_alignment([(2, data)], TrainConfig(max_iters=100))
+            irm_margin_alignment(data, TrainConfig(max_iters=100))
