@@ -327,8 +327,14 @@ _CONFIG_KEYS = {
 
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, or not readable
+        raise ConfigError(f"config file {path}: cannot read it ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: not UTF-8 text ({exc})") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -49,6 +49,8 @@ def load_constants(path: Optional[str] = None) -> dict:
         source = Path(path)
     try:
         values = json.loads(source.read_text())
+    except OSError as exc:  # missing, a directory, or not readable
+        raise ConfigError(f"constants file {source}: cannot read it ({exc.strerror})") from None
     except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ConfigError(f"constants file {source}: not JSON ({exc})") from None
     if not isinstance(values, dict):

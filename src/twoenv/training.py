@@ -90,8 +90,12 @@ class TrainConfig:
         for name, zero_ok in (("learning_rate", False), ("penalty_weight", True),
                               ("l2_weight", True), ("tolerance", False)):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0))):
+            try:
+                valid = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                         and math.isfinite(value) and (value >= 0 if zero_ok else value > 0))
+            except OverflowError:  # an integer too large for a float is not finite
+                valid = False
+            if not valid:
                 sign = "nonnegative" if zero_ok else "positive"
                 raise TwoEnvError(f"{name} must be a {sign} finite number, not {value!r}")
         # a float anneal iteration would never equal the loop counter

@@ -25,6 +25,7 @@ from twoenv.experiments import (
     run_sweep,
 )
 from twoenv.model import (
+    LabeledDataset,
     LinearModel,
     ProblemInstance,
     sample_dataset,
@@ -83,6 +84,21 @@ class TestRunSweep:
         assert rec.method == "mean" and rec.d == 64 and rec.seed == 0
         assert 0.0 <= rec.robust_acc <= 1.0
         assert rec.interpolating == (rec.train_acc == 1.0 and rec.margin > 0.0)
+
+    def test_a_row_on_the_separator_is_neither_accurate_nor_interpolating(self, monkeypatch):
+        # rows e_1 and e_2 with w = e_1: one signed margin is 1, the other
+        # exactly 0.0, which counts as a miss; interpolating needs a positive
+        # minimum margin
+        def fit(method, data, *args):
+            Z = np.eye(2, data.d)
+            rows = LabeledDataset.from_signed(Z, np.array([1, 1]), np.array([1, 2]),
+                                              data.ambient_d)
+            return LinearModel(Z[0].copy()), rows
+
+        monkeypatch.setattr(experiments, "_fit", fit)
+        [rec] = experiments.run_cell(_tiny_config(d_grid=(16,)), 16, 0)
+        assert rec.error is None
+        assert (rec.train_acc, rec.margin, rec.interpolating) == (0.5, 0.0, False)
 
     def test_emitted_bytes_reproducible(self, tmp_path):
         cfg = _tiny_config(d_grid=(16, 64), seeds=2, methods=("mean", "two_phase"))
@@ -651,6 +667,33 @@ class TestCli:
         assert captured.err.startswith("config error:")
         assert str(path) in captured.err and named in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, kind", [
+        ("preset", "directory"), ("calibrate", "directory"), ("sweep", "directory"),
+        ("sweep", "not-utf8")])
+    def test_unreadable_input_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command, kind):
+        # a directory used to end in an IsADirectoryError, and a config file
+        # that is not UTF-8 in a UnicodeDecodeError
+        def worked(*args, **kwargs):
+            raise AssertionError("work started before the input file was read")
+
+        for name in ("calibrate_constants", "kappa_interpolation_rate", "run_sweep"):
+            monkeypatch.setattr(cli, name, worked)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"seeds = 1\n# caf\xe9\n")  # latin-1, not UTF-8
+        argv = {"preset": ["preset", "--n1", "100", "--n2", "100", "--gamma", "0.01",
+                           "--epsilon", "0.05", "--constants"],
+                "calibrate": ["calibrate", "--constants"],
+                "sweep": ["sweep", "--d-grid", "16", "--config"]}[command]
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and str(path) in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_verify_rejects_empty_study(self, tmp_path, capsys, count):

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,16 @@ class TestTrainConfig:
         # TypeError from math.isfinite
         with pytest.raises(TwoEnvError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "penalty_weight", "l2_weight",
+                                       "tolerance"])
+    def test_integer_too_large_for_a_float_is_not_finite(self, field):
+        # math.isfinite(10**400) raises OverflowError, which used to escape bare
+        with pytest.raises(TwoEnvError, match=field):
+            TrainConfig(**{field: 10**400})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert getattr(TrainConfig(**{field: np.float32(0.5)}), field) == 0.5
 
     def test_ints_and_numpy_floats_are_real_numbers(self):
         cfg = TrainConfig(learning_rate=1, penalty_weight=np.float32(2.0), l2_weight=0,
