@@ -12,7 +12,7 @@ the acceptance suite read.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from . import rng as rngmod
 from .duality import (
@@ -124,7 +124,8 @@ class ChainReport:
 
     def as_dict(self) -> dict:
         """The report row: every field, then the verdict."""
-        return {**asdict(self), "verdict": "ok" if self.chain_ok else "violated"}
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**row, "verdict": "ok" if self.chain_ok else "violated"}
 
 
 def _chain_instance(seed: int, t: float):

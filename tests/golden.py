@@ -23,7 +23,11 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy
+import scipy
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -51,9 +55,6 @@ COMMANDS = {
 
 
 def versions() -> dict:
-    import numpy
-    import scipy
-
     return {"numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
@@ -108,8 +109,6 @@ def load() -> dict:
 
 
 def _main(argv: list[str]) -> int:
-    import tempfile
-
     write = "--write" in argv
     golden = None if write else load()
     names = list(COMMANDS) if write else argv or list(golden["commands"])
