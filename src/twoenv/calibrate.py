@@ -27,7 +27,7 @@ from .errors import InfeasibleMarginError, TwoEnvError
 from .estimators import mean_estimator, two_phase_learn
 from .experiments import SigmaRule, resolve_sigma
 from .metrics import normalized_margin, robust_error, spurious_core_ratio
-from .model import sample_reduced
+from .model import sample_gram_row_sums, sample_reduced
 from .presets import PresetParams, theorem_preset
 from .training import max_margin
 
@@ -214,20 +214,22 @@ TARGET_RATES = {"mean_margin": 0.95, "indictment": 0.90, "two_phase": 0.95}
 
 
 def kappa_interpolation_rate(kappa: float, d_max: int, n_1: int, n_2: int, seeds: int) -> float:
-    """Fraction of exact reduced draws where the signed mean interpolates at ``d_max``.
+    """Fraction of exact draws where the signed mean interpolates at ``d_max``.
 
-    The noise-scaling default is accepted only if this rate clears 0.95 at
-    the top of the sweep grid (the benign-overfitting regime check)."""
+    The signed mean ``Z'1/N`` interpolates when every margin ``z_i'Z'1/N`` is
+    positive, that is, when every row sum of the Gram ``Z Z'`` is; each
+    draw takes those row sums alone (:func:`sample_gram_row_sums`).  The
+    noise-scaling default is accepted only if this rate clears 0.95 at the
+    top of the sweep grid (the benign-overfitting regime check)."""
     n = n_1 + n_2
     sigma = resolve_sigma(SigmaRule("scaling", kappa), d_max, n, R_C)
     hits = 0
     for seed in range(seeds):
-        _, data = sample_reduced(
-            d_max, R_C, R_S, THETA_1, THETA_2, n_1, n_2, sigma, seed,
+        row_sums = sample_gram_row_sums(
+            d_max, R_C, R_S, THETA_1, THETA_2, n_1, n_2, sigma,
             rngmod.stream(seed, "kappa-data"),
         )
-        model = mean_estimator(data)
-        if (data.signed() @ model.w).min() > 0:
+        if row_sums.min() > 0:
             hits += 1
     return hits / seeds
 

@@ -243,39 +243,45 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     margins, the norm and ``gap`` (primal minus :func:`dual_value` at
     ``lambda``) are checked to ``CERT_RTOL``, else :class:`TwoEnvError`.  A
     norm-inactive optimum (the all-margins vertex) is returned directly.
+    The program is feasible when that vertex lies in the unit ellipsoid;
+    only otherwise is ``gamma`` checked against the hard-margin fit's
+    margin, and :class:`InfeasibleMarginError` raised above it.
     """
     K = gd.gram
     u = gd.weights
     gamma = gd.gamma
     n = gd.n
     cho = gd.cho
-
-    # feasibility: the hard-margin direction achieves the largest margin
-    mm_alpha, _ = hard_margin_dual(gd.Z, K)
-    gamma_max = float((K @ mm_alpha).min()) / math.sqrt(float(mm_alpha @ (K @ mm_alpha)))
-    if gamma > gamma_max:
-        raise InfeasibleMarginError(
-            f"target margin {gamma} exceeds achievable margin {gamma_max:.6g}"
-        )
-
-    q_u = chol_solve(cho, u)
     ones = np.ones(n)
 
-    # norm-inactive exact case: every multiplier from K^{-1}u admissible
-    if np.all(q_u >= -1e-12):
-        beta_vertex = gamma * chol_solve(cho, ones)
-        if float(beta_vertex @ (K @ beta_vertex)) <= 1.0 + 1e-12:
-            lam = np.maximum(q_u, 0.0)
-            value = gamma * float(lam.sum())
-            return MinWeightedBetaResult(
-                optimum=value,
-                beta=beta_vertex,
-                dual_lambda=lam,
-                dual_value=value,
-                gap=0.0,
-                iterations=0,
-                exact=True,
+    # feasibility: the equal-margin vertex K beta = gamma 1 inside the unit
+    # ellipsoid is a feasible point; else the hard-margin direction achieves
+    # the largest margin
+    beta_vertex = gamma * chol_solve(cho, ones)
+    vertex_norm_sq = float(beta_vertex @ (K @ beta_vertex))
+    if not vertex_norm_sq <= 1.0:  # a NaN proves nothing
+        mm_alpha, _ = hard_margin_dual(gd.Z, K)
+        gamma_max = float((K @ mm_alpha).min()) / math.sqrt(float(mm_alpha @ (K @ mm_alpha)))
+        if gamma > gamma_max:
+            raise InfeasibleMarginError(
+                f"target margin {gamma} exceeds achievable margin {gamma_max:.6g}"
             )
+
+    q_u = chol_solve(cho, u)
+
+    # norm-inactive exact case: every multiplier from K^{-1}u admissible
+    if np.all(q_u >= -1e-12) and vertex_norm_sq <= 1.0 + 1e-12:
+        lam = np.maximum(q_u, 0.0)
+        value = gamma * float(lam.sum())
+        return MinWeightedBetaResult(
+            optimum=value,
+            beta=beta_vertex,
+            dual_lambda=lam,
+            dual_value=value,
+            gap=0.0,
+            iterations=0,
+            exact=True,
+        )
 
     nu = math.sqrt(float(u @ q_u))
     active = np.ones(n, dtype=bool)

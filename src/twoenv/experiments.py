@@ -53,7 +53,11 @@ class SigmaRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "scaling"):
             raise ConfigError(f"unknown sigma rule {self.kind!r}")
-        if not (math.isfinite(self.value) and self.value > 0):
+        try:
+            valid = math.isfinite(self.value) and self.value > 0
+        except OverflowError:  # an integer too large for a float is not finite
+            valid = False
+        if not valid:
             name = "sigma" if self.kind == "fixed" else "kappa"
             raise ConfigError(f"{name} must be positive and finite, got {self.value}")
 

@@ -11,6 +11,7 @@ so a :class:`LabeledDataset` stores those alone, signed here once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,10 +34,18 @@ def _check_sizes(*sizes) -> None:
             raise TwoEnvError(f"sample sizes must be positive integers, got {n!r}")
 
 
+def _positive_finite(value) -> bool:
+    """True for a positive finite number; NaN and an integer too large for a float fail."""
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:
+        return False
+
+
 def _check_radii(r_c: float, r_s: float) -> None:
-    # written so that NaN fails it
-    if not (0 < r_c < np.inf and 0 < r_s < np.inf):
-        raise TwoEnvError("radii must be positive and finite")
+    for name, r in (("r_c", r_c), ("r_s", r_s)):
+        if not _positive_finite(r):
+            raise TwoEnvError(f"radii must be positive and finite, got {name}={r!r}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class ProblemInstance:
             raise TwoEnvError("mean directions must be nonzero")
         if not abs(float(mu_c @ mu_s)) <= ORTHO_RTOL * self.r_c * self.r_s:
             raise TwoEnvError("mu_c and mu_s must be orthogonal")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if not _positive_finite(self.sigma):
             raise TwoEnvError(f"sigma must be positive and finite, got {self.sigma}")
         for theta in (self.theta_1, self.theta_2):
             if not -1.0 <= theta <= 1.0:
@@ -86,11 +95,11 @@ class ProblemInstance:
     def n(self) -> int:
         return self.n_1 + self.n_2
 
-    @property
+    @cached_property
     def r_c(self) -> float:
         return float(np.linalg.norm(self.mu_c))
 
-    @property
+    @cached_property
     def r_s(self) -> float:
         return float(np.linalg.norm(self.mu_s))
 
@@ -216,7 +225,18 @@ class LinearModel:
 
     @cached_property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
+        """``||w||``; when it underflows to 0 or overflows for a nonzero ``w``, it is
+        taken again on ``w`` scaled by a power of two, an exact scaling, and is
+        infinite only when it exceeds the largest float.  The overflow itself
+        is reported as numpy's error state says (the sweep raises on it)."""
+        norm = float(np.linalg.norm(self.w))
+        if (norm == 0.0 or not math.isfinite(norm)) and self.w.any():
+            _, exp = np.frexp(np.abs(self.w).max())
+            try:
+                norm = math.ldexp(float(np.linalg.norm(np.ldexp(self.w, -exp))), int(exp))
+            except OverflowError:
+                norm = math.inf
+        return norm
 
 
 def sample_orthogonal_means(
@@ -269,6 +289,17 @@ def sample_dataset(instance: ProblemInstance, rng: np.random.Generator) -> Label
     return pool(sample_environment(instance, 1, rng), sample_environment(instance, 2, rng))
 
 
+def _reduced_instance(d, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed) -> ProblemInstance:
+    """The instance of the reduced samplers, checked: ``mu_c = r_c e_1`` and
+    ``mu_s = r_s e_2`` in ``2 + min(d-2, N)`` coordinates."""
+    _check_sizes(n_1, n_2)
+    _check_radii(r_c, r_s)
+    if d < 2:
+        raise TwoEnvError("need d >= 2 to place two orthogonal directions")
+    basis = np.eye(2, 2 + min(d - 2, n_1 + n_2))
+    return ProblemInstance(r_c * basis[0], r_s * basis[1], theta_1, theta_2, n_1, n_2, sigma, seed)
+
+
 def sample_reduced(
     d: int,
     r_c: float,
@@ -311,16 +342,8 @@ def sample_reduced(
     ``G``) is written into its noise block and scaled by ``sigma`` there,
     so a wide draw peaks at about 1.6 times its rows.
     """
-    _check_sizes(n_1, n_2)
-    _check_radii(r_c, r_s)
-    if d < 2:
-        raise TwoEnvError("need d >= 2 to place two orthogonal directions")
-    n = n_1 + n_2
-    k = min(d - 2, n)
-    basis = np.eye(2, 2 + k)
-    instance = ProblemInstance(
-        r_c * basis[0], r_s * basis[1], theta_1, theta_2, n_1, n_2, sigma, seed
-    )
+    instance = _reduced_instance(d, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed)
+    n, k = instance.n, instance.d - 2
     y = np.concatenate([_labels(n_1, rng), _labels(n_2, rng)])
     g = rng.standard_normal((n, 2))
     theta = np.repeat([theta_1, theta_2], [n_1, n_2])
@@ -336,3 +359,54 @@ def sample_reduced(
     noise *= sigma
     env = np.repeat(np.array([1, 2], dtype=np.int64), [n_1, n_2])
     return instance, LabeledDataset.from_signed(Z, y, env, ambient_d=d)
+
+
+def sample_gram_row_sums(
+    d: int,
+    r_c: float,
+    r_s: float,
+    theta_1: float,
+    theta_2: float,
+    n_1: int,
+    n_2: int,
+    sigma: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Row sums ``K 1`` of the Gram ``K = Z Z'`` of an exact draw, in O(N).
+
+    The result has the law of ``Z @ Z.sum(axis=0)`` on :func:`sample_reduced`'s
+    signed rows ``Z``, with the same arguments and input checks.  The
+    columns of ``Z`` are the means ``a_i = r_c + sigma g_i1`` and ``b_i =
+    theta_e r_s + sigma g_i2``, drawn here as there, and ``sigma G``; so ``(K 1)_i = a_i sum(a)
+    + b_i sum(b) + sigma^2 (W 1)_i`` with ``W = G G' ~ Wishart_N(d-2, I)``.
+    ``W`` has the law of ``H W H`` for the Householder reflection ``H``
+    that swaps ``e_1`` and ``e = 1/sqrt(N)`` (``v = e_1 - e``), so ``W 1 =
+    sqrt(N) W e`` has the law of ``sqrt(N) H W e_1``.  With ``g_1`` the first
+    row of ``G``, ``W e_1 = G g_1 = |g_1| (|g_1|, xi_2, ..., xi_N)``: the
+    projections ``xi_i`` of the other rows on ``g_1 / |g_1|`` are iid N(0, 1)
+    and independent of ``|g_1|^2 ~ chi2(d-2)``, for every ``d - 2 >= 1``.
+    So draw ``c ~ chi2(d-2)`` and ``xi``, and take ``sqrt(N) H (c, sqrt(c)
+    xi)`` as ``W 1``.  At ``d = 2`` there is no noise block: the term is 0
+    and no chi-square is drawn.
+
+    Draw order on ``rng``: the N x 2 normals ``g`` in row-major order, then
+    ``c``, then the N-1 normals ``xi``.  No labels are drawn: signed rows do
+    not depend on them.  Non-finite row sums raise :class:`TwoEnvError`.
+    """
+    _reduced_instance(d, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed=0)  # its checks
+    n = n_1 + n_2
+    g = rng.standard_normal((n, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        a = r_c + sigma * g[:, 0]
+        b = np.repeat([theta_1, theta_2], [n_1, n_2]) * r_s + sigma * g[:, 1]
+        row_sums = a * a.sum() + b * b.sum()
+        if d > 2:
+            c = rng.chisquare(d - 2)
+            col = np.concatenate([[c], math.sqrt(c) * rng.standard_normal(n - 1)])
+            v = np.full(n, -1.0 / math.sqrt(n))
+            v[0] += 1.0
+            col -= (2.0 * (v @ col) / (v @ v)) * v  # H col; N >= 2, so v != 0
+            row_sums += (sigma * sigma * math.sqrt(n)) * col
+    if not np.isfinite(row_sums).all():
+        raise TwoEnvError("gram row sums are not finite")
+    return row_sums

@@ -107,7 +107,11 @@ def theorem_preset(
     run at smaller N with the calibrated constants.
     """
     for name, value in (("gamma", gamma), ("epsilon", epsilon), ("delta", delta)):
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer too large for a float is not finite
+            finite = False
+        if not finite:
             raise ConfigError(f"{name} must be finite, got {value}")
     if constants is None:
         constants = load_constants()

@@ -463,7 +463,7 @@ def gd_train(
         gnorm = math.sqrt(space.direction(cur.coeff, ridge(cur.state))[2])
 
     w = space.weights(cur.state)
-    if float(np.linalg.norm(w)) == 0.0:
+    if not w.any():
         raise TwoEnvError("training made no progress from the zero initializer")
     meta = {"iters": it, "grad_norm": gnorm, "stop_reason": trace.stop_reason}
     return LinearModel(w, meta=meta), trace

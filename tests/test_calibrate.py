@@ -1,6 +1,9 @@
 """Calibration plumbing: rate measurement and the parallel sweep path."""
 
 import math
+import tracemalloc
+
+import pytest
 
 from twoenv.calibrate import (
     EPSILON,
@@ -66,6 +69,23 @@ def test_kappa_interpolation_rate_small():
     # overparameterized enough that the signed mean separates every draw
     rate = kappa_interpolation_rate(1.4, d_max=4096, n_1=40, n_2=10, seeds=5)
     assert rate == 1.0
+
+
+@pytest.mark.parametrize("d_max", [2, 3])
+def test_kappa_interpolation_rate_at_the_smallest_dimensions(d_max):
+    # d = 2 has no noise block: a chi-square with 0 degrees of freedom is an error
+    assert 0.0 <= kappa_interpolation_rate(1.4, d_max, 40, 10, seeds=3) <= 1.0
+
+
+def test_kappa_interpolation_rate_draws_row_sums_alone():
+    # a reduced draw's 900 x 902 rows alone are 6.5 MB; the row sums are 7 KB
+    tracemalloc.start()
+    try:
+        kappa_interpolation_rate(1.4, 24576, 800, 100, seeds=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):

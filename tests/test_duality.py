@@ -215,6 +215,40 @@ class TestMinWeightedBeta:
         with pytest.raises(InfeasibleMarginError):
             min_weighted_beta(too_big)
 
+    @staticmethod
+    def _spy_hard_margin(monkeypatch):
+        calls = []
+        real = duality.hard_margin_dual
+        monkeypatch.setattr(duality, "hard_margin_dual",
+                            lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_vertex_in_the_ellipsoid_proves_feasibility(self, monkeypatch):
+        # the chain study's instances never need the hard-margin fit
+        cases = []
+        for seed in range(20):
+            inst, data = _chain_instance(seed, 3.0)
+            cases.append(gram_from_dataset(data, 1.0 / (4.0 * math.sqrt(inst.n)), inst.theta_2))
+        calls = self._spy_hard_margin(monkeypatch)
+        for gd in cases:
+            assert min_weighted_beta(gd).exact
+        assert calls == []
+
+    def test_feasible_margin_beyond_the_vertex(self, monkeypatch):
+        # the third row is no hard-margin support vector, so the largest margin
+        # sqrt(2) exceeds 1/sqrt(1'K^-1 1) = 0.603: at gamma = 1 the equal-margin
+        # vertex lies outside the ellipsoid, yet the program is feasible
+        Z = 2.0 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+        gd = GramData(Z, np.array([1, 1, 2]), 1.0, -0.3)
+        vertex = np.linalg.solve(gd.gram, np.ones(3))
+        assert float(vertex @ gd.gram @ vertex) > 1.0
+        calls = self._spy_hard_margin(monkeypatch)
+        res = min_weighted_beta(gd)
+        assert calls == [1] and res.exact
+        oracle = brute_force_min_weighted(gd.gram, gd.weights, gd.gamma)
+        assert res.optimum == pytest.approx(oracle[0], abs=1e-9)
+        np.testing.assert_allclose(res.beta, oracle[1], atol=1e-9)
+
     def test_ill_conditioned_gram(self):
         Z = np.array([[1.0, 0.0], [1.0, 1e-9]])
         gd = GramData(Z, np.array([1, 2]), 0.1, 0.0)

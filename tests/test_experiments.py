@@ -61,6 +61,12 @@ class TestResolveSigma:
         with pytest.raises(ConfigError):
             SigmaRule("quadratic", 1.0)
 
+    @pytest.mark.parametrize("kind, name", [("fixed", "sigma"), ("scaling", "kappa")])
+    def test_integer_too_large_for_a_float_is_not_finite(self, kind, name):
+        # math.isfinite(10**400) raises OverflowError, which used to escape bare
+        with pytest.raises(ConfigError, match=name):
+            SigmaRule(kind, 10**400)
+
 
 def _tiny_config(**kwargs):
     defaults = dict(

@@ -15,6 +15,7 @@ from twoenv.model import (
     sample_dataset,
     sample_environment,
     pool,
+    sample_gram_row_sums,
     sample_orthogonal_means,
     sample_reduced,
 )
@@ -136,7 +137,7 @@ def _rebuild(seed, d, n_1, n_2, sigma, label="reduced"):
 
 class TestSampleReduced:
     # N = 2, 10, 60, 900 (N = 1 cannot be drawn: each environment needs a row);
-    # d = 902 is the smallest Bartlett draw at N = 900, as in calibrate's kappa check
+    # d = 902 is the smallest Bartlett draw at N = 900
     @pytest.mark.parametrize("n_1, n_2, d", [(1, 1, 500), (6, 4, 500), (30, 30, 500),
                                              (800, 100, 902)])
     def test_follows_the_documented_draw_order(self, n_1, n_2, d):
@@ -199,6 +200,83 @@ class TestSampleReduced:
             pool(data, dense)
         with pytest.raises(TwoEnvError):
             LabeledDataset(data.X, data.y, data.env, ambient_d=11)
+
+
+    @pytest.mark.parametrize("arg", [1, 2, 7])  # r_c, r_s, sigma
+    def test_integer_too_large_for_a_float_is_rejected(self, arg):
+        # the float conversion of 10**400 used to escape as a bare OverflowError
+        args = [16, 1.0, 2.0, 1.0, 0.0, 4, 4, 0.5]
+        args[arg] = 10**400
+        name = {1: "r_c", 2: "r_s", 7: "sigma"}[arg]
+        with pytest.raises(TwoEnvError, match=name):
+            sample_reduced(*args, 0, stream(0))
+        with pytest.raises(TwoEnvError, match=name):
+            sample_gram_row_sums(*args, stream(0))
+
+
+class _FixedDraws:
+    """A generator stand-in that returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, size):
+        return self.draws.pop(0)
+
+    chisquare = standard_normal
+
+
+class TestSampleGramRowSums:
+    def test_follows_the_documented_draw_order(self):
+        # g, then c ~ chi2(d-2), then xi: rebuilt by hand with an explicit reflection
+        d, n_1, n_2, sigma = 40, 6, 4, 0.3
+        n = n_1 + n_2
+        rng = stream(3, "rows")
+        g = rng.standard_normal((n, 2))
+        c = rng.chisquare(d - 2)
+        col = np.concatenate([[c], np.sqrt(c) * rng.standard_normal(n - 1)])
+        v = np.eye(n)[0] - 1.0 / np.sqrt(n)
+        H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+        a = 1.0 + sigma * g[:, 0]
+        b = np.array([1.0] * n_1 + [-0.5] * n_2) * 2.0 + sigma * g[:, 1]
+        expect = a * a.sum() + b * b.sum() + sigma**2 * np.sqrt(n) * (H @ col)
+        got = sample_gram_row_sums(d, 1.0, 2.0, 1.0, -0.5, n_1, n_2, sigma, stream(3, "rows"))
+        np.testing.assert_allclose(got, expect, rtol=1e-13)
+
+    def test_reflection_maps_e1_to_the_normalized_ones(self):
+        # with xi = 0 the noise term is sigma^2 sqrt(N) c H e_1 = sigma^2 c 1
+        n, sigma = 12, 0.5
+        rng = _FixedDraws(np.zeros((n, 2)), 7.0, np.zeros(n - 1))
+        rows = sample_gram_row_sums(20, 1.0, 2.0, 1.0, 0.0, 8, 4, sigma, rng)
+        means = 1.0 * n + np.array([1.0] * 8 + [0.0] * 4) * 2.0 * (2.0 * 8)
+        np.testing.assert_allclose(rows, means + sigma**2 * 7.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_smallest_dimensions(self, d):
+        # at d = 2 there is no noise block and no chi-square (numpy rejects 0
+        # degrees of freedom); at d = 3 it has one degree of freedom
+        rows = sample_gram_row_sums(d, 1.0, 2.0, 1.0, 0.0, 8, 4, 0.5, stream(0, "rows"))
+        assert rows.shape == (12,) and np.isfinite(rows).all()
+        if d == 2:
+            g = stream(0, "rows").standard_normal((12, 2))
+            Z = np.column_stack([1.0 + 0.5 * g[:, 0],
+                                 np.repeat([2.0, 0.0], [8, 4]) + 0.5 * g[:, 1]])
+            np.testing.assert_allclose(rows, Z @ Z.sum(axis=0), rtol=1e-14)
+
+    def test_input_checks_are_sample_reduceds(self):
+        good = [16, 1.0, 2.0, 1.0, 0.0, 4, 4, 0.5]
+        for arg, bad in ((0, 1), (1, np.nan), (2, 0.0), (3, 1.5), (5, 0), (7, -1.0)):
+            args = list(good)
+            args[arg] = bad
+            with pytest.raises(TwoEnvError) as reduced:
+                sample_reduced(*args, 0, stream(0))
+            with pytest.raises(TwoEnvError) as alone:
+                sample_gram_row_sums(*args, stream(0))
+            assert str(alone.value) == str(reduced.value)
+
+    def test_rejects_row_sums_that_are_not_finite(self):
+        with pytest.raises(TwoEnvError, match="finite"):
+            sample_gram_row_sums(16, 1.0, 2.0, 1.0, 0.0, 4, 4, 1e200, stream(0))
 
 
 def _same(a: LabeledDataset, b: LabeledDataset) -> bool:
@@ -335,6 +413,23 @@ class TestDomainTypes:
     def test_zero_model_rejected(self):
         with pytest.raises(TwoEnvError):
             LinearModel(np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e170, 5e-324])
+    def test_norm_survives_underflow_and_overflow(self, scale):
+        # the squares of 1e-170 underflow to 0 and those of 1e170 overflow
+        # (5e-324 is the smallest subnormal: the entries are 3 and 4 of its units)
+        w = np.array([3.0, -4.0, 0.0]) * scale
+        with np.errstate(over="ignore"):
+            assert LinearModel(w).norm == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_norm_beyond_the_largest_float_is_infinite(self):
+        with np.errstate(over="ignore"):
+            assert LinearModel(np.array([1.5e308, 1.5e308])).norm == np.inf
+
+    def test_unit_scale_norm_is_bitwise_numpys(self):
+        for seed in range(20):
+            w = stream(seed, "norm").standard_normal(1 + seed)
+            assert LinearModel(w).norm == float(np.linalg.norm(w))
 
     def test_instance_accepts_radii_whose_norm_underflows(self):
         # ||(1e-300, 0)|| is 0 in floating point; the vector is still nonzero

@@ -1,4 +1,5 @@
-"""Dense and reduced draws agree in law on every statistic the pipeline reads.
+"""Dense and reduced draws agree in law on every statistic the pipeline reads,
+and so do the Gram row sums drawn alone.
 
 Two-sample Kolmogorov-Smirnov tests compare ``sample_dataset`` draws in
 ``R^d`` with ``sample_reduced`` draws in ``R^{N+2}`` at a dimension where
@@ -17,7 +18,8 @@ from twoenv.errors import DegenerateLabelsError
 from twoenv.estimators import mean_estimator, two_phase_learn
 from twoenv.experiments import ExperimentConfig, _fit, resolve_sigma
 from twoenv.metrics import invariance_gaps, normalized_margin, robust_error, spurious_core_ratio
-from twoenv.model import ProblemInstance, sample_dataset, sample_orthogonal_means, sample_reduced
+from twoenv.model import (ProblemInstance, sample_dataset, sample_gram_row_sums,
+                          sample_orthogonal_means, sample_reduced)
 from twoenv.training import TrainConfig, max_margin
 
 ALPHA = 0.01
@@ -128,3 +130,35 @@ def test_gd_learners_agree_in_law_on_dense_and_reduced_draws():
         assert min(a.size / GD_DENSE, b.size / GD_REDUCED) > 0.95, name
         p = ks_2samp(a, b).pvalue
         assert p > level, f"{name}: KS p = {p:.2e} <= {level:.2e}"
+
+
+# Gram row sums drawn alone against the row sums of a reduced draw, with their
+# own design, fixed before any run: N = 8 + 4 rows at d = 8 (d - 2 < N, where
+# sample_reduced draws G itself) and at d = 60 (its Bartlett branch); sigma
+# puts P(min > 0) near 0.6 at d = 8; family-wise level ROW_ALPHA split over
+# ROW_STATS at both dimensions by Bonferroni; seeds ``0..ROW_DRAWS-1`` on
+# their own named streams.
+ROW_ALPHA = 0.01
+ROW_DRAWS = 600
+ROW_N_1, ROW_N_2 = 8, 4
+ROW_SIGMA = 0.6
+ROW_DIMS = (8, 60)
+ROW_STATS = ("min", "row_9", "sum")
+
+
+def _row_statistics(row_sums):
+    return row_sums.min(), row_sums[9], row_sums.sum()
+
+
+def test_gram_row_sums_agree_in_law_with_reduced_draws():
+    level = ROW_ALPHA / (len(ROW_STATS) * len(ROW_DIMS))
+    for d in ROW_DIMS:
+        args = (d, 1.0, 2.0, 1.0, 0.0, ROW_N_1, ROW_N_2, ROW_SIGMA)
+        full, alone = [], []
+        for seed in range(ROW_DRAWS):
+            Z = sample_reduced(*args, seed, stream(seed, "rows-reduced"))[1].signed()
+            full.append(_row_statistics(Z @ Z.sum(axis=0)))
+            alone.append(_row_statistics(sample_gram_row_sums(*args, stream(seed, "rows-alone"))))
+        for name, a, b in zip(ROW_STATS, np.array(full).T, np.array(alone).T):
+            p = ks_2samp(a, b).pvalue
+            assert p > level, f"d={d} {name}: KS p = {p:.2e} <= {level:.2e}"
