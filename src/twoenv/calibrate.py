@@ -23,7 +23,7 @@ from .duality import (
     gram_from_dataset,
     min_weighted_beta,
 )
-from .errors import InfeasibleMarginError, TwoEnvError
+from .errors import InfeasibleMarginError, TwoEnvError, integer_in
 from .estimators import mean_estimator, two_phase_learn
 from .experiments import SigmaRule, resolve_sigma
 from .metrics import normalized_margin, robust_error, spurious_core_ratio
@@ -39,6 +39,13 @@ EPSILON = 0.1  # robust-error target of the calibration presets
 MAX_ROUNDS = 4  # dimension-constant bumps before calibration gives up
 
 
+def _seed_range(seeds) -> range:
+    """``range(seeds)`` for a positive integer ``seeds``: a rate over no draw is 0/0."""
+    if not integer_in(seeds, 1):
+        raise TwoEnvError(f"seeds must be an integer in [1, 2**53], got {seeds!r}")
+    return range(seeds)
+
+
 def preset_environments(preset: PresetParams, seed: int):
     """One exact reduced draw at the preset: :func:`sample_reduced`'s ``(instance, data)``."""
     return sample_reduced(
@@ -51,7 +58,7 @@ def mean_margin_rate(preset: PresetParams, seeds: int) -> float:
     """Fraction of draws where the signed-mean margin clears 1/(4 sqrt(N))."""
     target = 1.0 / (4.0 * math.sqrt(preset.n_1 + preset.n_2))
     hits = 0
-    for seed in range(seeds):
+    for seed in _seed_range(seeds):
         _, data = preset_environments(preset, seed)
         model = mean_estimator(data)
         if normalized_margin(model, data, preset.sigma) >= target:
@@ -62,7 +69,7 @@ def mean_margin_rate(preset: PresetParams, seeds: int) -> float:
 def max_margin_indictment_rate(preset: PresetParams, seeds: int) -> float:
     """Fraction of draws where the hard-margin fit leans on the spurious mean."""
     hits = 0
-    for seed in range(seeds):
+    for seed in _seed_range(seeds):
         inst, data = preset_environments(preset, seed)
         model = max_margin(data)
         try:
@@ -82,7 +89,7 @@ def two_phase_rate(preset: PresetParams, seeds: int, epsilon: float) -> float:
     half may have no positive label) counts as a miss.
     """
     hits = 0
-    for seed in range(seeds):
+    for seed in _seed_range(seeds):
         inst, data = preset_environments(preset, seed)
         try:
             model = two_phase_learn(data.by_env(1), data.by_env(2),
@@ -224,7 +231,7 @@ def kappa_interpolation_rate(kappa: float, d_max: int, n_1: int, n_2: int, seeds
     n = n_1 + n_2
     sigma = resolve_sigma(SigmaRule("scaling", kappa), d_max, n, R_C)
     hits = 0
-    for seed in range(seeds):
+    for seed in _seed_range(seeds):
         row_sums = sample_gram_row_sums(
             d_max, R_C, R_S, THETA_1, THETA_2, n_1, n_2, sigma,
             rngmod.stream(seed, "kappa-data"),

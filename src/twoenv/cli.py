@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .calibrate import bound_chain_study, calibrate_constants, kappa_interpolation_rate
-from .errors import ConfigError, TwoEnvError
+from .errors import ConfigError, TwoEnvError, finite_real, integer_in
 from .experiments import _CONFIG_KEYS, _ints, build_config, emit, parse_config_file, run_sweep
 from .presets import load_constants, save_constants, theorem_preset
 from .rng import check_seed_block
@@ -75,7 +74,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.instances < 1:
         raise ConfigError("--instances must be at least 1")
-    if not (math.isfinite(args.t) and args.t > 0):
+    if not (finite_real(args.t) and args.t > 0):
         raise ConfigError(f"--t must be positive and finite, got {args.t}")
     check_seed_block(args.seed_base, args.instances, "--seed-base", "instances")
     reports = bound_chain_study(args.instances, t=args.t, seed_base=args.seed_base)
@@ -109,8 +108,8 @@ def _cmd_calibrate(args) -> int:
     # two_phase_learn splits each environment in halves, so it needs 2 rows
     if not sizes or min(sizes) < 2:
         raise ConfigError(f"--sizes must name at least one size, each at least 2, got {sizes}")
-    if args.kappa_dmax < 2:
-        raise ConfigError(f"--kappa-dmax must be at least 2, got {args.kappa_dmax}")
+    if not integer_in(args.kappa_dmax, 2):  # the dimension rule of the samplers
+        raise ConfigError(f"--kappa-dmax must be an integer in [2, 2**53], got {args.kappa_dmax}")
     base = load_constants(args.constants) if args.constants else load_constants()
     constants, log = calibrate_constants(base, seeds=args.seeds, sizes=sizes)
     for entry in log:

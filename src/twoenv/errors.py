@@ -1,4 +1,8 @@
-"""Semantic exceptions raised by the public API."""
+"""Semantic exceptions raised by the public API, and the two predicates every input check uses."""
+
+import math
+import numbers
+import sys
 
 
 class TwoEnvError(Exception):
@@ -39,3 +43,17 @@ class DegenerateConstraintError(TwoEnvError):
 
 class ConfigError(TwoEnvError):
     """Malformed experiment configuration (file or CLI flags)."""
+
+
+def finite_real(value) -> bool:
+    """True for a real number, not a bool, that is finite as a float; an int is
+    compared exactly, so 10**400 fails instead of overflowing a cast."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool) and abs(int(value)) <= sys.float_info.max
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def integer_in(value, low: int, high: int = 2**53) -> bool:
+    """True for an integer, not a bool, in [low, high]; up to 2**53 a count is exact as a float."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and low <= int(value) <= high)

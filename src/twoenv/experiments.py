@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, TwoEnvError
+from .errors import ConfigError, TwoEnvError, finite_real, integer_in
 from .estimators import mean_estimator, two_phase_learn
 from .metrics import invariance_gaps, normalized_margin, robust_error, spurious_core_ratio
 from .model import LabeledDataset, LinearModel, sample_reduced
@@ -53,13 +53,9 @@ class SigmaRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "scaling"):
             raise ConfigError(f"unknown sigma rule {self.kind!r}")
-        try:
-            valid = math.isfinite(self.value) and self.value > 0
-        except OverflowError:  # an integer too large for a float is not finite
-            valid = False
-        if not valid:
+        if not (finite_real(self.value) and self.value > 0):
             name = "sigma" if self.kind == "fixed" else "kappa"
-            raise ConfigError(f"{name} must be positive and finite, got {self.value}")
+            raise ConfigError(f"{name} must be positive and finite, got {self.value!r}")
 
 
 def resolve_sigma(rule: SigmaRule, d: int, n: int, r_c: float) -> float:
@@ -93,21 +89,21 @@ class ExperimentConfig:
     seed_base: int = 0
 
     def __post_init__(self):
-        # errors name the config key; every comparison with NaN is false
-        if not self.d_grid or list(self.d_grid) != sorted(set(self.d_grid)) or self.d_grid[0] < 2:
-            raise ConfigError(f"d_grid must be strictly increasing dimensions of at least 2, "
-                              f"got {self.d_grid}")
-        if self.seeds < 1:
-            raise ConfigError("seeds must be at least 1")
+        # errors name the config key
+        if not (self.d_grid and all(integer_in(d, 2) for d in self.d_grid)
+                and list(self.d_grid) == sorted(set(self.d_grid))):
+            raise ConfigError(f"d_grid must be strictly increasing integer dimensions in "
+                              f"[2, 2**53], got {self.d_grid}")
+        for key, value in (("seeds", self.seeds), ("n1", self.n_1), ("n2", self.n_2)):
+            if not integer_in(value, 1):
+                raise ConfigError(f"{key} must be an integer in [1, 2**53], got {value!r}")
         rngmod.check_seed_block(self.seed_base, self.seeds, "seed_base", "seeds")
-        if self.n_1 < 1 or self.n_2 < 1:
-            raise ConfigError("n1 and n2 must be positive")
         for key, value in (("rc", self.r_c), ("rs", self.r_s)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{key} must be positive and finite, got {value}")
+            if not (finite_real(value) and value > 0):
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
         for key, value in (("theta1", self.theta_1), ("theta2", self.theta_2)):
-            if not -1.0 <= value <= 1.0:
-                raise ConfigError(f"{key} must lie in [-1, 1], got {value}")
+            if not (finite_real(value) and -1.0 <= value <= 1.0):
+                raise ConfigError(f"{key} must be a number in [-1, 1], got {value!r}")
         if not self.methods:
             raise ConfigError("methods must name at least one method")
         unknown = [m for m in self.methods if m not in METHODS]

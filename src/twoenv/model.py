@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TwoEnvError
+from .errors import TwoEnvError, finite_real, integer_in
 
 ORTHO_RTOL = 1e-9
 
@@ -30,21 +30,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _check_sizes(*sizes) -> None:
     for n in sizes:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise TwoEnvError(f"sample sizes must be positive integers, got {n!r}")
-
-
-def _positive_finite(value) -> bool:
-    """True for a positive finite number; NaN and an integer too large for a float fail."""
-    try:
-        return math.isfinite(value) and value > 0
-    except OverflowError:
-        return False
+        if not integer_in(n, 1):
+            raise TwoEnvError(f"sample sizes must be integers in [1, 2**53], got {n!r}")
 
 
 def _check_radii(r_c: float, r_s: float) -> None:
     for name, r in (("r_c", r_c), ("r_s", r_s)):
-        if not _positive_finite(r):
+        if not (finite_real(r) and r > 0):
             raise TwoEnvError(f"radii must be positive and finite, got {name}={r!r}")
 
 
@@ -81,11 +73,11 @@ class ProblemInstance:
             raise TwoEnvError("mean directions must be nonzero")
         if not abs(float(mu_c @ mu_s)) <= ORTHO_RTOL * self.r_c * self.r_s:
             raise TwoEnvError("mu_c and mu_s must be orthogonal")
-        if not _positive_finite(self.sigma):
-            raise TwoEnvError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (finite_real(self.sigma) and self.sigma > 0):
+            raise TwoEnvError(f"sigma must be positive and finite, got {self.sigma!r}")
         for theta in (self.theta_1, self.theta_2):
-            if not -1.0 <= theta <= 1.0:
-                raise TwoEnvError(f"theta must lie in [-1, 1], got {theta}")
+            if not (finite_real(theta) and -1.0 <= theta <= 1.0):
+                raise TwoEnvError(f"theta must be a number in [-1, 1], got {theta!r}")
 
     @property
     def d(self) -> int:
@@ -249,8 +241,8 @@ def sample_orthogonal_means(
     first removed, then normalized, which makes it uniform on the sphere of
     the orthogonal complement.
     """
-    if d < 2:
-        raise TwoEnvError("need d >= 2 to place two orthogonal directions")
+    if not integer_in(d, 2):
+        raise TwoEnvError(f"need an integer d in [2, 2**53] for two orthogonal directions, got {d!r}")
     _check_radii(r_c, r_s)
     g1 = rng.standard_normal(d)
     u1 = g1 / np.linalg.norm(g1)
@@ -294,8 +286,8 @@ def _reduced_instance(d, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed) -> P
     ``mu_s = r_s e_2`` in ``2 + min(d-2, N)`` coordinates."""
     _check_sizes(n_1, n_2)
     _check_radii(r_c, r_s)
-    if d < 2:
-        raise TwoEnvError("need d >= 2 to place two orthogonal directions")
+    if not integer_in(d, 2):
+        raise TwoEnvError(f"need an integer d in [2, 2**53] for two orthogonal directions, got {d!r}")
     basis = np.eye(2, 2 + min(d - 2, n_1 + n_2))
     return ProblemInstance(r_c * basis[0], r_s * basis[1], theta_1, theta_2, n_1, n_2, sigma, seed)
 

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, TwoEnvError
+from .errors import ConfigError, TwoEnvError, finite_real, integer_in
 from .metrics import gaussian_tail_inv
+from .model import _check_sizes
 
 CONSTANT_NAMES = ("c_r", "c_r_prime", "C_r", "C_d", "C_d_prime", "C_s", "C_c")
 
@@ -59,10 +59,7 @@ def load_constants(path: Optional[str] = None) -> dict:
         if key not in values:
             raise ConfigError(f"constants file {source}: missing {key!r}")
         value = values[key]
-        # a bool is an int to Python; the comparisons fail on NaN, inf and
-        # an integer too large for a float
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value <= sys.float_info.max):
+        if not (finite_real(value) and value > 0):
             raise ConfigError(f"constants file {source}: {key!r} must be a positive finite "
                               f"number, got {value!r}")
     return values
@@ -83,11 +80,12 @@ class PresetParams:
     invariant_margin_floor: float
 
     def __post_init__(self):
-        for name in ("r_c", "r_s", "sigma"):
-            if getattr(self, name) <= 0:
-                raise TwoEnvError(f"{name} must be positive")
-        if self.d <= self.n_1 + self.n_2:
-            raise TwoEnvError("preset dimension must exceed the sample size")
+        for name, value in (("r_c", self.r_c), ("r_s", self.r_s), ("sigma", self.sigma)):
+            if not (finite_real(value) and value > 0):
+                raise TwoEnvError(f"{name} must be positive and finite, got {value!r}")
+        _check_sizes(self.n_1, self.n_2)
+        if not integer_in(self.d, self.n_1 + self.n_2 + 1, math.inf):  # d may pass 2**53
+            raise TwoEnvError(f"preset d must be an integer above the sample size, got {self.d!r}")
 
 
 def theorem_preset(
@@ -107,17 +105,12 @@ def theorem_preset(
     run at smaller N with the calibrated constants.
     """
     for name, value in (("gamma", gamma), ("epsilon", epsilon), ("delta", delta)):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer too large for a float is not finite
-            finite = False
-        if not finite:
-            raise ConfigError(f"{name} must be finite, got {value}")
+        if not finite_real(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    _check_sizes(n_1, n_2)
     if constants is None:
         constants = load_constants()
     n = n_1 + n_2
-    if n_1 <= 0 or n_2 <= 0:
-        raise TwoEnvError("sample sizes must be positive")
     if gamma <= 0 or gamma > 1.0 / (4.0 * math.sqrt(n)):
         raise TwoEnvError(
             f"margin target must satisfy 0 < gamma <= 1/(4 sqrt(N)) = "

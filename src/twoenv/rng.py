@@ -17,16 +17,16 @@ import hashlib
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; load it at start-up, not in a command
 
-from .errors import ConfigError, TwoEnvError
+from .errors import ConfigError, TwoEnvError, integer_in
 
 SEED_LIMIT = 2**64  # root seeds are 64-bit words; a larger one would alias a smaller
 
 
 def check_seed_block(base: int, count: int, base_name: str, count_name: str) -> None:
     """Raise :class:`ConfigError` unless seeds ``base`` to ``base + count - 1`` are valid."""
-    if not 0 <= base <= SEED_LIMIT - count:
-        raise ConfigError(f"{base_name} must lie in [0, 2**64 - {count_name}] so that every "
-                          f"seed is below 2**64, got {base}")
+    if not integer_in(base, 0, SEED_LIMIT - int(count)):
+        raise ConfigError(f"{base_name} must be an integer in [0, 2**64 - {count_name}] so that "
+                          f"every seed is below 2**64, got {base!r}")
 
 
 def _label_word(label) -> int:
@@ -36,10 +36,9 @@ def _label_word(label) -> int:
 
 def stream(seed: int, *labels) -> np.random.Generator:
     """Return the Philox generator keyed by ``seed`` and ``labels``."""
-    seed = int(seed)
-    if not 0 <= seed < SEED_LIMIT:
-        raise TwoEnvError(f"seed {seed} outside [0, 2**64)")
-    entropy = [seed]
+    if not integer_in(seed, 0, SEED_LIMIT - 1):
+        raise TwoEnvError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    entropy = [int(seed)]
     entropy.extend(_label_word(lab) for lab in labels)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 

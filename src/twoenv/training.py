@@ -33,7 +33,6 @@ separator or a non-separability witness, never an iteration-budget verdict.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
@@ -44,7 +43,7 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from .errors import NonSeparableError, TwoEnvError
+from .errors import NonSeparableError, TwoEnvError, finite_real, integer_in
 from .model import LabeledDataset, LinearModel, env_rows
 
 
@@ -85,24 +84,17 @@ class TrainConfig:
     anneal_schedule: int = 0  # iteration at which the penalty activates
 
     def __post_init__(self):
-        # a bool is an int to Python; every comparison with NaN is false, so
-        # each test is written to fail on it
         for name, zero_ok in (("learning_rate", False), ("penalty_weight", True),
                               ("l2_weight", True), ("tolerance", False)):
             value = getattr(self, name)
-            try:
-                valid = (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                         and math.isfinite(value) and (value >= 0 if zero_ok else value > 0))
-            except OverflowError:  # an integer too large for a float is not finite
-                valid = False
-            if not valid:
+            if not (finite_real(value) and (value >= 0 if zero_ok else value > 0)):
                 sign = "nonnegative" if zero_ok else "positive"
                 raise TwoEnvError(f"{name} must be a {sign} finite number, not {value!r}")
         # a float anneal iteration would never equal the loop counter
         for name, low in (("max_iters", 1), ("anneal_schedule", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise TwoEnvError(f"{name} must be an integer of at least {low}, not {value!r}")
+            if not integer_in(value, low):
+                raise TwoEnvError(f"{name} must be an integer in [{low}, 2**53], not {value!r}")
         if self.penalty_kind not in PENALTY_KINDS:
             raise TwoEnvError(f"unknown penalty kind {self.penalty_kind!r}")
 
