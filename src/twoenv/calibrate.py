@@ -54,51 +54,67 @@ def preset_environments(preset: PresetParams, seed: int):
     )
 
 
+def _mean_margin(preset, seed, inst, data, epsilon) -> bool:
+    """The signed-mean margin clears 1/(4 sqrt(N))."""
+    target = 1.0 / (4.0 * math.sqrt(preset.n_1 + preset.n_2))
+    return normalized_margin(mean_estimator(data), data, preset.sigma) >= target
+
+
+def _indictment(preset, seed, inst, data, epsilon) -> bool:
+    """The hard-margin fit leans on the spurious mean: ratio at least 1 and
+    robust error at least 1/2.  An undefined ratio is a miss."""
+    model = max_margin(data)
+    try:
+        ratio = spurious_core_ratio(model, inst.mu_c, inst.mu_s)
+    except TwoEnvError:
+        return False
+    return ratio >= 1.0 and robust_error(model, inst.mu_c, inst.mu_s, preset.sigma) >= 0.5
+
+
+def _two_phase(preset, seed, inst, data, epsilon) -> bool:
+    """The two-stage learner meets the robust target ``epsilon``.  A draw it
+    cannot fit (at a few rows per environment, a held-out half may have no
+    positive label) is a miss."""
+    try:
+        model = two_phase_learn(data.by_env(1), data.by_env(2),
+                                rngmod.stream(seed, "preset-two-phase"))
+    except TwoEnvError:
+        return False
+    return robust_error(model, inst.mu_c, inst.mu_s, preset.sigma) <= epsilon
+
+
+# each outcome reads the draw and its own streams only, so scoring several on
+# one draw gives each the bits it gets alone
+_OUTCOMES = {"mean_margin": _mean_margin, "indictment": _indictment, "two_phase": _two_phase}
+
+
+def _preset_rates(preset: PresetParams, seeds: int, outcomes=tuple(_OUTCOMES),
+                 epsilon: float = EPSILON) -> dict[str, float]:
+    """Fraction of the draws ``preset_environments(preset, seed)``, seed in
+    ``range(seeds)``, on which each named outcome of :data:`_OUTCOMES` holds.
+    Each draw is made once and scored for every outcome."""
+    hits = dict.fromkeys(outcomes, 0)
+    for seed in _seed_range(seeds):
+        inst, data = preset_environments(preset, seed)
+        for key in hits:
+            hits[key] += _OUTCOMES[key](preset, seed, inst, data, epsilon)
+    return {key: count / seeds for key, count in hits.items()}
+
+
 def mean_margin_rate(preset: PresetParams, seeds: int) -> float:
     """Fraction of draws where the signed-mean margin clears 1/(4 sqrt(N))."""
-    target = 1.0 / (4.0 * math.sqrt(preset.n_1 + preset.n_2))
-    hits = 0
-    for seed in _seed_range(seeds):
-        _, data = preset_environments(preset, seed)
-        model = mean_estimator(data)
-        if normalized_margin(model, data, preset.sigma) >= target:
-            hits += 1
-    return hits / seeds
+    return _preset_rates(preset, seeds, ("mean_margin",))["mean_margin"]
 
 
 def max_margin_indictment_rate(preset: PresetParams, seeds: int) -> float:
     """Fraction of draws where the hard-margin fit leans on the spurious mean."""
-    hits = 0
-    for seed in _seed_range(seeds):
-        inst, data = preset_environments(preset, seed)
-        model = max_margin(data)
-        try:
-            ratio = spurious_core_ratio(model, inst.mu_c, inst.mu_s)
-        except TwoEnvError:
-            continue
-        rob = robust_error(model, inst.mu_c, inst.mu_s, preset.sigma)
-        if ratio >= 1.0 and rob >= 0.5:
-            hits += 1
-    return hits / seeds
+    return _preset_rates(preset, seeds, ("indictment",))["indictment"]
 
 
 def two_phase_rate(preset: PresetParams, seeds: int, epsilon: float) -> float:
-    """Fraction of draws where the two-stage learner meets the robust target.
-
-    A draw the learner cannot fit (at a few rows per environment, a held-out
-    half may have no positive label) counts as a miss.
-    """
-    hits = 0
-    for seed in _seed_range(seeds):
-        inst, data = preset_environments(preset, seed)
-        try:
-            model = two_phase_learn(data.by_env(1), data.by_env(2),
-                                    rngmod.stream(seed, "preset-two-phase"))
-        except TwoEnvError:
-            continue
-        if robust_error(model, inst.mu_c, inst.mu_s, preset.sigma) <= epsilon:
-            hits += 1
-    return hits / seeds
+    """Fraction of draws where the two-stage learner meets the robust target;
+    a draw it cannot fit counts as a miss."""
+    return _preset_rates(preset, seeds, ("two_phase",), epsilon)["two_phase"]
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +261,7 @@ def measure_rates(constants: dict, n_e: int, seeds: int) -> dict:
     n = 2 * n_e
     gamma = 1.0 / (4.0 * math.sqrt(n))
     preset = theorem_preset(n_e, n_e, gamma, EPSILON, constants=constants, strict=False)
-    return {
-        "n_e": n_e,
-        "d": preset.d,
-        "mean_margin": mean_margin_rate(preset, seeds),
-        "indictment": max_margin_indictment_rate(preset, seeds),
-        "two_phase": two_phase_rate(preset, seeds, EPSILON),
-    }
+    return {"n_e": n_e, "d": preset.d, **_preset_rates(preset, seeds)}
 
 
 def calibrate_constants(

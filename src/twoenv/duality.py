@@ -260,7 +260,8 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     beta_vertex = gamma * chol_solve(cho, ones)
     vertex_norm_sq = float(beta_vertex @ (K @ beta_vertex))
     if not vertex_norm_sq <= 1.0:  # a NaN proves nothing
-        mm_alpha, _ = hard_margin_dual(gd.Z, K)
+        # multipliers for Z up to a power of two, which the ratio below cancels
+        mm_alpha, _ = hard_margin_dual(gd.Z)
         gamma_max = float((K @ mm_alpha).min()) / math.sqrt(float(mm_alpha @ (K @ mm_alpha)))
         if gamma > gamma_max:
             raise InfeasibleMarginError(

@@ -23,7 +23,13 @@ import numpy as np
 from . import rng as rngmod
 from .errors import ConfigError, TwoEnvError, finite_real, integer_in
 from .estimators import mean_estimator, two_phase_learn
-from .metrics import invariance_gaps, normalized_margin, robust_error, spurious_core_ratio
+from .metrics import (
+    invariance_gaps,
+    normalized_margin,
+    robust_error,
+    spurious_core_ratio,
+    train_accuracy,
+)
 from .model import LabeledDataset, LinearModel, sample_reduced
 from .training import TrainConfig, gd_train, max_margin
 
@@ -189,7 +195,7 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 model, train_data = _fit(method, data, cfg, mu_s, seed, d)
-                train_acc = float((train_data.signed() @ model.w > 0).mean())
+                train_acc = train_accuracy(model, train_data)
                 margin = normalized_margin(model, train_data, sigma)
                 rob = robust_error(model, mu_c, mu_s, sigma)
                 try:

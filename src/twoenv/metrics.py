@@ -12,12 +12,13 @@ this module is deterministic arithmetic on that identity; no sampling.
 from __future__ import annotations
 
 import math
+import sys
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DegenerateLabelsError, TwoEnvError
-from .model import LabeledDataset, LinearModel
+from .model import LabeledDataset, LinearModel, vector_norm
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -38,10 +39,19 @@ def gaussian_tail_inv(p: float) -> float:
     return -NormalDist().inv_cdf(p)
 
 
+def _quotient(num: float, den: float, what: str) -> float:
+    """``num / den`` for a denominator that is a normal float; one below the
+    smallest normal has lost bits or is 0, and the quotient cannot be
+    represented at this scale."""
+    if not sys.float_info.min <= den <= sys.float_info.max:
+        raise TwoEnvError(f"{what} cannot be represented at this scale: its denominator is {den!r}")
+    return num / den
+
+
 def _alignments(model: LinearModel, mu_c, mu_s) -> tuple[float, float, float]:
-    wc = float(model.w @ np.asarray(mu_c))
-    ws = float(model.w @ np.asarray(mu_s))
-    return wc, ws, model.norm
+    """``<w, mu_c>``, ``<w, mu_s>`` and ``||w||`` on ``model.scaled``'s ``w``."""
+    w, _, norm = model.scaled
+    return float(w @ np.asarray(mu_c)), float(w @ np.asarray(mu_s)), norm
 
 
 def error_at_theta(model: LinearModel, mu_c, mu_s, sigma: float, theta: float) -> float:
@@ -49,7 +59,7 @@ def error_at_theta(model: LinearModel, mu_c, mu_s, sigma: float, theta: float) -
     if sigma <= 0:
         raise TwoEnvError("sigma must be positive")
     wc, ws, norm = _alignments(model, mu_c, mu_s)
-    return float(gaussian_tail((wc + theta * ws) / (sigma * norm)))
+    return float(gaussian_tail(_quotient(wc + theta * ws, sigma * norm, "0-1 error")))
 
 
 def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> float:
@@ -61,7 +71,12 @@ def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> float:
     if sigma <= 0:
         raise TwoEnvError("sigma must be positive")
     wc, ws, norm = _alignments(model, mu_c, mu_s)
-    return float(gaussian_tail((wc - abs(ws)) / (sigma * norm)))
+    return float(gaussian_tail(_quotient(wc - abs(ws), sigma * norm, "robust error")))
+
+
+def train_accuracy(model: LinearModel, data: LabeledDataset) -> float:
+    """Fraction of rows with a positive signed margin ``y <w, x>``."""
+    return float((data.signed() @ model.scaled[0] > 0).mean())
 
 
 def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) -> float:
@@ -76,14 +91,16 @@ def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) ->
         raise TwoEnvError("empty dataset")
     if sigma <= 0:
         raise TwoEnvError("sigma must be positive")
-    margins = data.signed() @ model.w
-    return float(margins.min() / (model.norm * (sigma * math.sqrt(data.ambient_d))))
+    w, _, norm = model.scaled
+    margins = data.signed() @ w
+    den = norm * (sigma * math.sqrt(data.ambient_d))
+    return float(_quotient(margins.min(), den, "margin"))
 
 
 def spurious_core_ratio(model: LinearModel, mu_c, mu_s) -> float:
     """Ratio ``<w, mu_s> / <w, mu_c>``; a value >= 1 forces robust error >= 1/2."""
     wc, ws, norm = _alignments(model, mu_c, mu_s)
-    if abs(wc) <= 1e-15 * norm * float(np.linalg.norm(mu_c)):
+    if abs(wc) <= 1e-15 * norm * vector_norm(np.asarray(mu_c)):
         raise TwoEnvError("core alignment <w, mu_c> is numerically zero")
     return ws / wc
 
@@ -107,4 +124,13 @@ def invariance_gaps(
                 f"environment {env_label} has no positive-label rows; the equal-"
                 "opportunity gap is undefined"
             )
-    return class_score_mean(model.w, data_1) - class_score_mean(model.w, data_2)
+    w, exp, _ = model.scaled
+    scaled = class_score_mean(w, data_1) - class_score_mean(w, data_2)
+    try:
+        gap = math.ldexp(scaled, exp)
+    except OverflowError:
+        gap = math.inf
+    if math.ldexp(gap, -exp) != scaled:  # overflowed, or lost bits below the normal range
+        raise TwoEnvError(f"eopp_gap cannot be represented at this scale: it is {scaled!r} "
+                          f"times 2**{exp}")
+    return gap

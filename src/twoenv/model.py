@@ -119,9 +119,11 @@ class LabeledDataset:
         env = np.asarray(env, dtype=np.int64)
         if rows.ndim != 2:
             raise TwoEnvError("X must be a 2-d matrix")
-        ambient_d = rows.shape[1] if ambient_d is None else int(ambient_d)
-        if ambient_d < rows.shape[1]:
-            raise TwoEnvError(f"ambient_d {ambient_d} is below the column count {rows.shape[1]}")
+        if ambient_d is None:
+            ambient_d = rows.shape[1]
+        elif not integer_in(ambient_d, rows.shape[1]):
+            raise TwoEnvError(f"ambient_d must be an integer from the column count "
+                              f"{rows.shape[1]} to 2**53, got {ambient_d!r}")
         if rows.shape[0] != y.shape[0] or rows.shape[0] != env.shape[0]:
             raise TwoEnvError("X, y and env must have matching row counts")
         if not ((y == 1) | (y == -1)).all():
@@ -131,7 +133,7 @@ class LabeledDataset:
         for name, a in (("_Z", rows if _signed else y[:, None] * rows), ("y", y), ("env", env)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "ambient_d", ambient_d)
+        object.__setattr__(self, "ambient_d", int(ambient_d))
 
     @classmethod
     def from_signed(cls, Z, y, env, ambient_d: int | None = None) -> "LabeledDataset":
@@ -217,18 +219,38 @@ class LinearModel:
 
     @cached_property
     def norm(self) -> float:
-        """``||w||``; when it underflows to 0 or overflows for a nonzero ``w``, it is
-        taken again on ``w`` scaled by a power of two, an exact scaling, and is
-        infinite only when it exceeds the largest float.  The overflow itself
-        is reported as numpy's error state says (the sweep raises on it)."""
-        norm = float(np.linalg.norm(self.w))
-        if (norm == 0.0 or not math.isfinite(norm)) and self.w.any():
-            _, exp = np.frexp(np.abs(self.w).max())
-            try:
-                norm = math.ldexp(float(np.linalg.norm(np.ldexp(self.w, -exp))), int(exp))
-            except OverflowError:
-                norm = math.inf
-        return norm
+        """``||w||`` (see :func:`vector_norm`)."""
+        return vector_norm(self.w)
+
+    @cached_property
+    def scaled(self) -> tuple[np.ndarray, int, float]:
+        """``(v, e, ||v||)`` for ``v = w 2**-e`` and ``e = binary_exponent(w)``.
+        The scale-free metrics take their products on ``v``: they are in range
+        at any scale of ``w``, and bitwise those on ``w`` where those are."""
+        exp = binary_exponent(self.w)
+        v = np.ldexp(self.w, -exp)
+        return v, exp, float(np.linalg.norm(v))
+
+
+def binary_exponent(a: np.ndarray) -> int:
+    """The ``e`` that puts the largest entry of ``|a|`` in [2**(e-1), 2**e) (0 for
+    a zero ``a``).  ``a * 2**-e`` is an exact scaling, so a ratio of products
+    taken on it keeps its bits, while the products stay in range whatever
+    the scale of ``a``."""
+    return int(np.frexp(np.abs(a).max())[1])
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """``||v||``.  When the sum of squares underflows to 0 or overflows for a
+    nonzero ``v``, the norm is taken again on ``v`` scaled by
+    ``2**-binary_exponent(v)`` and scaled back, so only a norm beyond the
+    largest float overflows, as numpy's error state says (the sweep raises)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if (norm == 0.0 or not math.isfinite(norm)) and v.any():
+        exp = binary_exponent(v)
+        norm = float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+    return norm
 
 
 def sample_orthogonal_means(
@@ -261,7 +283,7 @@ def sample_environment(
     instance: ProblemInstance, env: int, rng: np.random.Generator
 ) -> LabeledDataset:
     """Draw the rows of environment ``env`` (1 or 2): labels, then noise."""
-    if env not in (1, 2):
+    if not integer_in(env, 1, 2):
         raise TwoEnvError(f"environment must be 1 or 2, got {env!r}")
     n, theta = (instance.n_1, instance.theta_1) if env == 1 else (instance.n_2, instance.theta_2)
     y = _labels(n, rng)

@@ -129,17 +129,17 @@ def theorem_preset(
     n_min = min(n_1, n_2)
     q_eps = gaussian_tail_inv(epsilon)
     log_term = math.log(1.0 / delta)
-    d = int(
-        math.ceil(
-            log_term
-            * max(
-                c["C_d_prime"] * n**2,
-                c["C_d"] * n / (gamma**2 * n_1**2 * r_c_sq),
-                c["C_s"] * q_eps**2 / (n_min * r_c_sq**2),
-                c["C_c"] / (n_min**2 * r_c_sq**2),
-            )
-        )
+    demands = (  # (numerator, denominator) of each lower bound on d
+        (c["C_d_prime"] * n**2, 1.0),
+        (c["C_d"] * n, gamma**2 * n_1**2 * r_c_sq),
+        (c["C_s"] * q_eps**2, n_min * r_c_sq**2),
+        (c["C_c"], n_min**2 * r_c_sq**2),
     )
+    # at a tiny gamma a denominator underflows to 0 or a quotient overflows
+    d_real = log_term * max(num / den if den else math.inf for num, den in demands)
+    if not math.isfinite(d_real):
+        raise TwoEnvError(f"gamma = {gamma!r} asks for a dimension beyond the largest float")
+    d = int(math.ceil(d_real))
     sigma = 1.0 / math.sqrt(d)
     r_c = math.sqrt(r_c_sq)
     r_s = math.sqrt(r_s_sq)

@@ -44,7 +44,7 @@ import numpy as np
 import scipy
 
 from .errors import NonSeparableError, TwoEnvError, finite_real, integer_in
-from .model import LabeledDataset, LinearModel, env_rows
+from .model import LabeledDataset, LinearModel, binary_exponent, env_rows
 
 
 def _scipy_linalg_extension(name: str):
@@ -581,30 +581,38 @@ def nnls(G: np.ndarray, b: np.ndarray, passive: np.ndarray) -> tuple[np.ndarray,
 WITNESS_RTOL = 1e-10  # non-separability threshold of hard_margin_dual, a round-off level
 
 
-def hard_margin_dual(Z: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Exact hard-margin multipliers for the signed rows ``Z``, with ``K = Z Z'``.
+def hard_margin_dual(Z: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Exact hard-margin multipliers for the signed rows ``Z``.
 
-    ``min ||w|| s.t. Z w >= 1`` is the least-distance program
-    ``min_{u>=0} ||[Z'; 1'] u - e_{k+1}||``, solved by :func:`nnls` for ``Z``
-    over its largest row norm (same separators) from every row, the answer
-    in the support-vector proliferation regime; ``w = Z'u / (1 - 1'u)``.
-    ``alpha`` is ``u`` scaled so that the margins of ``Z' alpha`` have
-    minimum ``1 + 1e-12``; ``info`` holds the duality ``gap`` and the
-    passive-set solves as ``iterations``.  With ``u~ = u / 1'u``, every
-    unit-norm ``w`` has minimum margin at most ``||Z'u~||``;
-    :class:`NonSeparableError` carries the witness ``u~`` when that is at
-    most ``WITNESS_RTOL max_i ||z_i||``.
+    The program is solved on ``Zs = Z 2**-e`` for ``e = binary_exponent(Z)``,
+    an exact scaling, with ``K = Zs Zs'``: ``K`` neither underflows nor
+    overflows at any scale of ``Z``, and every step takes the bits it takes
+    on ``Z`` wherever ``Z Z'`` is in range.  ``min ||v|| s.t. Zs v >= 1`` is
+    the least-distance program ``min_{u>=0} ||[Zs'; 1'] u - e_{k+1}||``,
+    solved by :func:`nnls` for ``Zs`` over its largest row norm (same
+    separators) from every row, the answer in the support-vector
+    proliferation regime; ``v = Zs'u / (1 - 1'u)``.  ``alpha`` is ``u``
+    scaled so that the margins of ``Zs' alpha`` on ``Zs`` have minimum
+    ``1 + 1e-12``; the separator for ``Z`` is ``2**-e Zs' alpha``, that is
+    ``4**-e Z' alpha``.  ``info`` holds ``exp`` (that is ``e``), the duality
+    ``gap`` of the program on ``Zs`` and the passive-set solves as
+    ``iterations``.  With ``u~ = u / 1'u``, every unit-norm ``w`` has minimum
+    margin on ``Z`` at most ``||Z'u~||``; :class:`NonSeparableError` carries
+    the witness ``u~`` and that bound when it is at most ``WITNESS_RTOL
+    max_i ||z_i||``.
     """
+    exp = binary_exponent(Z)
+    Z = np.ldexp(Z, -exp)
+    K = Z @ Z.T
     n = len(Z)
     rho2 = float(K.diagonal().max()) or 1.0  # all-zero rows: any witness is exact
     u, solves = nnls(K / rho2 + 1.0, np.ones(n), np.ones(n, dtype=bool))
     witness = u / float(u.sum())
     bound = float(np.linalg.norm(Z.T @ witness))
     if bound <= WITNESS_RTOL * math.sqrt(rho2):
-        raise NonSeparableError(
-            "data is not linearly separable", int(np.argmax(witness)), bound, witness
-        )
-    alpha = u / rho2  # multipliers for Z itself, minimum margin 1 - 1'u < 1
+        raise NonSeparableError("data is not linearly separable", int(np.argmax(witness)),
+                                math.ldexp(bound, exp), witness)
+    alpha = u / rho2  # multipliers for Zs itself, minimum margin 1 - 1'u < 1
     # scale to a computed minimum margin of 1 + 1e-12, again where heavily
     # cancelling margins round below it
     while (low := float((Z @ (Z.T @ alpha)).min())) < 1.0:
@@ -612,7 +620,7 @@ def hard_margin_dual(Z: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, dict]:
             raise TwoEnvError("hard-margin solve returned no separating direction")
         alpha = alpha * ((1.0 + 1e-12) / low)
     gap = float(alpha @ (K @ alpha)) - float(alpha.sum())  # a'Ka/2 - (1'a - a'Ka/2)
-    return alpha, {"gap": gap, "iterations": solves}
+    return alpha, {"exp": exp, "gap": gap, "iterations": solves}
 
 
 def max_margin(data: LabeledDataset) -> LinearModel:
@@ -620,9 +628,9 @@ def max_margin(data: LabeledDataset) -> LinearModel:
     if data.n == 0:
         raise TwoEnvError("empty dataset")
     Z = data.signed()
-    alpha, info = hard_margin_dual(Z, Z @ Z.T)
-    w = Z.T @ alpha
-    return LinearModel(w, meta=info)
+    alpha, info = hard_margin_dual(Z)
+    w = np.ldexp(Z.T @ alpha, -2 * info["exp"])
+    return LinearModel(w, meta={"gap": info["gap"], "iterations": info["iterations"]})
 
 
 def cosine_similarity(u, v) -> float:

@@ -8,11 +8,13 @@ import pytest
 from twoenv.calibrate import (
     EPSILON,
     kappa_interpolation_rate,
+    max_margin_indictment_rate,
+    mean_margin_rate,
     measure_rates,
     preset_environments,
     two_phase_rate,
 )
-from twoenv import experiments
+from twoenv import calibrate, experiments
 from twoenv.errors import TwoEnvError
 from twoenv.estimators import two_phase_learn
 from twoenv.metrics import robust_error
@@ -44,6 +46,35 @@ def test_measure_rates_shape():
     assert set(rates) >= {"n_e", "d", "mean_margin", "indictment", "two_phase"}
     for key in ("mean_margin", "indictment", "two_phase"):
         assert 0.0 <= rates[key] <= 1.0
+
+
+def test_measure_rates_draws_each_seed_once(monkeypatch):
+    # the three rates used to draw each (preset, seed) instance once apiece
+    drawn = []
+    real = calibrate.preset_environments
+    monkeypatch.setattr(calibrate, "preset_environments",
+                        lambda preset, seed: drawn.append(seed) or real(preset, seed))
+    measure_rates(load_constants(), n_e=40, seeds=3)  # the bench command's measurement
+    assert drawn == [0, 1, 2]
+
+
+# n_e = 3 at the frozen constants is the preset of the unfittable-draw test
+# below (two_phase 0.25 over 8 seeds); dimension constants shrunk 500-fold
+# make the other two rates mixed as well (mean_margin 0.625 and 0.125,
+# indictment 0.375 at n_e = 3)
+@pytest.mark.parametrize("n_e", [3, 20])
+@pytest.mark.parametrize("shrink", [1.0, 0.002])
+def test_measure_rates_equals_the_standalone_rates(n_e, shrink):
+    seeds = 8
+    constants = load_constants()
+    constants.update({key: constants[key] * shrink for key in ("C_d", "C_d_prime", "C_s", "C_c")})
+    rates = measure_rates(constants, n_e=n_e, seeds=seeds)
+    preset = theorem_preset(n_e, n_e, 1.0 / (4 * math.sqrt(2 * n_e)), EPSILON,
+                            constants=constants, strict=False)
+    assert rates["d"] == preset.d
+    assert rates["mean_margin"] == mean_margin_rate(preset, seeds)
+    assert rates["indictment"] == max_margin_indictment_rate(preset, seeds)
+    assert rates["two_phase"] == two_phase_rate(preset, seeds, EPSILON)
 
 
 def test_two_phase_rate_counts_an_unfittable_draw_as_a_miss():

@@ -82,6 +82,33 @@ def _tiny_config(**kwargs):
     return ExperimentConfig(**defaults)
 
 
+def _scaled_sweep(k, methods):
+    """The sweep of ``twoenv sweep --d-grid 16,2000 --seeds 2 --n1 20 --n2 10
+    --max-iters 50`` with ``sigma``, ``r_c`` and ``r_s`` all ``2**k``."""
+    c = 2.0**k
+    return run_sweep(_tiny_config(d_grid=(16, 2000), seeds=2, r_c=c, r_s=c,
+                                  sigma_rule=SigmaRule("fixed", c), methods=methods,
+                                  train=TrainConfig(max_iters=50)))
+
+
+def _check_relation(unit, scaled, k):
+    """Item 7's relation between a row at scale ``2**k`` and its unit-scale row:
+    the accuracies, margin and ratio bitwise, and eopp_gap ``4**k`` times
+    (once for max_margin, whose ``w`` scales by ``2**-k``); or an error row
+    whose reason is true."""
+    assert (scaled.method, scaled.d, scaled.seed) == (unit.method, unit.d, unit.seed)
+    gap = unit.eopp_gap if unit.method == "max_margin" else math.ldexp(unit.eopp_gap, 2 * k)
+    if scaled.error is None:
+        invariant = ("train_acc", "robust_acc", "margin", "ratio")
+        # repr is exact for floats and equal for two nans
+        assert ([repr(getattr(scaled, key)) for key in invariant]
+                == [repr(getattr(unit, key)) for key in invariant])
+        assert scaled.eopp_gap == gap
+    else:
+        assert "eopp_gap cannot be represented" in scaled.error, scaled.error
+        assert math.ldexp(gap, -2 * k) != unit.eopp_gap  # 4^k times it is no float
+
+
 class TestRunSweep:
     def test_single_record(self):
         records = run_sweep(_tiny_config())
@@ -134,6 +161,38 @@ class TestRunSweep:
             assert ([repr(getattr(s, k)) for k in invariant]
                     == [repr(getattr(u, k)) for k in invariant])
             assert s.eopp_gap == (1.0 if u.method == "max_margin" else 4.0**-27) * u.eopp_gap
+
+    @pytest.mark.parametrize("k", [-540, -520, 510])
+    def test_extreme_scales_keep_the_power_of_two_relation(self, k):
+        # item 7's relation at scales where the products leave the float range:
+        # max_margin's K underflowed (a false "not separable" at 2^-540, an
+        # overflow at 2^-520) or overflowed (2^510), and mean's metrics divided
+        # by an underflowed sigma ||w|| (a bare ZeroDivisionError at 2^-540)
+        unit, scaled = (_scaled_sweep(0, ("mean", "max_margin")),
+                        _scaled_sweep(k, ("mean", "max_margin")))
+        assert len(unit) == len(scaled) == 8
+        assert all(r.error is None for r in unit)
+        assert not any(r.error for r in scaled if r.method == "max_margin")
+        for u, s in zip(unit, scaled):
+            _check_relation(u, s, k)
+
+    def test_scale_free_metrics_at_two_to_the_minus_540(self):
+        # the mean's row there is an error row (its eopp_gap is about 2^-1080),
+        # yet its scale-free metrics are the unit-scale bits
+        from twoenv.estimators import mean_estimator
+        from twoenv.metrics import (normalized_margin, robust_error, spurious_core_ratio,
+                                    train_accuracy)
+
+        def metrics(k):
+            c = 2.0**k
+            inst, data = sample_reduced(2000, c, c, 1.0, 0.0, 20, 10, c, 0, stream(0))
+            model = mean_estimator(data)
+            return [repr(v) for v in (
+                train_accuracy(model, data), normalized_margin(model, data, c),
+                robust_error(model, inst.mu_c, inst.mu_s, c),
+                spurious_core_ratio(model, inst.mu_c, inst.mu_s))]
+
+        assert metrics(-540) == metrics(0)
 
     def test_every_cell_present_once(self):
         cfg = _tiny_config(d_grid=(8, 32), seeds=3, methods=("mean", "erm"))
@@ -504,8 +563,10 @@ class TestCli:
         pytest.param(np.linalg.LinAlgError, "LinAlgError: injected", id="LinAlgError"),
         pytest.param(FloatingPointError, "FloatingPointError: injected",
                      id="FloatingPointError"),
-        # planted: weights whose squared norm overflows, which the metrics
-        # would otherwise turn into a margin of 0 and a robust accuracy of 1/2
+        # planted: finite weights whose norm exceeds the largest float, which
+        # the metrics would otherwise turn into a margin of 0 and a robust
+        # accuracy of 1/2 (a squared norm that overflows alone is no failure:
+        # see test_weights_times_a_power_of_two_keep_their_row)
         pytest.param(None, r"FloatingPointError: overflow encountered in \w+", id="overflow"),
     ])
     def test_numerical_failure_becomes_one_error_row(self, tmp_path, monkeypatch, fault,
@@ -521,7 +582,7 @@ class TestCli:
                 raise fault("injected")
             model, trace = real(data, config, *args, **kwargs)
             if config.penalty_kind == "vrex":
-                model = LinearModel(model.w * 1e300, meta=model.meta)
+                model = LinearModel(np.full_like(model.w, 1e308), meta=model.meta)
             return model, trace
 
         monkeypatch.setattr(experiments, "gd_train", faulty)
@@ -535,6 +596,24 @@ class TestCli:
                     if not row.startswith("vrex,")])
         sidecar = (tmp_path / "faulty.csv.errors.txt").read_text()
         assert re.fullmatch(f"vrex,16,0: {reason}\n", sidecar)
+
+    def test_weights_times_a_power_of_two_keep_their_row(self, monkeypatch):
+        # the squared norm of w 2^900 overflows, which used to fail the row;
+        # its norm and every scale-free metric are in range
+        cfg = _tiny_config(d_grid=(16,), methods=("erm", "vrex"), train=TrainConfig(max_iters=50))
+        clean = run_sweep(cfg)
+        real = experiments.gd_train
+
+        def scaled(data, config, *args, **kwargs):
+            model, trace = real(data, config, *args, **kwargs)
+            return LinearModel(np.ldexp(model.w, 900), meta=model.meta), trace
+
+        monkeypatch.setattr(experiments, "gd_train", scaled)
+        for u, s in zip(clean, run_sweep(cfg)):
+            assert s.error is None
+            assert ([repr(getattr(s, key)) for key in ("train_acc", "robust_acc", "margin", "ratio")]
+                    == [repr(getattr(u, key)) for key in ("train_acc", "robust_acc", "margin", "ratio")])
+            assert s.eopp_gap == math.ldexp(u.eopp_gap, 900)
 
     @pytest.mark.parametrize("key, flag, value", [
         *((key, flag, value) for key, flag in [
@@ -569,6 +648,38 @@ class TestCli:
         assert main(argv) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("k", [-540, -520, 510])
+    @pytest.mark.parametrize("method", ["mean", "max_margin"])
+    def test_sweep_at_a_power_of_two_scale_completes(self, tmp_path, method, k):
+        # at 2^-540 mean ended in a bare ZeroDivisionError traceback and every
+        # max_margin row said "data is not linearly separable"
+        def sweep(scale):
+            out = tmp_path / f"s{scale!r}.csv"
+            flags = ["--sigma", "--rc", "--rs"]
+            argv = ["sweep", "--methods", method, "--d-grid", "16,2000", "--seeds", "2",
+                    "--n1", "20", "--n2", "10", "--max-iters", "50", "--out", str(out),
+                    *(text for flag in flags for text in (flag, repr(scale)))]
+            code = main(argv)
+            sidecar = out.with_name(out.name + ".errors.txt")
+            return (code, list(csv.DictReader(out.read_text().splitlines())),
+                    sidecar.read_text() if sidecar.exists() else "")
+
+        unit_code, unit, _ = sweep(1.0)
+        assert unit_code == 0
+        code, rows, errors = sweep(2.0**k)
+        assert code in (0, 2) and len(rows) == 4
+        assert (code == 2) == bool(errors) and (method == "mean" or code == 0)
+        factor = 1.0 if method == "max_margin" else 4.0**k
+        for u, s in zip(unit, rows):
+            key = f"{s['method']},{s['d']},{s['seed']}"
+            if s["train_acc"] == "nan":
+                assert f"{key}: eopp_gap cannot be represented at this scale" in errors
+                continue
+            for col in ("train_acc", "robust_acc", "margin", "ratio"):
+                assert s[col] == u[col], (key, col)
+            assert float(s["eopp_gap"]) == pytest.approx(factor * float(u["eopp_gap"]),
+                                                         rel=1e-8)
 
     @pytest.mark.parametrize("extra", [["--sigma", "1e-170"], ["--rs", "1e-300"]])
     def test_extreme_scales_give_finite_rows(self, tmp_path, extra):

@@ -25,13 +25,16 @@ from twoenv.calibrate import (
     kappa_interpolation_rate,
     max_margin_indictment_rate,
     mean_margin_rate,
+    measure_rates,
     two_phase_rate,
 )
 from twoenv.cli import main
 from twoenv.errors import ConfigError, TwoEnvError, finite_real, integer_in
 from twoenv.experiments import ExperimentConfig, SigmaRule, build_config
 from twoenv.model import (
+    LabeledDataset,
     ProblemInstance,
+    sample_environment,
     sample_gram_row_sums,
     sample_orthogonal_means,
     sample_reduced,
@@ -132,6 +135,13 @@ INTEGER_SITES = [
     _site("PresetParams", PresetParams, _PRESET, "d", TwoEnvError, "preset d", 3, skip=(2**70,)),
     *[_site("theorem_preset", theorem_preset, _THEOREM, field, TwoEnvError, "sample sizes", 3)
       for field in ("n_1", "n_2")],
+    # ambient_d=None is the default, the column count; int(2.5) used to keep 2, and
+    # sample_environment drew environment 1 for True, since True in (1, 2) holds
+    _site("LabeledDataset", LabeledDataset, dict(X=np.ones((2, 3)), y=[1, -1], env=[1, 2]),
+          "ambient_d", TwoEnvError, "ambient_d", 3, skip=(None,)),
+    ("sample_environment-env",
+     lambda value: sample_environment(ProblemInstance(**_INSTANCE), value, stream(0)),
+     TwoEnvError, "environment", 1, ()),
     _site("check_seed_block", check_seed_block,
           dict(count=1, base_name="seed_base", count_name="seeds"), "base", ConfigError,
           "seed_base", 3),
@@ -214,6 +224,17 @@ class TestRegressions:
         with pytest.raises(TwoEnvError, match="sample sizes"):
             theorem_preset(n_1, 20, 0.03, 0.1, strict=False)
 
+    @pytest.mark.parametrize("gamma", ["1e-110", "1e-105"])
+    def test_preset_rejects_a_gamma_whose_dimension_is_no_float(self, capsys, gamma):
+        # the C_d term's denominator underflowed to 0 (ZeroDivisionError), or
+        # the dimension was inf (OverflowError from int)
+        with pytest.raises(TwoEnvError, match="gamma"):
+            theorem_preset(100, 100, float(gamma), 0.1)
+        argv = ["preset", "--n1", "100", "--n2", "100", "--gamma", gamma, "--epsilon", "0.1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gamma" in err
+
     def test_preset_params_rejects_a_nan_radius(self):
         with pytest.raises(TwoEnvError, match="r_c"):
             PresetParams(**{**_PRESET, "r_c": math.nan})
@@ -223,7 +244,8 @@ class TestRegressions:
         lambda: max_margin_indictment_rate(_SMALL_PRESET, 0),
         lambda: two_phase_rate(_SMALL_PRESET, 0, 0.1),
         lambda: kappa_interpolation_rate(1.0, 64, 10, 10, 0),
-    ], ids=["mean_margin", "indictment", "two_phase", "kappa"])
+        lambda: measure_rates(load_constants(), 20, 0),
+    ], ids=["mean_margin", "indictment", "two_phase", "kappa", "measure_rates"])
     def test_rate_over_no_seed_is_an_error(self, rate):
         # each used to end in a ZeroDivisionError
         with pytest.raises(TwoEnvError, match="seeds"):

@@ -117,7 +117,7 @@ def _check_verdict(Z):
                  method="highs")
     assert lp.status in (0, 2)  # feasible or infeasible, never undecided
     try:
-        alpha, info = hard_margin_dual(Z, Z @ Z.T)
+        alpha, info = hard_margin_dual(Z)
     except NonSeparableError as exc:
         assert lp.status == 2
         u = exc.witness
@@ -128,7 +128,8 @@ def _check_verdict(Z):
         return False
     assert lp.status == 0
     assert alpha.min() >= 0.0 and info["iterations"] >= 1
-    assert (Z @ (Z.T @ alpha)).min() >= 1.0
+    Zs = np.ldexp(Z, -info["exp"])  # alpha holds the multipliers for these rows
+    assert (Zs @ (Zs.T @ alpha)).min() >= 1.0
     return True
 
 
