@@ -16,7 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import DegenerateConstraintError, DegenerateLabelsError, TwoEnvError
 from .metrics import class_score_mean
-from .model import LabeledDataset, LinearModel, pool
+from .model import LabeledDataset, LinearModel, binary_exponent, pool
 
 # a constraint coefficient at most this fraction of the class-score means it
 # is the difference of is round-off: relative, so the test is scale-free
@@ -57,8 +57,9 @@ def two_phase_learn(
     """Two-stage invariant learning on a pair of per-environment datasets.
 
     The model's ``meta`` holds the chosen ``v``, the constraint coefficients
-    ``(a_1, a_2)`` as ``constraint_coeffs``, and ``split_seed``, the seed of
-    the streams ``stream(split_seed, "split", e)`` that halve environment ``e``.
+    ``(a_1, a_2)`` of ``u_k = w_k 2**-exp`` as ``constraint_coeffs``, and
+    ``split_seed``, the seed of the streams ``stream(split_seed, "split", e)``
+    that halve environment ``e``.
     """
     for name, part in (("1", s_1), ("2", s_2)):
         if part.n < 2:
@@ -75,10 +76,13 @@ def two_phase_learn(
 
     w_1 = fit_1.signed().mean(axis=0)
     w_2 = fit_2.signed().mean(axis=0)
+    # v is scale-free: choose it on products with w_k 2**-exp, in range at any scale
+    exp = binary_exponent(np.concatenate([w_1, w_2]))
+    u_1, u_2 = np.ldexp(w_1, -exp), np.ldexp(w_2, -exp)
 
     # Constraint coefficients: between-environment gap of the mean positive
     # score of each stage-1 classifier on the held-out halves.
-    scores = [(class_score_mean(w, fine_1), class_score_mean(w, fine_2)) for w in (w_1, w_2)]
+    scores = [(class_score_mean(u, fine_1), class_score_mean(u, fine_2)) for u in (u_1, u_2)]
     a_1, a_2 = (s_1 - s_2 for s_1, s_2 in scores)
     if all(abs(s_1 - s_2) <= COEFF_RTOL * max(abs(s_1), abs(s_2)) for s_1, s_2 in scores):
         raise DegenerateConstraintError(
@@ -95,7 +99,7 @@ def two_phase_learn(
 
     # the antipode -v scores exactly -score; a tie (zero) keeps v
     Z = pool(fine_1, fine_2).signed()
-    per_component = np.column_stack([Z @ w_1, Z @ w_2]).T.sum(axis=1)  # (sum y<w_k,x>)_k
+    per_component = np.column_stack([Z @ u_1, Z @ u_2]).T.sum(axis=1)  # (sum y<u_k,x>)_k
     if float(v @ per_component) < 0:
         v = -v
 

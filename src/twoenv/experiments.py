@@ -263,7 +263,7 @@ def emit(records: list[RunRecord], fmt: str, path, timings: bool = False):
     by default the column is written as 0 so two runs of the same config
     produce byte-identical files.  Error rows keep their (method, d, seed)
     key with nan metrics; the verbatim failure reasons, when any exist, go
-    to a ``<path>.errors.txt`` sidecar.
+    to a ``<path>.errors.txt`` sidecar, which is removed when none do.
     """
     if not records:
         raise TwoEnvError("refusing to emit an empty record list")
@@ -280,11 +280,13 @@ def emit(records: list[RunRecord], fmt: str, path, timings: bool = False):
         path.write_text(json.dumps(payload, indent=2) + "\n")
 
     reasons = [r for r in records if r.error is not None]
+    side = path.with_name(path.name + ".errors.txt")
     if reasons:
-        side = path.with_name(path.name + ".errors.txt")
         side.write_text(
             "".join(f"{r.method},{r.d},{r.seed}: {r.error}\n" for r in reasons)
         )
+    else:
+        side.unlink(missing_ok=True)  # an earlier run's reasons would describe rows not here
     return path
 
 

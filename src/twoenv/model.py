@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TwoEnvError, finite_real, integer_in
+from .rng import SEED_LIMIT
 
 ORTHO_RTOL = 1e-9
 
@@ -45,8 +46,8 @@ class ProblemInstance:
     """A learning problem: two environments sharing everything but theta.
 
     Environment ``e`` has ``n_e`` rows and spurious coefficient ``theta_e``.
-    Construction checks each shared part once: finite, nonzero, orthogonal
-    1-d means of equal length, a positive finite ``sigma``, thetas in [-1, 1].
+    Construction checks each shared part once: finite, nonzero, orthogonal 1-d
+    means of equal length, a positive finite ``sigma``, thetas in [-1, 1], a seed.
     """
 
     mu_c: np.ndarray
@@ -66,6 +67,8 @@ class ProblemInstance:
         if mu_c.ndim != 1 or mu_c.shape != mu_s.shape:
             raise TwoEnvError("mu_c and mu_s must be 1-d vectors of equal length")
         _check_sizes(self.n_1, self.n_2)
+        if not integer_in(self.seed, 0, SEED_LIMIT - 1):  # the rule of rng.stream
+            raise TwoEnvError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (np.isfinite(mu_c).all() and np.isfinite(mu_s).all()):
             raise TwoEnvError("mean directions must be finite")
         # entries, not norms: the norm of a vector of radius 1e-300 underflows to 0
@@ -89,11 +92,11 @@ class ProblemInstance:
 
     @cached_property
     def r_c(self) -> float:
-        return float(np.linalg.norm(self.mu_c))
+        return vector_norm(self.mu_c)
 
     @cached_property
     def r_s(self) -> float:
-        return float(np.linalg.norm(self.mu_s))
+        return vector_norm(self.mu_s)
 
 
 @dataclass(frozen=True, init=False)
