@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from twoenv.errors import IllConditionedGramError, TwoEnvError
 from twoenv.model import LabeledDataset
+from twoenv.presets import load_constants
 from twoenv.training import TrainConfig, penalty_value_and_slope
 
 
@@ -126,3 +128,9 @@ def orthogonal_complement_stats(
     if denom == 0:
         raise TwoEnvError("zero vector supplied")
     return abs(float(w_perp @ np.asarray(mu))) / denom
+
+
+def constants_text(drop=None, **edits):
+    """The packaged constants as JSON text, with ``drop`` left out and ``edits`` applied."""
+    values = {key: value for key, value in load_constants().items() if key != drop}
+    return json.dumps({**values, **edits})

@@ -37,6 +37,8 @@ from twoenv.model import (
 )
 from twoenv.training import TrainConfig, penalty_value_and_slope
 
+from helpers import constants_text
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 # the config keys that are also sweep flags: those with help text
 FLAG_KEYS = [key for key, (_, _, help_text) in experiments._CONFIG_KEYS.items() if help_text]
@@ -63,6 +65,12 @@ class TestResolveSigma:
         with pytest.raises(ConfigError):
             SigmaRule("quadratic", 1.0)
 
+    @pytest.mark.parametrize("kind, name", [("fixed", "sigma"), ("scaling", "kappa")])
+    def test_integer_too_large_for_a_float_is_not_finite(self, kind, name):
+        # math.isfinite(10**400) raises OverflowError, which used to escape bare
+        with pytest.raises(ConfigError, match=name):
+            SigmaRule(kind, 10**400)
+
 
 def _tiny_config(**kwargs):
     defaults = dict(
@@ -81,12 +89,12 @@ def _tiny_config(**kwargs):
 SCALE_FREE_METHODS = ("mean", "two_phase", "max_margin")
 
 
-def _scaled_sweep(k):
+def _scaled_sweep(k, methods=SCALE_FREE_METHODS):
     """The sweep of ``twoenv sweep --methods mean,two_phase,max_margin --d-grid 16,2000
     --seeds 2 --n1 20 --n2 10`` with ``sigma``, ``r_c`` and ``r_s`` all ``2**k``."""
     c = math.ldexp(1.0, k)
     return run_sweep(_tiny_config(d_grid=(16, 2000), seeds=2, r_c=c, r_s=c,
-                                  sigma_rule=SigmaRule("fixed", c), methods=SCALE_FREE_METHODS))
+                                  sigma_rule=SigmaRule("fixed", c), methods=methods))
 
 
 @functools.cache
@@ -147,6 +155,42 @@ class TestRunSweep:
         emit(run_sweep(cfg), "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_scale_free_learners_commute_with_a_power_of_two(self):
+        # sigma, r_c and r_s times c = 2^-27 multiply every row by c exactly:
+        # the accuracies, margin and ratio stay bitwise, and eopp_gap scales
+        # by c^2 (by 1 for max_margin, whose w scales by 1/c).  two_phase's
+        # degeneracy test used an absolute 1e-15 floor, and both of its d=16
+        # rows were error rows at this scale
+        def sweep(c):
+            return run_sweep(_tiny_config(
+                d_grid=(16, 2000), seeds=2, r_c=c, r_s=2.0 * c, sigma_rule=SigmaRule("fixed", c),
+                methods=("two_phase", "mean", "max_margin")))
+
+        unit, small = sweep(1.0), sweep(2.0**-27)
+        assert len(unit) == len(small) == 12
+        assert sum(r.method == "two_phase" for r in small) == 4
+        invariant = ("train_acc", "robust_acc", "margin", "ratio")
+        for u, s in zip(unit, small):
+            assert (s.method, s.d, s.seed, s.error) == (u.method, u.d, u.seed, None)
+            # repr is exact for floats and equal for two nans
+            assert ([repr(getattr(s, k)) for k in invariant]
+                    == [repr(getattr(u, k)) for k in invariant])
+            assert s.eopp_gap == (1.0 if u.method == "max_margin" else 4.0**-27) * u.eopp_gap
+
+    @pytest.mark.parametrize("k", [-540, -520, 510])
+    def test_extreme_scales_keep_the_power_of_two_relation(self, k):
+        # item 7's relation at scales where the products leave the float range:
+        # max_margin's K underflowed (a false "not separable" at 2^-540, an
+        # overflow at 2^-520) or overflowed (2^510), and mean's metrics divided
+        # by an underflowed sigma ||w|| (a bare ZeroDivisionError at 2^-540)
+        unit, scaled = (_scaled_sweep(0, ("mean", "max_margin")),
+                        _scaled_sweep(k, ("mean", "max_margin")))
+        assert len(unit) == len(scaled) == 8
+        assert all(r.error is None for r in unit)
+        assert not any(r.error for r in scaled if r.method == "max_margin")
+        for u, s in zip(unit, scaled):
+            _check_relation(u, s, k)
+
     # Beyond about |k| = 1015 the sampler's rows leave the normal floats
     # (subnormal or overflowing), so they are no longer the unit rows times 2**k.
     # At 510 and -540 the products inside every learner and metric leave them.
@@ -204,6 +248,7 @@ class TestRunSweep:
         out = tmp_path / "err.csv"
         emit(records, "csv", out)
         sidecar = tmp_path / "err.csv.errors.txt"
+        assert sidecar.exists()
         assert "max_margin,2,0:" in sidecar.read_text()
         # a rerun to the same path with no error row leaves no stale reasons
         emit(run_sweep(replace(cfg, methods=("mean",))), "csv", out)
@@ -512,6 +557,20 @@ class TestCli:
         assert code == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_unknown_flag_exits_one(self):
+        assert main(["sweep", "--frobnicate", "1"]) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_worker_count_exits_one(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("TWOENV_WORKERS", value)
+        out = tmp_path / "w.csv"
+        code = main(["sweep", "--methods", "mean", "--d-grid", "16", "--seeds", "1",
+                     "--n1", "10", "--n2", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "TWOENV_WORKERS" in err and "positive integer" in err
+        assert not out.exists()
+
     def test_partial_failure_exit_code(self, tmp_path):
         out = tmp_path / "p.csv"
         code = main(
@@ -580,6 +639,72 @@ class TestCli:
                     == [repr(getattr(u, key)) for key in ("train_acc", "robust_acc", "margin", "ratio")])
             assert s.eopp_gap == math.ldexp(u.eopp_gap, 900)
 
+    @pytest.mark.parametrize("key, flag, value", [
+        *((key, flag, value) for key, flag in [
+            ("learning_rate", None), ("l2_weight", None), ("tolerance", None),
+            ("penalty_weight", "--penalty-weight"), ("sigma", "--sigma"), ("kappa", "--kappa"),
+            ("rc", "--rc"), ("rc", None), ("rs", "--rs"), ("rs", None),
+            ("theta1", "--theta1"), ("theta1", None), ("theta2", "--theta2"), ("theta2", None),
+        ] for value in ("nan", "inf")),
+        ("rc", "--rc", "0"), ("rs", None, "-1"), ("theta1", "--theta1", "1.5"),
+        ("theta2", None, "-2"), ("d_grid", "--d-grid", "1,16"), ("d_grid", None, "1,16"),
+        # an empty list used to run every cell, then fail to emit naming no key
+        ("methods", "--methods", ","), ("methods", None, " , "),
+        # an inner space used to merge the tokens around it: d = 16, method mean
+        ("d_grid", "--d-grid", "1 6"), ("d_grid", None, "1 6"), ("methods", "--methods", "me an"),
+    ])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, key, flag, value):
+        # every check of the form x <= 0 lets nan through; each bad value is
+        # rejected before any cell runs, with an error naming its config key
+        out = tmp_path / "n.csv"
+        flags = {"methods": "erm,irmv1", "d_grid": "16", "seeds": "1", "n1": "20", "n2": "10",
+                 "max_iters": "60", "out": str(out)}
+        if flag is None:
+            path = tmp_path / "n.cfg"
+            path.write_text(f"{key} = {value}\n")
+            flags.pop(key, None)  # a flag would override the file's value
+            argv = ["sweep", "--config", str(path)]
+        else:
+            flags[key] = value
+            argv = ["sweep"]
+        for name, text in flags.items():
+            argv += ["--" + name.replace("_", "-"), text]
+        assert main(argv) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", [-540, -520, 510])
+    @pytest.mark.parametrize("method", ["mean", "max_margin"])
+    def test_sweep_at_a_power_of_two_scale_completes(self, tmp_path, method, k):
+        # at 2^-540 mean ended in a bare ZeroDivisionError traceback and every
+        # max_margin row said "data is not linearly separable"
+        def sweep(scale):
+            out = tmp_path / f"s{scale!r}.csv"
+            flags = ["--sigma", "--rc", "--rs"]
+            argv = ["sweep", "--methods", method, "--d-grid", "16,2000", "--seeds", "2",
+                    "--n1", "20", "--n2", "10", "--max-iters", "50", "--out", str(out),
+                    *(text for flag in flags for text in (flag, repr(scale)))]
+            code = main(argv)
+            sidecar = out.with_name(out.name + ".errors.txt")
+            return (code, list(csv.DictReader(out.read_text().splitlines())),
+                    sidecar.read_text() if sidecar.exists() else "")
+
+        unit_code, unit, _ = sweep(1.0)
+        assert unit_code == 0
+        code, rows, errors = sweep(2.0**k)
+        assert code in (0, 2) and len(rows) == 4
+        assert (code == 2) == bool(errors) and (method == "mean" or code == 0)
+        factor = 1.0 if method == "max_margin" else 4.0**k
+        for u, s in zip(unit, rows):
+            key = f"{s['method']},{s['d']},{s['seed']}"
+            if s["train_acc"] == "nan":
+                assert f"{key}: eopp_gap cannot be represented at this scale" in errors
+                continue
+            for col in ("train_acc", "robust_acc", "margin", "ratio"):
+                assert s[col] == u[col], (key, col)
+            assert float(s["eopp_gap"]) == pytest.approx(factor * float(u["eopp_gap"]),
+                                                         rel=1e-8)
+
     @pytest.mark.parametrize("extra", [["--sigma", "1e-170"], ["--rs", "1e-300"]])
     def test_extreme_scales_give_finite_rows(self, tmp_path, extra):
         # sigma^2 d used to underflow to 0 (margin inf, exit 0), and the norm
@@ -590,6 +715,140 @@ class TestCli:
         assert main(argv + extra) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 2 and all(math.isfinite(float(row["margin"])) for row in rows)
+
+    @pytest.mark.parametrize("seed_base, seeds", [
+        ("18446744073709551616", "1"), ("18446744073709551615", "2"), ("-1", "1")])
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_seed_outside_64_bits_exits_one(self, tmp_path, capsys, seed_base, seeds, in_file):
+        # the stream masked seeds to 64 bits, so 2**64 ran the draws of seed 0
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--methods", "mean", "--d-grid", "16", "--seeds", seeds,
+                "--n1", "20", "--n2", "10", "--out", str(out)]
+        if in_file:
+            path = tmp_path / "s.cfg"
+            path.write_text(f"seed_base = {seed_base}\n")
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--seed-base", seed_base]
+        assert main(argv) == 1
+        assert "seed_base" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed_base, instances", [
+        ("18446744073709551616", "1"), ("18446744073709551615", "2"), ("-1", "1")])
+    def test_verify_rejects_seed_outside_64_bits(self, tmp_path, capsys, seed_base, instances):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--instances", instances, "--seed-base", seed_base, "--out", str(out)]
+        assert main(argv) == 1
+        assert "--seed-base" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--epsilon", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_preset_rejects_non_finite_input(self, capsys, flag, value):
+        args = {"--n1": "100", "--n2": "100", "--gamma": "0.01", "--epsilon": "0.05",
+                "--delta": "0.01", flag: value}
+        assert main(["preset", *(tok for item in args.items() for tok in item)]) == 1
+        captured = capsys.readouterr()
+        assert flag.removeprefix("--") in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--seeds", "0"], "--seeds"), (["--sizes", ""], "--sizes"),
+        (["--sizes", "0"], "--sizes"), (["--sizes", "-3"], "--sizes"),
+        (["--sizes", "20,0"], "--sizes"), (["--kappa-dmax", "1"], "--kappa-dmax"),
+        (["--kappa-dmax", "0"], "--kappa-dmax"), (["--kappa-dmax", "-5"], "--kappa-dmax"),
+        (["--sizes", "1"], "--sizes"), (["--sizes", "40,1"], "--sizes"),
+        (["--sizes", "4 0"], "--sizes")])
+    def test_calibrate_rejects_empty_measurement(self, tmp_path, capsys, monkeypatch, flags,
+                                                 named):
+        # --sizes 0 and -3 used to end in a ZeroDivisionError and a math domain
+        # error from measure_rates, --sizes 1 and --kappa-dmax 1 in an error
+        # naming no flag
+        def measured(*args, **kwargs):
+            raise AssertionError("measured before the flags were checked")
+
+        monkeypatch.setattr(cli, "calibrate_constants", measured)
+        monkeypatch.setattr(cli, "kappa_interpolation_rate", measured)
+        out = tmp_path / "constants.json"
+        assert main(["calibrate", "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["preset", "calibrate"])
+    @pytest.mark.parametrize("text, named", [
+        pytest.param(constants_text(c_r=-1), "'c_r'", id="negative"),
+        pytest.param(constants_text(c_r="x"), "'c_r'", id="string"),
+        pytest.param(constants_text(C_s=True), "'C_s'", id="bool"),
+        pytest.param(constants_text(C_c=0), "'C_c'", id="zero"),
+        pytest.param(constants_text(C_d=math.inf), "'C_d'", id="inf"),
+        pytest.param(constants_text(kappa=math.nan), "'kappa'", id="nan"),
+        pytest.param(constants_text(drop="kappa"), "'kappa'", id="no-kappa"),
+        pytest.param('{"c_r": ', "not JSON", id="malformed"),
+        pytest.param("\xff{", "not JSON", id="not-utf8"),
+        pytest.param("[1, 2]", "JSON object", id="array")])
+    def test_bad_constants_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  command, text, named):
+        # c_r = -1 used to end in a math domain error, "x" in a bare
+        # ValueError, a malformed file in a JSONDecodeError, a file without
+        # kappa in a KeyError after calibrate had measured every rate, and a
+        # file that is not UTF-8 in a UnicodeDecodeError
+        def measured(*args, **kwargs):
+            raise AssertionError("measured before the constants were checked")
+
+        monkeypatch.setattr(cli, "calibrate_constants", measured)
+        monkeypatch.setattr(cli, "kappa_interpolation_rate", measured)
+        path, out = tmp_path / "constants.json", tmp_path / "out.json"
+        path.write_text(text, encoding="latin-1")  # one byte a character: "\xff" is no UTF-8
+        argv = {"preset": ["preset", "--n1", "100", "--n2", "100", "--gamma", "0.01",
+                           "--epsilon", "0.05"],
+                "calibrate": ["calibrate", "--out", str(out)]}[command]
+        assert main(argv + ["--constants", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert str(path) in captured.err and named in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, kind", [
+        ("preset", "directory"), ("calibrate", "directory"), ("sweep", "directory"),
+        ("sweep", "not-utf8")])
+    def test_unreadable_input_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command, kind):
+        # a directory used to end in an IsADirectoryError, and a config file
+        # that is not UTF-8 in a UnicodeDecodeError
+        def worked(*args, **kwargs):
+            raise AssertionError("work started before the input file was read")
+
+        for name in ("calibrate_constants", "kappa_interpolation_rate", "run_sweep"):
+            monkeypatch.setattr(cli, name, worked)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"seeds = 1\n# caf\xe9\n")  # latin-1, not UTF-8
+        argv = {"preset": ["preset", "--n1", "100", "--n2", "100", "--gamma", "0.01",
+                           "--epsilon", "0.05", "--constants"],
+                "calibrate": ["calibrate", "--constants"],
+                "sweep": ["sweep", "--d-grid", "16", "--config"]}[command]
+        assert main(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and str(path) in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_verify_rejects_empty_study(self, tmp_path, capsys, count):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--instances", count, "--out", str(out)]) == 1
+        assert "--instances" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["nan", "0", "-1", "inf"])
+    def test_verify_rejects_bad_t(self, tmp_path, capsys, t):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--instances", "2", "--t", t, "--out", str(out)]) == 1
+        assert "--t" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_subcommand(self, tmp_path):
         out = tmp_path / "report.json"

@@ -48,6 +48,8 @@ from twoenv.presets import CONSTANT_NAMES, PresetParams, load_constants, theorem
 from twoenv.rng import check_seed_block, stream
 from twoenv.training import TrainConfig
 
+from helpers import constants_text
+
 BAD_REALS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "10**400": 10**400,
              "True": True, "False": False, "str": "1", "None": None, "1j": 1j}
 BAD_INTEGERS = {"2.5": 2.5, "2.0": 2.0, "True": True, "False": False, "str": "3",
@@ -223,10 +225,83 @@ class TestPredicates:
             assert not integer_in(value, 1), value
 
 
-def _constants_text(drop=None, **edits):
-    """The packaged constants as JSON text, with ``drop`` left out and ``edits`` applied."""
-    values = {key: value for key, value in load_constants().items() if key != drop}
-    return json.dumps({**values, **edits})
+class TestRegressions:
+    """Each case ended in a bare numpy or Python error, or was accepted."""
+
+    def test_sweep_rejects_a_dimension_too_large_for_numpy(self, tmp_path, capsys):
+        # used to end in a bare OverflowError traceback from the sampler
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--d-grid", "1180591620717411303424", "--seeds", "1", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "d_grid" in err
+        assert not out.exists()
+
+    def test_stream_rejects_a_fractional_seed(self):
+        # int(1.5) used to key seed 1
+        with pytest.raises(TwoEnvError, match="seed"):
+            stream(1.5)
+
+    def test_bound_chain_study_rejects_a_fractional_seed_base(self):
+        # it reported seeds 0.5 and 1.5 but drew from streams 0 and 1
+        with pytest.raises(TwoEnvError, match="seed"):
+            bound_chain_study(2, seed_base=0.5)
+
+    def test_experiment_config_rejects_a_radius_too_large_for_a_float(self):
+        with pytest.raises(ConfigError, match="rc"):
+            ExperimentConfig(d_grid=(8,), seeds=1, r_c=10**400)
+
+    @pytest.mark.parametrize("n_1", [2.5, True])
+    def test_theorem_preset_rejects_a_size_that_is_not_an_integer(self, n_1):
+        with pytest.raises(TwoEnvError, match="sample sizes"):
+            theorem_preset(n_1, 20, 0.03, 0.1, strict=False)
+
+    @pytest.mark.parametrize("gamma", ["1e-110", "1e-105"])
+    def test_preset_rejects_a_gamma_whose_dimension_is_no_float(self, capsys, gamma):
+        # the C_d term's denominator underflowed to 0 (ZeroDivisionError), or
+        # the dimension was inf (OverflowError from int)
+        with pytest.raises(TwoEnvError, match="gamma"):
+            theorem_preset(100, 100, float(gamma), 0.1)
+        argv = ["preset", "--n1", "100", "--n2", "100", "--gamma", gamma, "--epsilon", "0.1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gamma" in err
+
+    def test_preset_params_rejects_a_nan_radius(self):
+        with pytest.raises(TwoEnvError, match="r_c"):
+            PresetParams(**{**_PRESET, "r_c": math.nan})
+
+    @pytest.mark.parametrize("rate", [
+        lambda: mean_margin_rate(_SMALL_PRESET, 0),
+        lambda: max_margin_indictment_rate(_SMALL_PRESET, 0),
+        lambda: two_phase_rate(_SMALL_PRESET, 0, 0.1),
+        lambda: kappa_interpolation_rate(1.0, 64, 10, 10, 0),
+        lambda: measure_rates(load_constants(), 20, 0),
+    ], ids=["mean_margin", "indictment", "two_phase", "kappa", "measure_rates"])
+    def test_rate_over_no_seed_is_an_error(self, rate):
+        # each used to end in a ZeroDivisionError
+        with pytest.raises(TwoEnvError, match="seeds"):
+            rate()
+
+    def test_calibrate_rejects_a_kappa_dimension_too_large_for_the_sampler(self, capsys,
+                                                                            monkeypatch):
+        # checked before any rate is measured, not after
+        def measured(*args, **kwargs):
+            raise AssertionError("measured before the flags were checked")
+
+        monkeypatch.setattr("twoenv.cli.calibrate_constants", measured)
+        assert main(["calibrate", "--kappa-dmax", "1180591620717411303424"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--kappa-dmax" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e400"])
+def test_verify_t_is_a_positive_finite_real(tmp_path, capsys, t):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--instances", "1", f"--t={t}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--t" in err
+    assert not out.exists()
 
 
 DIRECTORY = object()  # a row whose input path is a directory
@@ -313,13 +388,13 @@ CLI_ROWS = [
             file=text)
       for command, argv in (("preset", _PRESET_ARGV), ("calibrate", ["calibrate"]))
       for case, text, named in [
-          ("negative", _constants_text(c_r=-1), "'c_r'"),
-          ("string", _constants_text(c_r="x"), "'c_r'"),
-          ("bool", _constants_text(C_s=True), "'C_s'"),
-          ("zero", _constants_text(C_c=0), "'C_c'"),
-          ("inf", _constants_text(C_d=math.inf), "'C_d'"),
-          ("nan", _constants_text(kappa=math.nan), "'kappa'"),
-          ("no-kappa", _constants_text(drop="kappa"), "'kappa'"),
+          ("negative", constants_text(c_r=-1), "'c_r'"),
+          ("string", constants_text(c_r="x"), "'c_r'"),
+          ("bool", constants_text(C_s=True), "'C_s'"),
+          ("zero", constants_text(C_c=0), "'C_c'"),
+          ("inf", constants_text(C_d=math.inf), "'C_d'"),
+          ("nan", constants_text(kappa=math.nan), "'kappa'"),
+          ("no-kappa", constants_text(drop="kappa"), "'kappa'"),
           ("malformed", '{"c_r": ', "not JSON"),
           ("not-utf8", "\xff{", "not JSON"),
           ("array", "[1, 2]", "JSON object")]),

@@ -202,6 +202,18 @@ class TestSampleReduced:
             LabeledDataset(data.X, data.y, data.env, ambient_d=11)
 
 
+    @pytest.mark.parametrize("arg", [1, 2, 7])  # r_c, r_s, sigma
+    def test_integer_too_large_for_a_float_is_rejected(self, arg):
+        # the float conversion of 10**400 used to escape as a bare OverflowError
+        args = [16, 1.0, 2.0, 1.0, 0.0, 4, 4, 0.5]
+        args[arg] = 10**400
+        name = {1: "r_c", 2: "r_s", 7: "sigma"}[arg]
+        with pytest.raises(TwoEnvError, match=name):
+            sample_reduced(*args, 0, stream(0))
+        with pytest.raises(TwoEnvError, match=name):
+            sample_gram_row_sums(*args, stream(0))
+
+
 class _FixedDraws:
     """A generator stand-in that returns the given draws in turn."""
 
@@ -368,6 +380,16 @@ class TestDomainTypes:
         mu_c, mu_s = np.array([r_c, 0.0]), np.array([0.0, r_s])
         with pytest.raises(TwoEnvError, match=match):
             ProblemInstance(mu_c, mu_s, 1.0, 0.0, 5, 4, sigma, 0)
+
+    @pytest.mark.parametrize("n_1", [3.5, True, 0, -1, np.float64(3.0)])
+    def test_sample_sizes_must_be_positive_ints(self, n_1):
+        mu_c, mu_s = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        with pytest.raises(TwoEnvError, match="sample sizes"):
+            ProblemInstance(mu_c, mu_s, 1.0, 0.0, n_1, 2, 1.0, 0)
+        with pytest.raises(TwoEnvError, match="sample sizes"):
+            sample_reduced(16, 1.0, 2.0, 1.0, 0.0, 2, n_1, 0.5, 0, stream(0))
+        inst = ProblemInstance(mu_c, mu_s, 1.0, 0.0, np.int64(3), 2, 1.0, 0)
+        assert inst.n == 5
 
     @pytest.mark.parametrize("env", [0, 3, -1])
     def test_environment_must_be_1_or_2(self, env):

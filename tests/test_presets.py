@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from twoenv.errors import TwoEnvError
+from twoenv.errors import ConfigError, TwoEnvError
 from twoenv.presets import load_constants, save_constants, theorem_preset
 
 
@@ -57,6 +57,13 @@ class TestTheoremPreset:
     def test_epsilon_range_checked(self):
         with pytest.raises(TwoEnvError):
             theorem_preset(100, 100, _gamma(200), 0.7)
+
+    @pytest.mark.parametrize("name", ["gamma", "epsilon", "delta"])
+    def test_integer_too_large_for_a_float_is_not_finite(self, name):
+        # math.isfinite(10**400) raises OverflowError, which used to escape bare
+        args = {"gamma": _gamma(200), "epsilon": 0.05, "delta": 0.01, name: 10**400}
+        with pytest.raises(ConfigError, match=name):
+            theorem_preset(100, 100, **args)
 
 
 class TestConstantsFile:

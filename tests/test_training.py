@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,50 @@ from twoenv.training import (
 )
 
 from helpers import logistic_parts, random_dataset, reference_gd, reference_objective
+
+
+class TestTrainConfig:
+    def test_anneal_schedule_must_be_nonnegative(self):
+        with pytest.raises(TwoEnvError, match="anneal_schedule"):
+            TrainConfig(anneal_schedule=-3)
+        assert TrainConfig(anneal_schedule=0).anneal_schedule == 0
+        assert TrainConfig().anneal_schedule == 0
+
+    @pytest.mark.parametrize("field", ["max_iters", "anneal_schedule"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, None, "3"])
+    def test_iteration_settings_must_be_integers(self, field, value):
+        # a float anneal iteration never equals the loop counter, so its
+        # penalty would never switch on; a bool is an int to Python
+        with pytest.raises(TwoEnvError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(max_iters=np.int64(60), anneal_schedule=np.int32(50))
+        assert (cfg.max_iters, cfg.anneal_schedule) == (60, 50)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "penalty_weight", "l2_weight",
+                                       "tolerance"])
+    @pytest.mark.parametrize("value", [True, False, None, "1e-8", 1j])
+    def test_float_settings_must_be_real_numbers(self, field, value):
+        # a bool used to pass as 1 or 0, and a string ended in a bare
+        # TypeError from math.isfinite
+        with pytest.raises(TwoEnvError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "penalty_weight", "l2_weight",
+                                       "tolerance"])
+    def test_integer_too_large_for_a_float_is_not_finite(self, field):
+        # math.isfinite(10**400) raises OverflowError, which used to escape bare
+        with pytest.raises(TwoEnvError, match=field):
+            TrainConfig(**{field: 10**400})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert getattr(TrainConfig(**{field: np.float32(0.5)}), field) == 0.5
+
+    def test_ints_and_numpy_floats_are_real_numbers(self):
+        cfg = TrainConfig(learning_rate=1, penalty_weight=np.float32(2.0), l2_weight=0,
+                          tolerance=np.float64(1e-6))
+        assert (cfg.learning_rate, cfg.penalty_weight, cfg.l2_weight) == (1, 2.0, 0)
 
 
 class TestGdTrain:
