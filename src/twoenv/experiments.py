@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -179,13 +180,24 @@ def run_cell(cfg: ExperimentConfig, d: int, seed: int) -> list[RunRecord]:
     so a fit that resumes reports a ``wall_ms`` without those steps.
     Each method's fit and metrics run with numpy overflow, division by zero
     and invalid operations raising, so a NaN or inf they would produce
-    becomes that method's error row instead of a value in the output.
+    becomes that method's error row instead of a value in the output.  A
+    draw out of the float range at its scale (no entry a normal float, or
+    the sum of its rows beyond the largest one) gives every method an error
+    row that names the scale.
     """
     sigma = resolve_sigma(cfg.sigma_rule, d, cfg.n_1 + cfg.n_2, cfg.r_c)
-    instance, data = sample_reduced(
-        d, cfg.r_c, cfg.r_s, cfg.theta_1, cfg.theta_2, cfg.n_1, cfg.n_2, sigma, seed,
-        rngmod.stream(seed, "data", d),
-    )
+    with np.errstate(over="ignore"):  # an entry that overflows is rejected below
+        instance, data = sample_reduced(
+            d, cfg.r_c, cfg.r_s, cfg.theta_1, cfg.theta_2, cfg.n_1, cfg.n_2, sigma, seed,
+            rngmod.stream(seed, "data", d),
+        )
+    Z = data.signed()
+    top = float(max(Z.max(), -Z.min()))  # the largest magnitude, nan if an entry is
+    if not sys.float_info.min <= top <= sys.float_info.max / data.n:
+        # no entry is a normal float, or a sum over the rows (the mean's) overflows
+        reason = (f"the draw is out of range at this scale (sigma={sigma!r}, r_c={cfg.r_c!r}, "
+                  f"r_s={cfg.r_s!r}): its largest entry is {top!r}")
+        return [RunRecord(method, d, seed, 0.0, error=reason) for method in cfg.methods]
     mu_c, mu_s = instance.mu_c, instance.mu_s
     envs = (data.by_env(1), data.by_env(2))  # views of the draw's rows
 
@@ -374,4 +386,10 @@ def build_config(raw: dict) -> ExperimentConfig:
         else:
             fields[name] = value
     config = ExperimentConfig(**fields)
-    return replace(config, train=replace(config.train, **train))
+    train_config = config.train
+    for key, value in train.items():  # a TrainConfig field has the name of its key
+        try:
+            train_config = replace(train_config, **{key: value})
+        except TwoEnvError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
+    return replace(config, train=train_config)

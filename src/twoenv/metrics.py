@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, TwoEnvError
+from .errors import DegenerateLabelsError, TwoEnvError, finite_real
 from .model import LabeledDataset, LinearModel, vector_norm
 
 _SQRT2 = math.sqrt(2.0)
@@ -48,6 +48,13 @@ def _quotient(num: float, den: float, what: str) -> float:
     return num / den
 
 
+def _sigma(sigma) -> float:
+    """``sigma`` as a float, once it passes the input rule: a positive finite real."""
+    if not (finite_real(sigma) and sigma > 0):
+        raise TwoEnvError(f"sigma must be positive and finite, got {sigma!r}")
+    return float(sigma)
+
+
 def _alignments(model: LinearModel, mu_c, mu_s) -> tuple[float, float, float]:
     """``<w, mu_c>``, ``<w, mu_s>`` and ``||w||`` on ``model.scaled``'s ``w``."""
     w, _, norm = model.scaled
@@ -56,8 +63,7 @@ def _alignments(model: LinearModel, mu_c, mu_s) -> tuple[float, float, float]:
 
 def error_at_theta(model: LinearModel, mu_c, mu_s, sigma: float, theta: float) -> float:
     """Exact 0-1 error of ``model`` in the environment with coefficient ``theta``."""
-    if sigma <= 0:
-        raise TwoEnvError("sigma must be positive")
+    sigma = _sigma(sigma)
     wc, ws, norm = _alignments(model, mu_c, mu_s)
     return float(gaussian_tail(_quotient(wc + theta * ws, sigma * norm, "0-1 error")))
 
@@ -68,8 +74,7 @@ def robust_error(model: LinearModel, mu_c, mu_s, sigma: float) -> float:
     The argument of Q is affine in theta and Q is decreasing, so the
     maximum sits at the endpoint ``theta = -sign(<w, mu_s>)``; no search.
     """
-    if sigma <= 0:
-        raise TwoEnvError("sigma must be positive")
+    sigma = _sigma(sigma)
     wc, ws, norm = _alignments(model, mu_c, mu_s)
     return float(gaussian_tail(_quotient(wc - abs(ws), sigma * norm, "robust error")))
 
@@ -89,8 +94,7 @@ def normalized_margin(model: LinearModel, data: LabeledDataset, sigma: float) ->
     """
     if data.n == 0:
         raise TwoEnvError("empty dataset")
-    if sigma <= 0:
-        raise TwoEnvError("sigma must be positive")
+    sigma = _sigma(sigma)
     w, _, norm = model.scaled
     margins = data.signed() @ w
     den = norm * (sigma * math.sqrt(data.ambient_d))

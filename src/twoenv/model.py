@@ -217,13 +217,8 @@ class LinearModel:
             raise TwoEnvError("w must be a 1-d vector")
         if not np.all(np.isfinite(self.w)):
             raise TwoEnvError("w must be finite")
-        if self.norm == 0.0:
+        if not self.w.any():
             raise TwoEnvError("zero-norm model rejected")
-
-    @cached_property
-    def norm(self) -> float:
-        """``||w||`` (see :func:`vector_norm`)."""
-        return vector_norm(self.w)
 
     @cached_property
     def scaled(self) -> tuple[np.ndarray, int, float]:
@@ -334,17 +329,17 @@ def sample_reduced(
     The noise is isotropic, so rotate until ``mu_c = r_c e_1`` and
     ``mu_s = r_s e_2``.  A signed row is then
     ``z_i = [r_c + sigma g_i1, theta_e r_s + sigma g_i2, sigma G_i]`` with
-    ``G`` an N x (d-2) standard Gaussian matrix.  When ``d - 2 < N``, ``G``
-    is drawn as it is: this is the dense draw in the rotated frame.
-    Otherwise write ``G = L Q'`` with ``Q`` orthonormal: by the Bartlett
-    decomposition of the Wishart(d-2, I_N) Gram ``G G'``, ``L`` is lower
-    triangular with independent entries, ``L_ii^2 ~ chi2(d-1-i)`` for
-    i = 1..N and N(0,1) below the diagonal.  Dropping ``Q`` is a rotation
-    that fixes both means.  So a learner that is rotation-equivariant and
-    returns weights in the span of the rows (the signed mean, the
-    hard-margin fit, the two-stage learner, gradient descent from zero),
-    scored by ``<w, mu_c>``, ``<w, mu_s>``, ``||w||`` and margins, has the
-    same law on this draw as on :func:`sample_dataset`'s dense one.
+    ``G`` an N x (d-2) standard Gaussian matrix.  Write ``G = L Q'``, its LQ
+    factorization, with ``Q`` orthonormal and ``L`` N x k lower trapezoidal,
+    ``k = min(d-2, N)``: ``L`` has independent entries, ``L_ii^2 ~
+    chi2(d-1-i)`` for i = 1..k and N(0,1) below the diagonal (the Bartlett
+    decomposition of the Wishart Gram ``G G'`` when ``k = N``).  Dropping
+    ``Q`` is a rotation that fixes both means.  So a learner that is
+    rotation-equivariant and returns weights in the span of the rows (the
+    signed mean, the hard-margin fit, the two-stage learner, gradient
+    descent from zero), scored by ``<w, mu_c>``, ``<w, mu_s>``, ``||w||``
+    and margins, has the same law on this draw as on
+    :func:`sample_dataset`'s dense one.
 
     The dataset stores the rows ``z_i`` as drawn (see
     :meth:`LabeledDataset.from_signed`), environment-1 rows first.  The returned
@@ -352,12 +347,12 @@ def sample_reduced(
     count); the dataset's ``ambient_d`` is ``d``, which margin
     normalizations read.  Draw order on ``rng``: environment-1 labels,
     environment-2 labels (each as :func:`sample_environment` draws them),
-    the N x 2 normals ``g`` in row-major order, then either the N x (d-2)
-    normals of ``G`` in row-major order (``d - 2 < N``) or the N chi-square
-    variates followed by the N(N-1)/2 below-diagonal normals of ``L`` in
-    row-major order.  The rows are one array, allocated once: ``L`` (or
-    ``G``) is written into its noise block and scaled by ``sigma`` there,
-    so a wide draw peaks at about 1.6 times its rows.
+    the N x 2 normals ``g`` in row-major order, the k chi-square variates of
+    the diagonal of ``L``, then its N k - k(k+1)/2 below-diagonal normals in
+    row-major order.  The rows are one array, allocated once: ``L`` is
+    written into its noise block and scaled by ``sigma`` there, so a draw
+    peaks at about 1.6 times its rows when ``k = N``, and twice when ``k``
+    is much smaller than ``N``.
     """
     instance = _reduced_instance(d, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed)
     n, k = instance.n, instance.d - 2
@@ -368,11 +363,8 @@ def sample_reduced(
     Z[:, 0] = r_c + sigma * g[:, 0]
     Z[:, 1] = theta * r_s + sigma * g[:, 1]
     noise = Z[:, 2:]  # a view: the noise block is written in place
-    if k < n:
-        noise[...] = rng.standard_normal((n, k))  # G itself, not a factor of its Gram
-    else:
-        noise[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
-        noise[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
+    noise[np.diag_indices(k)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, k + 1)))
+    noise[np.tri(n, k, -1, dtype=bool)] = rng.standard_normal(n * k - k * (k + 1) // 2)
     noise *= sigma
     env = np.repeat(np.array([1, 2], dtype=np.int64), [n_1, n_2])
     return instance, LabeledDataset.from_signed(Z, y, env, ambient_d=d)

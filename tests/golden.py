@@ -9,7 +9,7 @@ Run from the repository root:
 
     python tests/golden.py            # rerun every command and report mismatches
     python tests/golden.py sweep      # only the named commands
-    python tests/golden.py --write    # regenerate golden.json
+    python tests/golden.py --write    # regenerate golden.json, printing what moved
 
 Regenerate only for a change that is meant to alter an output, and say
 which output moved and why.
@@ -34,13 +34,14 @@ GOLDEN = Path(__file__).with_name("golden.json")
 _METHODS = ("erm,irmv1,vrex,groupdro,moment_match,two_phase,mean,max_margin,"
             "oracle_no_spurious")
 
-# the sweep covers both sampler branches (d - 2 < N and d - 2 >= N at N = 36),
-# both GD paths (d <= N and d > N), odd environment sizes, an anneal inside
-# the run (so resumed GD prefixes) and one max_margin error row; the
-# anneal iteration has no flag, so the settings come through --config
+# the sweep covers the draw's noise block at d - 2 < N and d - 2 >= N (N = 36)
+# and its absence at d = 2, both GD paths (d <= N and d > N), odd environment
+# sizes, an anneal inside the run (so resumed GD prefixes) and max_margin error
+# rows (at d = 2); the anneal iteration has no flag, so the settings come
+# through --config
 COMMANDS = {
     "sweep": {
-        "argv": ["sweep", "--config", "sweep.cfg", "--d-grid", "8,40,400", "--seeds", "2",
+        "argv": ["sweep", "--config", "sweep.cfg", "--d-grid", "2,8,40,400", "--seeds", "2",
                  "--n1", "25", "--n2", "11", "--methods", _METHODS, "--json", "sweep.json"],
         "inputs": {"sweep.cfg": "max_iters = 300\nanneal_schedule = 100\nout = sweep.csv\n"},
     },
@@ -104,6 +105,21 @@ def mismatches(name: str, golden: dict, got: dict) -> list[str]:
     return lines
 
 
+def report(old: dict, new: dict) -> list[str]:
+    """What regenerating ``old`` as ``new`` moves: for each command of ``new``, a line
+    if its argv or inputs changed, then its :func:`mismatches` lines, or one line
+    saying it is unchanged."""
+    lines = []
+    for name, entry in new["commands"].items():
+        if name not in old["commands"]:
+            lines.append(f"{name}: new command")
+            continue
+        spec = [f"{name}: {key} {entry.get(key)}, golden {old['commands'][name].get(key)}"
+                for key in ("argv", "inputs") if entry.get(key) != old["commands"][name].get(key)]
+        lines += spec + mismatches(name, old, entry) or [f"{name}: unchanged"]
+    return lines + [f"{name}: removed" for name in old["commands"] if name not in new["commands"]]
+
+
 def load() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -121,8 +137,10 @@ def _main(argv: list[str]) -> int:
             problems += mismatches(name, golden, results[name])
     if write:
         commands = {name: {**COMMANDS[name], **results[name]} for name in COMMANDS}
-        GOLDEN.write_text(json.dumps({"versions": versions(), "commands": commands},
-                                     indent=2) + "\n")
+        new = {"versions": versions(), "commands": commands}
+        if GOLDEN.exists():
+            print("\n".join(report(load(), new)))
+        GOLDEN.write_text(json.dumps(new, indent=2) + "\n")
         print(f"wrote {GOLDEN}")
         return 0
     print("\n".join(problems) or f"{len(names)} commands match {GOLDEN.name}")

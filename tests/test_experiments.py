@@ -351,7 +351,7 @@ class TestCellMemory:
         theta = np.where(data.env == 1, theta_1, theta_2)
         return data.signed() - theta[:, None] * np.asarray(mu_s)[None, :]
 
-    @pytest.mark.parametrize("d", [7, 500])  # reduced draws: dense and Bartlett branches
+    @pytest.mark.parametrize("d", [7, 500])  # reduced draws with d - 2 < N and d - 2 >= N
     @pytest.mark.parametrize("theta_1, theta_2", [(1.0, 0.0), (0.7, -0.4)])
     def test_strip_is_the_full_subtraction_on_reduced_draws(self, d, theta_1, theta_2):
         inst, data = sample_reduced(d, 1.0, 2.0, theta_1, theta_2, 6, 4, 0.3, 5, stream(5, "s"))
@@ -587,11 +587,12 @@ class TestCli:
         pytest.param(np.linalg.LinAlgError, "LinAlgError: injected", id="LinAlgError"),
         pytest.param(FloatingPointError, "FloatingPointError: injected",
                      id="FloatingPointError"),
-        # planted: finite weights whose norm exceeds the largest float, which
-        # the metrics would otherwise turn into a margin of 0 and a robust
-        # accuracy of 1/2 (a squared norm that overflows alone is no failure:
-        # see test_weights_times_a_power_of_two_keep_their_row)
-        pytest.param(None, r"FloatingPointError: overflow encountered in \w+", id="overflow"),
+        # planted: finite weights whose norm exceeds the largest float.  The
+        # metrics are taken on w scaled by a power of two, so only eopp_gap,
+        # about 2**1024, is no float (a squared norm that overflows alone is
+        # no failure: see test_weights_times_a_power_of_two_keep_their_row)
+        pytest.param(None, r"eopp_gap cannot be represented at this scale: it is \S+ times "
+                     r"2\*\*1024", id="overflow"),
     ])
     def test_numerical_failure_becomes_one_error_row(self, tmp_path, monkeypatch, fault,
                                                      reason):
@@ -704,6 +705,27 @@ class TestCli:
                 assert s[col] == u[col], (key, col)
             assert float(s["eopp_gap"]) == pytest.approx(factor * float(u["eopp_gap"]),
                                                          rel=1e-8)
+
+    # 2^1020 at d = 16: every entry is finite, but the mean's sum of rows overflowed
+    # ("overflow encountered in reduce") and so did max_margin ("... in matmul");
+    # at d = 2000 entries are inf; at 2^-1060 every entry is subnormal and
+    # max_margin ended in "overflow encountered in ldexp"
+    @pytest.mark.parametrize("k, d_grid", [(1020, "16"), (-1060, "16"), (1020, "2000")])
+    def test_a_draw_out_of_range_gives_error_rows_that_name_the_scale(self, tmp_path, k,
+                                                                      d_grid):
+        out = tmp_path / "x.csv"
+        scale = repr(2.0**k)
+        argv = ["sweep", "--methods", "mean,max_margin,two_phase", "--d-grid", d_grid,
+                "--seeds", "1", "--n1", "20", "--n2", "10", "--out", str(out),
+                *(text for flag in ("--sigma", "--rc", "--rs") for text in (flag, scale))]
+        assert main(argv) == 2
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["method"] for row in rows] == ["max_margin", "mean", "two_phase"]
+        assert all(row["train_acc"] == "nan" for row in rows)
+        reasons = out.with_name(out.name + ".errors.txt").read_text().splitlines()
+        assert len(reasons) == 3
+        assert all(f"out of range at this scale (sigma={scale}, r_c={scale}, r_s={scale})"
+                   in reason for reason in reasons), reasons
 
     @pytest.mark.parametrize("extra", [["--sigma", "1e-170"], ["--rs", "1e-300"]])
     def test_extreme_scales_give_finite_rows(self, tmp_path, extra):

@@ -57,3 +57,20 @@ def test_a_mismatch_names_the_command_the_file_both_digests_and_the_versions():
         "{'numpy': '0.0', 'scipy': '0.0'}",
     ]
     assert golden.mismatches("verify", GOLDEN, want) == []
+
+
+def test_write_reports_each_command_that_moved_and_each_that_did_not():
+    old = {**GOLDEN, "versions": golden.versions()}  # no line for a version change
+    new = json.loads(json.dumps(old))  # a deep copy
+    sweep = new["commands"]["sweep"]
+    sweep["argv"] = sweep["argv"] + ["--extra"]
+    sweep["files"] = {**sweep["files"], "sweep.csv": "1" * 64}
+    del new["commands"]["preset_strict"]
+    new["commands"]["other"] = {"argv": ["other"], "exit": 0, "stdout": "2" * 64, "files": {}}
+    old_sweep = GOLDEN["commands"]["sweep"]
+    assert golden.report(old, new) == [
+        f"sweep: argv {sweep['argv']}, golden {old_sweep['argv']}",
+        f"sweep: sweep.csv digest {'1' * 64}, golden {old_sweep['files']['sweep.csv']}",
+        "verify: unchanged", "calibrate: unchanged", "preset: unchanged",
+        "other: new command", "preset_strict: removed"]
+    assert golden.report(old, old) == [f"{name}: unchanged" for name in old["commands"]]

@@ -36,8 +36,10 @@ from twoenv.calibrate import (
 from twoenv.cli import main
 from twoenv.errors import ConfigError, TwoEnvError, finite_real, integer_in
 from twoenv.experiments import ExperimentConfig, SigmaRule, build_config
+from twoenv.metrics import error_at_theta, normalized_margin, robust_error
 from twoenv.model import (
     LabeledDataset,
+    LinearModel,
     ProblemInstance,
     sample_environment,
     sample_gram_row_sums,
@@ -63,6 +65,13 @@ _PRESET = dict(r_c=1.0, r_s=2.0, d=100, sigma=0.1, n_1=1, n_2=1, invariant_margi
 _SMALL_PRESET = PresetParams(r_c=1.0, r_s=2.0, d=40, sigma=0.1, n_1=6, n_2=6,
                              invariant_margin_floor=0.0)
 _THEOREM = dict(n_1=20, n_2=20, gamma=0.03, epsilon=0.1, delta=0.01, strict=False)
+_MODEL, _MEANS = LinearModel(np.array([1.0, 0.5])), (np.array([1.0, 0.0]), np.array([0.0, 2.0]))
+_METRICS = {  # each closed-form metric, by the sigma it is given
+    "error_at_theta": lambda sigma: error_at_theta(_MODEL, *_MEANS, sigma, 0.5),
+    "robust_error": lambda sigma: robust_error(_MODEL, *_MEANS, sigma),
+    "normalized_margin": lambda sigma: normalized_margin(
+        _MODEL, LabeledDataset(np.eye(2), [1, -1], [1, 2]), sigma),
+}
 
 
 def _constants_from(key, value):
@@ -118,6 +127,7 @@ REAL_SITES = [
       for field in ("r_c", "r_s", "sigma")],
     *[_site("theorem_preset", theorem_preset, _THEOREM, field, ConfigError, field, ok)
       for field, ok in (("gamma", 0.03), ("epsilon", 0.1), ("delta", 0.01))],
+    *[(f"{name}-sigma", call, TwoEnvError, "sigma", 0.5, ()) for name, call in _METRICS.items()],
 ]
 
 INTEGER_SITES = [
@@ -326,17 +336,15 @@ def _sweep_argv(flags):
 
 def _sweep_key(key, value, in_file, **flags):
     """A sweep row whose config ``key`` holds ``value``, given as a flag or in a config
-    file (and then not as a flag, which would override it).  A TrainConfig field is
-    rejected by TrainConfig, a TwoEnvError that is not a ConfigError."""
+    file (and then not as a flag, which would override it)."""
     flags = {**_SWEEP_FLAGS, **flags}
     if in_file:
         flags.pop(key, None)
     else:
         flags[key] = value
-    train = experiments._CONFIG_KEYS[key][0].startswith("train.")
     return _argv(f"sweep-{key}={value}-{'file' if in_file else 'flag'}",
                  _sweep_argv(flags) + ["--config", "@"] * in_file, key,
-                 "error:" if train else "config error:", f"{key} = {value}\n" if in_file else None)
+                 file=f"{key} = {value}\n" if in_file else None)
 
 
 CLI_ROWS = [

@@ -18,6 +18,7 @@ from twoenv.model import (
     sample_gram_row_sums,
     sample_orthogonal_means,
     sample_reduced,
+    vector_norm,
 )
 
 
@@ -124,12 +125,10 @@ def _rebuild(seed, d, n_1, n_2, sigma, label="reduced"):
     rng = stream(seed, label)
     y = np.concatenate([np.where(rng.random(k) < 0.5, -1, 1) for k in (n_1, n_2)])
     g = rng.standard_normal((n, 2))
-    if d - 2 < n:
-        noise = rng.standard_normal((n, d - 2))
-    else:
-        noise = np.zeros((n, n))
-        noise[np.diag_indices(n)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, n + 1)))
-        noise[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
+    k = min(d - 2, n)  # the noise block is the N x k factor L: chi on its diagonal
+    noise = np.zeros((n, k))
+    noise[np.diag_indices(k)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, k + 1)))
+    noise[np.tril_indices(n, -1, k)] = rng.standard_normal(n * k - k * (k + 1) // 2)
     theta = np.array([1.0] * n_1 + [-0.5] * n_2)
     Z = np.column_stack([1.0 + sigma * g[:, 0], theta * 2.0 + sigma * g[:, 1], sigma * noise])
     return y, Z
@@ -137,7 +136,7 @@ def _rebuild(seed, d, n_1, n_2, sigma, label="reduced"):
 
 class TestSampleReduced:
     # N = 2, 10, 60, 900 (N = 1 cannot be drawn: each environment needs a row);
-    # d = 902 is the smallest Bartlett draw at N = 900
+    # d = 902 is the smallest draw with a square (Bartlett) noise block at N = 900
     @pytest.mark.parametrize("n_1, n_2, d", [(1, 1, 500), (6, 4, 500), (30, 30, 500),
                                              (800, 100, 902)])
     def test_follows_the_documented_draw_order(self, n_1, n_2, d):
@@ -153,12 +152,31 @@ class TestSampleReduced:
         np.testing.assert_array_equal(inst.mu_s, 2.0 * np.eye(n + 2)[1])
         assert (data.d, data.ambient_d) == (n + 2, d)
 
-    @pytest.mark.parametrize("d", [7, 2])  # d - 2 < N = 10; d = 2 has no noise block
+    # d - 2 < N = 10; d = 2 has no noise block.  The noise block is the LQ factor
+    # of the dense draw's in the rotated frame (test_reduced_sampling.py checks
+    # that pathwise): lower trapezoidal, with a positive diagonal
+    @pytest.mark.parametrize("d", [7, 2])
     def test_narrow_draw_is_the_dense_draw_in_the_rotated_frame(self, d):
         inst, data = _reduced(d=d)
         assert data.signed().tobytes() == _rebuild(3, d, 6, 4, 0.3)[1].tobytes()
+        noise = data.signed()[:, 2:]
+        assert np.all(np.triu(noise, 1) == 0) and np.all(np.diag(noise) > 0)
         np.testing.assert_array_equal(inst.mu_s, 2.0 * np.eye(d)[1])
         assert data.d == data.ambient_d == inst.d == d
+
+    @pytest.mark.parametrize("d", [12, 500])
+    def test_wide_draw_is_the_bartlett_factor(self, d):
+        # d - 2 >= N: the noise block is the N x N Bartlett factor of the Gram,
+        # its N chi-square variates drawn before its N(N-1)/2 lower normals
+        rng = stream(3, "reduced")
+        rng.random(6), rng.random(4)  # the labels
+        g = rng.standard_normal((10, 2))
+        bartlett = np.zeros((10, 10))
+        bartlett[np.diag_indices(10)] = np.sqrt(rng.chisquare(d - 1 - np.arange(1, 11)))
+        bartlett[np.tril_indices(10, -1)] = rng.standard_normal(45)
+        Z = _reduced(d=d)[1].signed()
+        assert Z[:, 2:].tobytes() == (0.3 * bartlett).tobytes()
+        assert Z[:, 0].tobytes() == (1.0 + 0.3 * g[:, 0]).tobytes()
 
     def test_d_equal_n_plus_2_takes_the_bartlett_branch(self):
         _, data = _reduced(d=12)  # the last Bartlett diagonal has one degree of freedom
@@ -325,7 +343,7 @@ class TestSignedRows:
         order = np.r_[np.flatnonzero(data.env == 2), np.arange(4)]
         assert _same(pooled, LabeledDataset(X[order], data.y[order], data.env[order]))
 
-    @pytest.mark.parametrize("d", [7, 500])  # the dense branch and the Bartlett branch
+    @pytest.mark.parametrize("d", [7, 500])  # d - 2 < N and d - 2 >= N
     def test_by_env_is_a_view_of_contiguous_rows(self, d):
         _, data = _reduced(d=d)
         for env, rows in ((1, slice(0, 6)), (2, slice(6, 10))):
@@ -343,7 +361,7 @@ class TestSignedRows:
             assert not np.shares_memory(part.signed(), data.signed())
             assert _same(part, data.restrict(data.env == env))
 
-    @pytest.mark.parametrize("d", [7, 500])  # the dense branch and the Bartlett branch
+    @pytest.mark.parametrize("d", [7, 500])  # d - 2 < N and d - 2 >= N
     def test_reduced_draw_matches_a_constructor_built_dataset(self, d):
         _, data = _reduced(d=d)
         assert _same(data, LabeledDataset(data.X, data.y, data.env, data.ambient_d))
@@ -419,17 +437,18 @@ class TestDomainTypes:
         # the squares of 1e-170 underflow to 0 and those of 1e170 overflow
         # (5e-324 is the smallest subnormal: the entries are 3 and 4 of its units)
         w = np.array([3.0, -4.0, 0.0]) * scale
+        LinearModel(w)  # nonzero, so a model at any scale
         with np.errstate(over="ignore"):
-            assert LinearModel(w).norm == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+            assert vector_norm(w) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
 
     def test_norm_beyond_the_largest_float_is_infinite(self):
         with np.errstate(over="ignore"):
-            assert LinearModel(np.array([1.5e308, 1.5e308])).norm == np.inf
+            assert vector_norm(LinearModel(np.array([1.5e308, 1.5e308])).w) == np.inf
 
     def test_unit_scale_norm_is_bitwise_numpys(self):
         for seed in range(20):
             w = stream(seed, "norm").standard_normal(1 + seed)
-            assert LinearModel(w).norm == float(np.linalg.norm(w))
+            assert vector_norm(w) == float(np.linalg.norm(w))
 
     def test_instance_accepts_radii_whose_norm_underflows(self):
         # ||(1e-300, 0)|| is 0 in floating point; the vector is still nonzero

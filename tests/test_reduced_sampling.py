@@ -9,14 +9,16 @@ REDUCED draws at seeds ``0..count-1`` on their own named streams.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from scipy.stats import ks_2samp
 
-from twoenv import stream
+from twoenv import experiments, stream
 from twoenv.errors import DegenerateLabelsError
 from twoenv.estimators import mean_estimator, two_phase_learn
-from twoenv.experiments import ExperimentConfig, _fit, resolve_sigma
+from twoenv.experiments import METHODS, ExperimentConfig, _fit, resolve_sigma
 from twoenv.metrics import invariance_gaps, normalized_margin, robust_error, spurious_core_ratio
 from twoenv.model import (ProblemInstance, sample_dataset, sample_gram_row_sums,
                           sample_orthogonal_means, sample_reduced)
@@ -79,8 +81,8 @@ def test_dense_and_reduced_draws_agree_in_law():
 
 # The sweep's gradient learners on the same comparison, with their own design,
 # fixed before any run: the sweep's fitting code (``experiments._fit``) on a
-# small imbalanced instance with d - 2 >= N, so the reduced side takes the
-# Bartlett branch; family-wise level GD_ALPHA split over GD_STATS by
+# small imbalanced instance with d - 2 >= N, so the reduced side's noise block
+# is the square Bartlett factor; family-wise level GD_ALPHA split over GD_STATS by
 # Bonferroni; seeds ``0..count-1`` on their own named streams.
 GD_ALPHA = 0.01
 GD_DENSE, GD_REDUCED = 200, 400
@@ -132,9 +134,53 @@ def test_gd_learners_agree_in_law_on_dense_and_reduced_draws():
         assert p > level, f"{name}: KS p = {p:.2e} <= {level:.2e}"
 
 
+# The same learners where the noise block is N x (d - 2), with their own design,
+# fixed before any run: N = 16 + 8 rows at d = 14; the sweep's fitting code with
+# GD_CONFIG's training; family-wise level NARROW_ALPHA split over NARROW_STATS by
+# Bonferroni; seeds ``0..count-1`` on their own named streams.
+NARROW_ALPHA = 0.01
+NARROW_DENSE, NARROW_REDUCED = 80, 160
+NARROW_N_1, NARROW_N_2 = 16, 8
+NARROW_D = 14
+NARROW_CONFIG = replace(GD_CONFIG, d_grid=(NARROW_D,))
+NARROW_SIGMA = resolve_sigma(NARROW_CONFIG.sigma_rule, NARROW_D, NARROW_N_1 + NARROW_N_2,
+                             NARROW_CONFIG.r_c)
+NARROW_STATS = ("gram_eig_max", "erm_robust", "irmv1_robust", "erm_margin", "oracle_robust")
+
+
+def _narrow_statistics(inst, data, seed):
+    def fit(method):
+        return _fit(method, data, NARROW_CONFIG, inst.mu_s, seed, NARROW_D)[0]
+
+    def robust(model):
+        return robust_error(model, inst.mu_c, inst.mu_s, NARROW_SIGMA)
+
+    Z = data.signed()
+    erm = fit("erm")
+    return (np.linalg.eigvalsh(Z @ Z.T)[-1], robust(erm), robust(fit("irmv1")),
+            normalized_margin(erm, data, NARROW_SIGMA), robust(fit("oracle_no_spurious")))
+
+
+def test_gd_learners_agree_in_law_on_narrow_dense_and_reduced_draws():
+    args = (NARROW_D, 1.0, 2.0, 1.0, 0.0, NARROW_N_1, NARROW_N_2, NARROW_SIGMA)
+    dense, reduced = [], []
+    for seed in range(NARROW_DENSE):
+        mu_c, mu_s = sample_orthogonal_means(NARROW_D, 1.0, 2.0, stream(seed, "narrow-means"))
+        inst = ProblemInstance(mu_c, mu_s, *args[3:], seed)
+        dense.append(_narrow_statistics(inst, sample_dataset(inst, stream(seed, "narrow-dense")),
+                                        seed))
+    for seed in range(NARROW_REDUCED):
+        reduced.append(_narrow_statistics(
+            *sample_reduced(*args, seed, stream(seed, "narrow-reduced")), seed))
+    level = NARROW_ALPHA / len(NARROW_STATS)
+    for name, a, b in zip(NARROW_STATS, np.array(dense).T, np.array(reduced).T):
+        p = ks_2samp(a, b).pvalue
+        assert p > level, f"{name}: KS p = {p:.2e} <= {level:.2e}"
+
+
 # Gram row sums drawn alone against the row sums of a reduced draw, with their
-# own design, fixed before any run: N = 8 + 4 rows at d = 8 (d - 2 < N, where
-# sample_reduced draws G itself) and at d = 60 (its Bartlett branch); sigma
+# own design, fixed before any run: N = 8 + 4 rows at d = 8 (d - 2 < N, a
+# 12 x 6 noise block) and at d = 60 (d - 2 >= N, a square one); sigma
 # puts P(min > 0) near 0.6 at d = 8; family-wise level ROW_ALPHA split over
 # ROW_STATS at both dimensions by Bonferroni; seeds ``0..ROW_DRAWS-1`` on
 # their own named streams.
@@ -162,3 +208,86 @@ def test_gram_row_sums_agree_in_law_with_reduced_draws():
         for name, a, b in zip(ROW_STATS, np.array(full).T, np.array(alone).T):
             p = ks_2samp(a, b).pvalue
             assert p > level, f"d={d} {name}: KS p = {p:.2e} <= {level:.2e}"
+
+
+# The pathwise certificate: a dense draw, rotated so that mu_c / r_c and mu_s / r_s
+# are its first two axes, with its noise block replaced by that block's LQ factor
+# L (positive diagonal), is a draw of sample_reduced: its variates, replayed in
+# the documented order, make sample_reduced return it.  Every method's sweep row,
+# through run_cell, must then be the same on both draws.  The design, fixed
+# before any run: N = 16 + 8 rows, d = 14 (d - 2 < N) and d = 60 (d - 2 >= N),
+# two seeds on their own named streams, GD_CONFIG's training, and every float of
+# a row equal to within a relative PATH_RTOL (nan equal to nan).
+PATH_RTOL = 1e-9
+PATH_DIMS = (14, 60)
+PATH_SEEDS = (0, 1)
+PATH_CONFIG = replace(GD_CONFIG, d_grid=PATH_DIMS, seeds=len(PATH_SEEDS), methods=METHODS)
+
+
+class _Replay:
+    """A generator stand-in that returns the given variates in turn, each checked
+    against the call that asks for it: ``(method, argument, value)``."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def _next(self, method, arg):
+        want, want_arg, value = self.draws.pop(0)
+        assert method == want and np.array_equal(arg, want_arg), (method, arg)
+        return value
+
+    def random(self, size):
+        return self._next("random", size)
+
+    def standard_normal(self, size):
+        return self._next("standard_normal", size)
+
+    def chisquare(self, df):
+        return self._next("chisquare", df)
+
+
+def _lq_variates(inst, data, d, sigma):
+    """The variates, in sample_reduced's draw order, of the rotated dense draw with
+    its noise block replaced by the block's LQ factor."""
+    cfg, n, n_1 = PATH_CONFIG, data.n, inst.n_1
+    basis, r = np.linalg.qr(np.column_stack([inst.mu_c, inst.mu_s]), mode="complete")
+    basis[:, :2] *= np.sign(np.diag(r))  # the first two axes are mu_c / r_c and mu_s / r_s
+    Z = data.signed() @ basis
+    _, r = np.linalg.qr(Z[:, 2:].T)  # the noise block is r' times orthonormal rows
+    L = r.T * np.sign(np.diag(r))
+    k = L.shape[1]
+    theta = np.where(data.env == 1, cfg.theta_1, cfg.theta_2)
+    g = np.column_stack([Z[:, 0] - cfg.r_c, Z[:, 1] - theta * cfg.r_s]) / sigma
+    uniforms = np.where(data.y == 1, 0.75, 0.25)  # sample_reduced labels u < 0.5 as -1
+    return _Replay(("random", n_1, uniforms[:n_1]), ("random", n - n_1, uniforms[n_1:]),
+                   ("standard_normal", (n, 2), g),
+                   ("chisquare", d - 1 - np.arange(1, k + 1), (np.diag(L) / sigma) ** 2),
+                   ("standard_normal", n * k - k * (k + 1) // 2,
+                    L[np.tril_indices(n, -1, k)] / sigma))
+
+
+@pytest.mark.parametrize("d", PATH_DIMS)
+def test_every_method_row_is_the_same_on_a_dense_draw_and_its_lq_factor(monkeypatch, d):
+    cfg = PATH_CONFIG
+    sigma = resolve_sigma(cfg.sigma_rule, d, cfg.n_1 + cfg.n_2, cfg.r_c)
+    scored = set()  # the methods with a row that is no error row
+    for seed in PATH_SEEDS:
+        mu_c, mu_s = sample_orthogonal_means(d, cfg.r_c, cfg.r_s, stream(seed, "path-means"))
+        inst = ProblemInstance(mu_c, mu_s, cfg.theta_1, cfg.theta_2, cfg.n_1, cfg.n_2, sigma,
+                               seed)
+        data = sample_dataset(inst, stream(seed, "path-dense"))
+        monkeypatch.setattr(experiments, "sample_reduced", lambda *args: (inst, data))
+        dense = experiments.run_cell(cfg, d, seed)
+        replay = _lq_variates(inst, data, d, sigma)
+        monkeypatch.setattr(experiments, "sample_reduced",
+                            lambda *args: sample_reduced(*args[:-1], replay))
+        reduced = experiments.run_cell(cfg, d, seed)
+        assert replay.draws == []
+        scored |= {r.method for r in dense if r.error is None}
+        for a, b in zip(dense, reduced):
+            assert (a.method, a.error, a.interpolating) == (b.method, b.error, b.interpolating)
+            for key in ("train_acc", "robust_acc", "margin", "ratio", "eopp_gap"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert (math.isnan(x) and math.isnan(y)) or math.isclose(
+                    x, y, rel_tol=PATH_RTOL), (seed, a.method, key, x, y)
+    assert scored == set(METHODS)
