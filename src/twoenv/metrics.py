@@ -62,8 +62,13 @@ def _alignments(model: LinearModel, mu_c, mu_s) -> tuple[float, float, float]:
 
 
 def error_at_theta(model: LinearModel, mu_c, mu_s, sigma: float, theta: float) -> float:
-    """Exact 0-1 error of ``model`` in the environment with coefficient ``theta``."""
+    """Exact 0-1 error of ``model`` in the environment with coefficient ``theta``.
+
+    ``theta`` follows :class:`ProblemInstance`'s rule: a finite real in [-1, 1].
+    """
     sigma = _sigma(sigma)
+    if not (finite_real(theta) and -1.0 <= theta <= 1.0):
+        raise TwoEnvError(f"theta must be a number in [-1, 1], got {theta!r}")
     wc, ws, norm = _alignments(model, mu_c, mu_s)
     return float(gaussian_tail(_quotient(wc + theta * ws, sigma * norm, "0-1 error")))
 

@@ -3,26 +3,12 @@
 Trainers run full-batch gradient descent on the mean logistic loss plus an
 optional invariance penalty and an optional ridge term.  Every objective
 piece except the ridge depends on ``w`` only through the signed margins
-``m = Z w`` (``Z`` stacks ``y_i x_i``), so when ``d`` exceeds ``N`` the
-same iterates are computed in the N-dimensional span of the data via the
-Gram matrix; descent from zero never leaves that span.  Margins are
-linear in the iterate, so they are carried from step to step: each
-accepted step costs one product with the data operator (``Z Z'`` on the
-span path, read from one triangle by BLAS ``dsymv``; ``Z'`` and ``Z`` on
-the direct path) and a backtracking halving costs none.  A run allocates
-its vectors once, one set for the current iterate and one for the
-candidate, and every array operation of a step writes into them.  Each
-evaluation takes ``e = exp(-|m|)`` once and derives the logistic losses
-``log1p(e) + max(-m, 0)`` and the sigmoids ``exp(-(log1p(e) + max(m, 0)))``
-from it; the loss, its slope and the per-environment penalty share them.
-Runs on one dataset that differ only in their penalty take the same steps
-until the penalty switches on at the anneal iteration; :func:`gd_train`
-stores the iterate there on the dataset object and starts later runs on it
-from there.
-On a 2-CPU Xeon box with one BLAS thread, at N=900, a step costs about
-0.23 ms on the span path against 0.16-0.18 ms for ``dsymv`` alone, and
-about 0.23 ms on the direct path at d=320 against 0.15-0.18 ms for its two
-products; at N=180 (ridge IRMv1) it costs 0.046 ms around a 0.008 ms product.
+``m = Z w`` (``Z`` stacks ``y_i x_i``), and descent from zero never leaves
+the row span of ``Z``, so every run iterates on N span coefficients
+``beta`` with ``w = Z' beta``.  Only the product with ``K = Z Z'`` is
+chosen by shape: ``Z (Z' c)`` when ``d <= N``, BLAS ``dsymv`` on the
+stored ``K`` when ``d > N``.  :func:`gd_train` says how a step runs and
+what it costs.
 
 The hard-margin program ``min ||w||^2 s.t. y_i <w, x_i> >= 1`` is a
 least-distance program, solved exactly by the Lawson-Hanson routine
@@ -199,60 +185,31 @@ class TrainTrace:
         return self.stop_reason == "converged"
 
 
-class _WSpace:
-    """Direct parameterization ``state = w``; two O(N d) products per step."""
-
-    def __init__(self, Z: np.ndarray):
-        self.Z = Z
-        self._g = np.zeros(Z.shape[1])
-        self._moved = np.zeros(Z.shape[0])
-
-    def start(self, w0: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        if w0 is None:
-            return np.zeros(self.Z.shape[1]), np.zeros(self.Z.shape[0])
-        return w0.copy(), self.Z @ w0
-
-    def direction(self, coeff: np.ndarray, ridge: Optional[np.ndarray]):
-        """Descent direction ``g``, its margin image ``Z g`` and ``||g||^2``.
-
-        Both vectors live in buffers of this object that the next call
-        overwrites.
-        """
-        g = np.matmul(self.Z.T, coeff, out=self._g)
-        if ridge is not None:
-            g += ridge
-        return g, np.matmul(self.Z, g, out=self._moved), float(g @ g)
-
-    def sq_norm(self, state: np.ndarray, m: np.ndarray) -> float:
-        return float(state @ state)
-
-    def weights(self, state: np.ndarray) -> np.ndarray:
-        return state
-
-
 class _SpanSpace:
-    """Span parameterization ``w = Z^T beta``; one O(N^2) product per step.
+    """A run's span coefficients ``beta`` (``w = Z' beta``) and its product with ``K = Z Z'``.
 
-    A w-space step ``w - lr (Z^T c + 2 l2 w)`` with ``w = Z^T beta`` equals
-    ``Z^T (beta - lr (c + 2 l2 beta))``, so descent-from-zero trajectories
-    coincide with the direct path up to round-off.  ``K`` is exactly
-    symmetric, so ``dsymv`` reads one triangle of it; it is handed the
-    Fortran-ordered view ``K.T``, which f2py passes on without a copy, and
-    writes into a buffer of this object.
+    A w-space step ``w - lr (Z' c + 2 l2 w)`` is the coefficient step
+    ``beta - lr (c + 2 l2 beta)``.  ``K`` is stored only when ``d > N``:
+    ``dsymv`` reads one triangle of it (exactly symmetric) from the
+    Fortran-ordered view ``K.T``, which f2py passes on without a copy.
+    Otherwise the product is ``Z (Z' c)`` and ``c' K c`` is ``||Z' c||^2``.
     """
 
     def __init__(self, Z: np.ndarray):
+        n, d = Z.shape
         self.Z = Z
-        self.K = Z @ Z.T
-        n = Z.shape[0]
-        self._c = np.zeros(n)
-        self._Kc = np.zeros(n)
+        self.K = Z @ Z.T if d > n else None
+        self._c, self._Kc = np.zeros(n), np.zeros(n)
+        self._g = np.zeros(d) if self.K is None else None
 
     def start(self, w0: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        n = self.K.shape[0]
+        """Coefficients and margins of zero, or of ``w0``'s projection on the row span."""
+        n = self.Z.shape[0]
         if w0 is None:
             return np.zeros(n), np.zeros(n)
-        # least-squares span coefficients of the warm start
+        if self.K is None:
+            state = np.linalg.lstsq(self.Z.T, w0, rcond=None)[0]
+            return state, self.Z @ (self.Z.T @ state)
         state = np.linalg.lstsq(self.K, self.Z @ w0, rcond=None)[0]
         return state, self.K @ state
 
@@ -263,15 +220,11 @@ class _SpanSpace:
         ``K c`` live in buffers of this object that the next call overwrites.
         """
         c = coeff if ridge is None else np.add(coeff, ridge, out=self._c)
+        if self.K is None:
+            g = np.matmul(self.Z.T, c, out=self._g)
+            return c, np.matmul(self.Z, g, out=self._Kc), float(g @ g)
         Kc = dsymv(1.0, self.K.T, c, y=self._Kc, overwrite_y=1)
         return c, Kc, float(c @ Kc)
-
-    def sq_norm(self, state: np.ndarray, m: np.ndarray) -> float:
-        # ||Z^T beta||^2 = beta' K beta, and K beta is the margin vector
-        return float(state @ m)
-
-    def weights(self, state: np.ndarray) -> np.ndarray:
-        return self.Z.T @ state
 
 
 class _Point:
@@ -298,12 +251,13 @@ class _Point:
         return point
 
 
-def _evaluate(kind: str, masks: list[slice | np.ndarray], l2: float, space, neg_m: np.ndarray,
+def _evaluate(kind: str, masks: list[slice | np.ndarray], l2: float, neg_m: np.ndarray,
               u: np.ndarray, p: _Point, lam: float) -> None:
     """Evaluate the objective at ``p`` with penalty weight ``lam`` into ``p``'s buffers.
 
-    ``neg_m`` and ``u`` are scratch.  The gradient is
-    ``space.direction(p.coeff, 2 l2 p.state)``.
+    ``neg_m`` and ``u`` are scratch.  ``p.state`` holds span coefficients,
+    so the ridge term ``l2 ||w||^2`` is ``l2 beta' K beta = l2 beta . m``.
+    The gradient is ``Z' (p.coeff + 2 l2 p.state)``.
     """
     m, ell, s = p.m, p.ell, p.s
     n = m.size
@@ -316,7 +270,7 @@ def _evaluate(kind: str, masks: list[slice | np.ndarray], l2: float, space, neg_
     pen, _ = penalty_value_and_slope(kind if lam else "none", m, masks, ell=ell, s=s, out=p.dm)
     p.total = float(ell.sum()) / n + lam * pen
     if l2:
-        p.total += l2 * space.sq_norm(p.state, m)
+        p.total += l2 * float(p.state @ m)
     np.divide(s, -float(n), out=p.coeff)  # -s / n
     if lam and kind != "none":
         p.coeff += np.multiply(p.dm, lam, out=p.dm)
@@ -336,11 +290,17 @@ def gd_train(
     when no halved step down to ``2**-60`` of the rate is accepted, or after
     ``max_iters``; ``trace.stop_reason`` says which.
 
-    Each accepted step applies the data operator once: ``K = Z Z'`` on the
-    span path (``d > N``, one triangle read by ``dsymv``), ``Z'`` then
-    ``Z`` on the direct path.  Margins are linear in the state, so a
+    Every run iterates on span coefficients ``beta`` and returns ``w = Z'
+    beta``.  Each accepted step applies ``K = Z Z'`` to the direction once,
+    as ``Z (Z' c)`` when ``d <= N`` and by ``dsymv`` on one triangle of the
+    stored ``K`` when ``d > N``.  Margins are linear in ``beta``, so a
     candidate's margins are the current ones minus the step times that
-    product, and a backtracking halving costs no product at all.
+    product, and a backtracking halving costs no product.  ``w0``, a 1-d
+    array of ``data.d`` finite reals (anything else raises
+    :class:`TwoEnvError`), starts the run at its projection on the row
+    span: its least-squares coefficients, solved on ``K`` when ``d > N`` and
+    on ``Z'`` otherwise.  The rest of ``w0`` moves no margin and is dropped,
+    so a run from ``w0`` is the run from its projection.
 
     The run allocates its buffers once: state, margins, losses, sigmoids,
     penalty slope and objective slope for the current iterate, the same
@@ -353,10 +313,10 @@ def gd_train(
     :func:`penalty_value_and_slope`, which reads its per-environment slices
     of them and writes the penalty slope into the candidate's buffer; before
     the anneal iteration, where the penalty weight is zero, that call takes
-    the ``"none"`` kind.  The loop's own work is about 0.05-0.07 ms a step
-    at N=900 (see the module docstring), so a step costs little more than
-    its operator product.  ``w0`` warm-starts the iteration at the cost of
-    one product for its margins.
+    the ``"none"`` kind.  On a 2-CPU Xeon box with one BLAS thread, at
+    N=900, a step costs about 0.23 ms, against 0.16-0.18 ms for ``dsymv``
+    (d > N) or 0.15-0.18 ms for ``Z (Z' c)`` at d=320; at N=180 (ridge
+    IRMv1) it costs 0.046 ms around a 0.008 ms product.
 
     The runs on one dataset object share their pre-anneal steps.  The
     penalty weight is zero before the anneal iteration, so every run from
@@ -379,9 +339,18 @@ def gd_train(
     if kind != "none" and len(masks) < 2:
         raise TwoEnvError(f"penalty {kind!r} needs both environments present")
 
-    Z = data.signed()
-    space = _SpanSpace(Z) if data.d > data.n else _WSpace(Z)
-    cur = _Point(*space.start(None if w0 is None else np.asarray(w0, dtype=np.float64)))
+    if w0 is not None:
+        try:
+            w0 = np.asarray(w0)
+            valid = w0.shape == (data.d,) and w0.dtype.kind in "iuf" and np.isfinite(w0).all()
+        except ValueError:  # a ragged nested sequence makes no array
+            valid = False
+        if not valid:
+            raise TwoEnvError(f"w0 must be a 1-d array of {data.d} finite reals")
+        w0 = w0.astype(np.float64, copy=False)
+
+    space = _SpanSpace(data.signed())
+    cur = _Point(*space.start(w0))
     cand = _Point(np.zeros_like(cur.state), np.zeros_like(cur.m))
     # scratch for one evaluation, shared by both points
     neg_m, u = np.zeros_like(cur.m), np.zeros_like(cur.m)
@@ -389,7 +358,7 @@ def gd_train(
     l2 = config.l2_weight
     ridge_buf = np.zeros_like(cur.state) if l2 else None
     trace = TrainTrace()
-    evaluate = partial(_evaluate, kind, masks, l2, space, neg_m, u)
+    evaluate = partial(_evaluate, kind, masks, l2, neg_m, u)
 
     def ridge(st: np.ndarray) -> Optional[np.ndarray]:
         return np.multiply(st, 2.0 * l2, out=ridge_buf) if l2 else None
@@ -454,21 +423,23 @@ def gd_train(
         # the last accepted step moved the state; measure its gradient once
         gnorm = math.sqrt(space.direction(cur.coeff, ridge(cur.state))[2])
 
-    w = space.weights(cur.state)
+    w = space.Z.T @ cur.state
     if not w.any():
         raise TwoEnvError("training made no progress from the zero initializer")
     meta = {"iters": it, "grad_norm": gnorm, "stop_reason": trace.stop_reason}
     return LinearModel(w, meta=meta), trace
 
 
-def _evaluate_at(data: LabeledDataset, config: TrainConfig, w) -> tuple[_WSpace, _Point]:
-    """:func:`gd_train`'s evaluation of the full objective at ``w``, on the direct path."""
-    space = _WSpace(data.signed())
+def _evaluate_at(data: LabeledDataset, config: TrainConfig, w) -> tuple[np.ndarray, _Point]:
+    """``Z`` and :func:`gd_train`'s evaluation at a raw ``w``, its ridge term ``l2 w . w``."""
+    Z = data.signed()
     w = np.asarray(w, dtype=np.float64)
-    p = _Point(w, space.Z @ w)
-    _evaluate(config.penalty_kind, _env_masks(data), config.l2_weight, space,
-              np.zeros_like(p.m), np.zeros_like(p.m), p, config.penalty_weight)
-    return space, p
+    p = _Point(w, Z @ w)
+    _evaluate(config.penalty_kind, _env_masks(data), 0.0, np.zeros_like(p.m),
+              np.zeros_like(p.m), p, config.penalty_weight)
+    if config.l2_weight:
+        p.total += config.l2_weight * float(w @ w)
+    return Z, p
 
 
 def objective_value(data: LabeledDataset, config: TrainConfig, w: np.ndarray) -> float:
@@ -477,9 +448,9 @@ def objective_value(data: LabeledDataset, config: TrainConfig, w: np.ndarray) ->
 
 
 def objective_gradient(data: LabeledDataset, config: TrainConfig, w: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the full objective at ``w``, as :func:`gd_train` forms it."""
-    space, p = _evaluate_at(data, config, w)
-    return space.direction(p.coeff, 2.0 * config.l2_weight * p.state)[0]
+    """Analytic gradient ``Z' coeff + 2 l2 w`` of the full objective at ``w``."""
+    Z, p = _evaluate_at(data, config, w)
+    return Z.T @ p.coeff + 2.0 * config.l2_weight * p.state
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ _METHODS = ("erm,irmv1,vrex,groupdro,moment_match,two_phase,mean,max_margin,"
             "oracle_no_spurious")
 
 # the sweep covers the draw's noise block at d - 2 < N and d - 2 >= N (N = 36)
-# and its absence at d = 2, both GD paths (d <= N and d > N), odd environment
+# and its absence at d = 2, both GD products (d <= N and d > N), odd environment
 # sizes, an anneal inside the run (so resumed GD prefixes) and max_margin error
 # rows (at d = 2); the anneal iteration has no flag, so the settings come
 # through --config

@@ -298,7 +298,7 @@ class TestPrefixSharing:
         ("irmv1", "vrex", "two_phase", "erm"),  # ERM last
         ("irmv1", "vrex", "groupdro", "moment_match"),  # no ERM
     ])
-    @pytest.mark.parametrize("d", [16, 64])  # N=30: direct path at 16, span path at 64
+    @pytest.mark.parametrize("d", [16, 64])  # N=30: Z (Z' c) at 16, the stored Gram at 64
     def test_cell_records_equal_unshared_fits(self, monkeypatch, methods, d):
         # a cell with one method has no other fit to share with
         calls = []

@@ -48,7 +48,7 @@ from twoenv.model import (
 )
 from twoenv.presets import CONSTANT_NAMES, PresetParams, load_constants, theorem_preset
 from twoenv.rng import check_seed_block, stream
-from twoenv.training import TrainConfig
+from twoenv.training import TrainConfig, gd_train
 
 from helpers import constants_text
 
@@ -72,6 +72,7 @@ _METRICS = {  # each closed-form metric, by the sigma it is given
     "normalized_margin": lambda sigma: normalized_margin(
         _MODEL, LabeledDataset(np.eye(2), [1, -1], [1, 2]), sigma),
 }
+_GD_DATA, _GD_CONFIG = LabeledDataset(np.eye(2), [1, -1], [1, 2]), TrainConfig(max_iters=5)
 
 
 def _constants_from(key, value):
@@ -128,6 +129,11 @@ REAL_SITES = [
     *[_site("theorem_preset", theorem_preset, _THEOREM, field, ConfigError, field, ok)
       for field, ok in (("gamma", 0.03), ("epsilon", 0.1), ("delta", 0.01))],
     *[(f"{name}-sigma", call, TwoEnvError, "sigma", 0.5, ()) for name, call in _METRICS.items()],
+    ("error_at_theta-theta", lambda value: error_at_theta(_MODEL, *_MEANS, 0.5, value),
+     TwoEnvError, "theta", 0.5, ()),
+    # a warm start whose every entry is the value under test
+    ("gd_train-w0", lambda value: gd_train(_GD_DATA, _GD_CONFIG, w0=np.full(2, value)),
+     TwoEnvError, "w0", 0.5, ()),
 ]
 
 INTEGER_SITES = [
@@ -256,6 +262,28 @@ class TestRegressions:
         # it reported seeds 0.5 and 1.5 but drew from streams 0 and 1
         with pytest.raises(TwoEnvError, match="seed"):
             bound_chain_study(2, seed_base=0.5)
+
+    @pytest.mark.parametrize("theta", [5.0, -1.5, math.nan])
+    def test_error_at_theta_rejects_a_theta_outside_the_unit_interval(self, theta):
+        # nan used to return nan, and 5.0 an error for an environment that cannot exist
+        with pytest.raises(TwoEnvError, match="theta"):
+            error_at_theta(_MODEL, *_MEANS, 0.5, theta)
+        # the endpoints are environments; w leans on mu_s, so theta = -1 is the worse one
+        assert error_at_theta(_MODEL, *_MEANS, 0.5, -1.0) > error_at_theta(_MODEL, *_MEANS, 0.5, 1.0)
+
+    @pytest.mark.parametrize("w0", [np.ones(3), np.ones((2, 1)), np.float64(0.5), "ab",
+                                    ["1", "2"], [math.nan, 0.0], [0.0, math.inf], [[1.0], []]],
+                             ids=["length", "2-d", "scalar", "str", "strings", "nan", "inf",
+                                  "ragged"])
+    def test_gd_train_rejects_a_malformed_warm_start(self, w0):
+        # a wrong length ended in a bare matmul ValueError, a string in "could not
+        # convert string to float", and a NaN let a RuntimeWarning escape before
+        # "non-finite objective at initialization"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TwoEnvError, match="w0"):
+                gd_train(_GD_DATA, _GD_CONFIG, w0=w0)
+            gd_train(_GD_DATA, _GD_CONFIG, w0=[0.5, -0.25])  # a list of floats is an array
 
     def test_experiment_config_rejects_a_radius_too_large_for_a_float(self):
         with pytest.raises(ConfigError, match="rc"):

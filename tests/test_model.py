@@ -195,6 +195,17 @@ class TestSampleReduced:
             tracemalloc.stop()
         assert peak <= 1.8 * data.signed().nbytes
 
+    @pytest.mark.parametrize("d", [20, 320])  # k = d - 2 much smaller than N = 900
+    def test_narrow_draw_writes_its_rows_in_place(self, d):
+        # the full rows below the triangle pass through a fixed block buffer
+        tracemalloc.start()
+        try:
+            _, data = _reduced(d=d, n_1=800, n_2=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * data.signed().nbytes
+
     def test_needs_d_at_least_2(self):
         for d in (1, 0):
             with pytest.raises(TwoEnvError):

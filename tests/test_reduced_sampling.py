@@ -226,7 +226,10 @@ PATH_CONFIG = replace(GD_CONFIG, d_grid=PATH_DIMS, seeds=len(PATH_SEEDS), method
 
 class _Replay:
     """A generator stand-in that returns the given variates in turn, each checked
-    against the call that asks for it: ``(method, argument, value)``."""
+    against the call that asks for it: ``(method, argument, value)``.  A run of
+    normals may be taken in several calls, by size or into an ``out`` buffer: each
+    call takes the run's next variates in row-major order, and no call reaches
+    past the run."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
@@ -239,8 +242,20 @@ class _Replay:
     def random(self, size):
         return self._next("random", size)
 
-    def standard_normal(self, size):
-        return self._next("standard_normal", size)
+    def standard_normal(self, size=None, out=None):
+        shape = size if out is None else out.shape
+        want, _, value = self.draws[0]
+        count = int(np.prod(shape))
+        assert want == "standard_normal" and count <= value.size, ("standard_normal", shape)
+        taken, rest = np.split(value.reshape(-1), [count])
+        if rest.size:
+            self.draws[0] = (want, rest.size, rest)
+        else:
+            self.draws.pop(0)
+        if out is None:
+            return taken.reshape(shape)
+        out[...] = taken.reshape(shape)
+        return out
 
     def chisquare(self, df):
         return self._next("chisquare", df)

@@ -172,8 +172,8 @@ class TestGdTrain:
             gd_train(single, TrainConfig(penalty_kind="vrex", penalty_weight=1.0))
 
     def test_span_path_matches_direct_path(self):
-        # d > N triggers the Gram parameterization, d <= N the direct one;
-        # both must follow the same explicit fixed-step descent
+        # d > N applies the stored Gram, d <= N the products Z (Z' c); both
+        # must follow the same explicit fixed-step descent
         rng = stream(31)
         data = random_dataset(rng, n=6, d=20)
         direct = LabeledDataset(data.X[:, :5], data.y, data.env)
@@ -187,7 +187,7 @@ class TestGdTrain:
                 w = w - 0.1 * (Z.T @ coeff)
             assert np.linalg.norm(model.w - w) <= 1e-8 * np.linalg.norm(w)
 
-    @pytest.mark.parametrize("d", [8, 30])  # N=12: direct path at 8, span path at 30
+    @pytest.mark.parametrize("d", [8, 30])  # N=12: Z (Z' c) at 8, the stored Gram at 30
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_matches_reference_descent(self, kind, d):
         data = random_dataset(stream(59, kind, d), n=12, d=d)
@@ -356,7 +356,7 @@ class TestPrefixSharing:
     """Runs on one dataset object resume from the iterate stored at the anneal iteration."""
 
     @pytest.mark.parametrize("lr", [0.1, 20.0])  # 20: steps halve before the anneal
-    @pytest.mark.parametrize("d", [8, 30])  # N=12: direct path at 8, span path at 30
+    @pytest.mark.parametrize("d", [8, 30])  # N=12: Z (Z' c) at 8, the stored Gram at 30
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_resumed_run_is_the_fresh_run(self, kind, d, lr):
         data = random_dataset(stream(91, kind, d), n=12, d=d)
@@ -507,10 +507,13 @@ class TestGdStep:
                 assert value == ref_value
                 assert dm.tobytes() == ref_dm.tobytes()
 
-    def test_span_direction_is_the_gram_product_without_a_copy(self, monkeypatch):
-        data = random_dataset(stream(87), n=300, d=400)
-        space = training._SpanSpace(data.signed())
-        assert np.array_equal(space.K, space.K.T)  # dsymv reads one triangle
+    @pytest.mark.parametrize("d", [400, 200], ids=["wide", "narrow"])  # N = 300
+    def test_span_direction_is_the_gram_product_without_a_copy(self, d, monkeypatch):
+        # d > N: dsymv on one triangle of the stored K, handed a view of it;
+        # d <= N: no K is formed, the product is Z (Z' c) and c'Kc is ||Z' c||^2
+        data = random_dataset(stream(87), n=300, d=d)
+        Z = data.signed()
+        space = training._SpanSpace(Z)
         handed = []
         real = training.dsymv
 
@@ -526,12 +529,36 @@ class TestGdStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        if d <= data.n:
+            g = Z.T @ c
+            assert space.K is None and handed == []
+            assert Kc.tobytes() == (Z @ g).tobytes() and sq == float(g @ g)
+            assert peak < Z.nbytes // 10  # the products write into the space's buffers
+            return
+        assert np.array_equal(space.K, space.K.T)  # dsymv reads one triangle
         exact = space.K @ c
         assert np.linalg.norm(Kc - exact) <= 1e-13 * np.linalg.norm(exact)
         assert sq == pytest.approx(float(c @ exact), rel=1e-13)
         # the operand is a view of K, and f2py allocated no copy of it
         assert np.shares_memory(handed[0], space.K) and handed[0].flags.f_contiguous
         assert peak < space.K.nbytes // 10
+
+    def test_narrow_warm_start_is_the_run_from_its_row_span_projection(self):
+        # d <= N with a duplicated column: the rows span only the vectors with
+        # equal entries there, and the rest of w0 moves no margin
+        base = random_dataset(stream(67), n=12, d=7)
+        data = LabeledDataset(np.column_stack([base.X, base.X[:, -1]]), base.y, base.env)
+        w0 = stream(67, "w0").standard_normal(8)
+        projection = w0.copy()
+        projection[6:] = w0[6:].mean()
+        cfg = TrainConfig(penalty_kind="irmv1", penalty_weight=1.0, l2_weight=1e-2,
+                          max_iters=200)
+        model, _ = gd_train(data, cfg, w0=w0)
+        projected, _ = gd_train(data, cfg, w0=projection)
+        reference = reference_gd(data, cfg, w0=projection)
+        assert model.w[6] == model.w[7]  # w = Z' beta lies in the row span
+        assert np.linalg.norm(model.w - projected.w) <= 1e-12 * np.linalg.norm(projected.w)
+        assert np.linalg.norm(model.w - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
 class TestMaxMargin:
