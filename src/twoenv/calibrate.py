@@ -23,7 +23,7 @@ from .duality import (
     gram_from_dataset,
     min_weighted_beta,
 )
-from .errors import InfeasibleMarginError, TwoEnvError, integer_in
+from .errors import InfeasibleMarginError, TwoEnvError, finite_real, integer_in
 from .estimators import mean_estimator, two_phase_learn
 from .experiments import SigmaRule, resolve_sigma
 from .metrics import normalized_margin, robust_error, spurious_core_ratio
@@ -185,7 +185,13 @@ def bound_chain_study(instances: int, t: float = 3.0, seed_base: int = 0) -> lis
 
     Draws failing the events at the given ``t``, or whose sizes leave no
     spectral budget, are resampled (the chain is only claimed conditional
-    on the events), at most 50 times per instance."""
+    on the events), at most 50 times per instance.  ``instances`` is an
+    integer in [1, 2**53] and ``t`` a positive finite real."""
+    if not integer_in(instances, 1):
+        raise TwoEnvError(f"instances must be an integer in [1, 2**53], got {instances!r}")
+    if not (finite_real(t) and t > 0):
+        raise TwoEnvError(f"t must be a positive finite real, got {t!r}")
+    t = float(t)
     reports = []
     seed = seed_base
     for _ in range(instances):
@@ -205,7 +211,7 @@ def bound_chain_study(instances: int, t: float = 3.0, seed_base: int = 0) -> lis
             result = min_weighted_beta(gd)
         except InfeasibleMarginError:
             continue
-        lam = canonical_lambda(gd, inst.r_c, inst.r_s)
+        lam = canonical_lambda(data.env, inst.r_c, inst.r_s)
         dual = dual_value(gd, lam)
         cf = closed_form_bound(
             inst.n_1, inst.n_2, gamma, inst.theta_2, inst.r_c, data.ambient_d, t

@@ -1,8 +1,8 @@
 """Margin-constrained convex program, its Lagrangian dual, and event checks.
 
 Everything lives in the N-dimensional span of the label-signed samples
-``z_i = y_i x_i``: with Gram matrix ``K = Z Z'`` and weight vector
-``u = e_1 + theta_2 e_2``, the primal is
+``z_i = y_i x_i``, and a draw enters only through its Gram matrix ``K = Z Z'``
+and weight vector ``u = e_1 + theta_2 e_2`` (:class:`GramData`).  The primal is
 
     minimize  u' beta
     s.t.      K beta >= gamma * 1      (margin constraints)
@@ -20,46 +20,52 @@ gap between a feasible primal point and ``g``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IllConditionedGramError, InfeasibleMarginError, TwoEnvError
+from .errors import IllConditionedGramError, InfeasibleMarginError, TwoEnvError, finite_real
 from .model import LabeledDataset, ProblemInstance
-from .training import chol_factor, chol_solve, hard_margin_dual, nnls
+from .training import chol_factor, chol_solve, nnls
 
 MIN_EIG = 0.25  # half the spectral floor the concentration regime guarantees
 
 
 @dataclass(frozen=True)
 class GramData:
-    """Span-space view of a dataset plus the program parameters.
+    """The program's parameters: the Gram ``K = Z Z'``, the weights ``u`` and the margin.
 
-    ``env`` tags each row of ``Z`` with its environment; a row whose tag
-    is not 1 belongs to environment 2.  The Gram matrix ``gram = Z Z'`` is
-    derived from ``Z`` on construction, so it always matches it; its
-    conditioning check and Cholesky factor (:attr:`cho`) are computed once,
-    on first use.
+    ``gamma`` is a nonnegative finite real, and ``weights`` holds one finite
+    real per row of the square ``gram``; both arrays are kept as float64.
+    The Gram's conditioning check and Cholesky factor (:attr:`cho`) are
+    computed once, on first use.
     """
 
-    Z: np.ndarray
-    env: np.ndarray
+    gram: np.ndarray
+    weights: np.ndarray
     gamma: float
-    theta_2: float
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gram", self.Z @ self.Z.T)
+        if not (finite_real(self.gamma) and self.gamma >= 0):
+            raise TwoEnvError(f"gamma must be a nonnegative finite real, got {self.gamma!r}")
+        try:
+            gram, weights = np.asarray(self.gram), np.asarray(self.weights)
+            valid = (weights.ndim == 1 and gram.shape == 2 * weights.shape
+                     and gram.dtype.kind in "iuf" and weights.dtype.kind in "iuf"
+                     and np.isfinite(weights).all())
+        except ValueError:  # a ragged nested sequence makes no array
+            valid = False
+        if not valid:
+            raise TwoEnvError("weights must be finite reals, one per row of a square gram")
+        object.__setattr__(self, "gram", gram.astype(np.float64, copy=False))
+        object.__setattr__(self, "weights", weights.astype(np.float64, copy=False))
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     @property
     def n(self) -> int:
-        return self.Z.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.where(self.env == 1, 1.0, self.theta_2)
+        return self.gram.shape[0]
 
     @cached_property
     def cho(self):
@@ -72,7 +78,13 @@ class GramData:
 
 
 def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> GramData:
-    return GramData(Z=data.signed(), env=data.env, gamma=gamma, theta_2=theta_2)
+    """The program on a dataset: ``K = Z Z'`` and ``u = e_1 + theta_2 e_2``, where
+    ``e_k`` indicates the rows of environment ``k`` (a tag other than 1 is 2), and
+    ``theta_2`` is a number in [-1, 1]."""
+    if not (finite_real(theta_2) and -1.0 <= theta_2 <= 1.0):
+        raise TwoEnvError(f"theta_2 must be a number in [-1, 1], got {theta_2!r}")
+    Z = data.signed()
+    return GramData(Z @ Z.T, np.where(data.env == 1, 1.0, theta_2), gamma)
 
 
 def _certify_spectrum(A: np.ndarray, lo: float, hi: float) -> bool:
@@ -155,10 +167,10 @@ def dual_value(gd: GramData, lam: np.ndarray) -> float:
     return gd.gamma * float(lam.sum()) - math.sqrt(max(quad, 0.0))
 
 
-def canonical_lambda(gd: GramData, r_c: float, r_s: float) -> np.ndarray:
-    """The analysis' dual point: ``alpha`` on environment 1 and 0 on
-    environment 2, with ``alpha = 1 / (1 + N_1 (r_c^2 + r_s^2))``."""
-    in_1 = gd.env == 1
+def canonical_lambda(env: np.ndarray, r_c: float, r_s: float) -> np.ndarray:
+    """The analysis' dual point on rows tagged ``env``: ``alpha`` on environment 1
+    and 0 on environment 2, with ``alpha = 1 / (1 + N_1 (r_c^2 + r_s^2))``."""
+    in_1 = env == 1
     alpha = 1.0 / (1.0 + float(in_1.sum()) * (r_c**2 + r_s**2))
     return np.where(in_1, alpha, 0.0)
 
@@ -244,8 +256,10 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     ``lambda``) are checked to ``CERT_RTOL``, else :class:`TwoEnvError`.  A
     norm-inactive optimum (the all-margins vertex) is returned directly.
     The program is feasible when that vertex lies in the unit ellipsoid;
-    only otherwise is ``gamma`` checked against the hard-margin fit's
-    margin, and :class:`InfeasibleMarginError` raised above it.
+    only otherwise is ``gamma`` checked against the largest margin
+    ``gamma / sqrt(lambda'K lambda)``, ``lambda = nnls(K, gamma 1)`` being
+    the minimum-norm point of ``K beta >= gamma 1``, and
+    :class:`InfeasibleMarginError` raised above it.
     """
     K = gd.gram
     u = gd.weights
@@ -255,14 +269,13 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     ones = np.ones(n)
 
     # feasibility: the equal-margin vertex K beta = gamma 1 inside the unit
-    # ellipsoid is a feasible point; else the hard-margin direction achieves
-    # the largest margin
+    # ellipsoid is a feasible point; else the minimum-norm point of K beta >=
+    # gamma 1, the NNLS solution lambda, scaled to unit norm has the largest margin
     beta_vertex = gamma * chol_solve(cho, ones)
     vertex_norm_sq = float(beta_vertex @ (K @ beta_vertex))
     if not vertex_norm_sq <= 1.0:  # a NaN proves nothing
-        # multipliers for Z up to a power of two, which the ratio below cancels
-        mm_alpha, _ = hard_margin_dual(gd.Z)
-        gamma_max = float((K @ mm_alpha).min()) / math.sqrt(float(mm_alpha @ (K @ mm_alpha)))
+        lam, _ = nnls(K, np.full(n, gamma), np.ones(n, dtype=bool))
+        gamma_max = gamma / math.sqrt(lam @ (K @ lam))
         if gamma > gamma_max:
             raise InfeasibleMarginError(
                 f"target margin {gamma} exceeds achievable margin {gamma_max:.6g}"

@@ -31,7 +31,7 @@ from twoenv.model import (
     sample_orthogonal_means,
     sample_reduced,
 )
-from twoenv.training import chol_solve, nnls
+from twoenv.training import chol_solve, hard_margin_dual, nnls
 
 from helpers import expected_gram, orthogonal_complement_stats
 
@@ -114,6 +114,12 @@ def brute_force_min_weighted(K, u, gamma, tol=1e-9):
                     continue
                 consider(float(u @ beta), beta)
     return best
+
+
+# test_feasible_margin_beyond_the_vertex's rows: the third is no hard-margin
+# support vector, so the largest margin is sqrt(2), at w = (1, 1, 0)/sqrt(2)
+THREE_ROWS = 2.0 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+THREE_ROW_WEIGHTS = np.array([1.0, 1.0, -0.3])
 
 
 def _rounds_without_reuse(gd):
@@ -210,48 +216,87 @@ class TestMinWeightedBeta:
         assert calls < rounds  # some round met its starting set again
 
     def test_infeasible_margin(self):
-        _, _, gd = _random_gram_instance(7)
-        too_big = GramData(gd.Z, gd.env, 10.0, gd.theta_2)
-        with pytest.raises(InfeasibleMarginError):
+        _, data, gd = _random_gram_instance(7)
+        too_big = GramData(gd.gram, gd.weights, 10.0)
+        # the message gives the hard-margin fit's margin
+        alpha, _ = hard_margin_dual(data.signed())
+        hard = float((gd.gram @ alpha).min()) / math.sqrt(float(alpha @ gd.gram @ alpha))
+        with pytest.raises(InfeasibleMarginError, match=f"achievable margin {hard:.6g}$"):
             min_weighted_beta(too_big)
 
     @staticmethod
-    def _spy_hard_margin(monkeypatch):
+    def _spy_nnls(monkeypatch):
+        """The right-hand sides of the NNLS solves: one per round, plus the feasibility check's."""
         calls = []
-        real = duality.hard_margin_dual
-        monkeypatch.setattr(duality, "hard_margin_dual",
-                            lambda *a: calls.append(1) or real(*a))
+        real = duality.nnls
+        monkeypatch.setattr(duality, "nnls",
+                            lambda G, b, passive: calls.append(b) or real(G, b, passive))
         return calls
 
     def test_vertex_in_the_ellipsoid_proves_feasibility(self, monkeypatch):
-        # the chain study's instances never need the hard-margin fit
+        # the chain study's instances never need the feasibility solve: one NNLS a round
         cases = []
         for seed in range(20):
             inst, data = _chain_instance(seed, 3.0)
             cases.append(gram_from_dataset(data, 1.0 / (4.0 * math.sqrt(inst.n)), inst.theta_2))
-        calls = self._spy_hard_margin(monkeypatch)
+        calls = self._spy_nnls(monkeypatch)
         for gd in cases:
-            assert min_weighted_beta(gd).exact
-        assert calls == []
+            calls.clear()
+            res = min_weighted_beta(gd)
+            assert res.exact and len(calls) == res.iterations
 
     def test_feasible_margin_beyond_the_vertex(self, monkeypatch):
         # the third row is no hard-margin support vector, so the largest margin
         # sqrt(2) exceeds 1/sqrt(1'K^-1 1) = 0.603: at gamma = 1 the equal-margin
         # vertex lies outside the ellipsoid, yet the program is feasible
-        Z = 2.0 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
-        gd = GramData(Z, np.array([1, 1, 2]), 1.0, -0.3)
+        gd = GramData(THREE_ROWS @ THREE_ROWS.T, THREE_ROW_WEIGHTS, 1.0)
         vertex = np.linalg.solve(gd.gram, np.ones(3))
         assert float(vertex @ gd.gram @ vertex) > 1.0
-        calls = self._spy_hard_margin(monkeypatch)
+        calls = self._spy_nnls(monkeypatch)
         res = min_weighted_beta(gd)
-        assert calls == [1] and res.exact
+        assert len(calls) == res.iterations + 1 and res.exact
+        assert calls[0].tobytes() == np.full(3, gd.gamma).tobytes()
         oracle = brute_force_min_weighted(gd.gram, gd.weights, gd.gamma)
         assert res.optimum == pytest.approx(oracle[0], abs=1e-9)
         np.testing.assert_allclose(res.beta, oracle[1], atol=1e-9)
 
+    def test_nnls_margin_is_the_hard_margin_fits_margin(self):
+        # the minimum-norm point lambda = nnls(K, gamma 1) of K beta >= gamma 1,
+        # scaled to unit norm, has the largest margin, gamma / sqrt(lambda'K lambda)
+        sizes = stream(0, "nnls-margin-sizes")
+        for seed in range(300):
+            n_1, n_2 = (int(k) for k in sizes.integers(1, 16, 2))
+            n = n_1 + n_2
+            d = int(sizes.integers(n + 2, 4 * n + 3))  # d - 2 >= N: separable
+            _, data = sample_reduced(d, 0.3, 0.6, 1.0, -0.5, n_1, n_2, 1.0 / math.sqrt(d), seed,
+                                     stream(seed, "nnls-margin-data"))
+            Z = data.signed()
+            K = Z @ Z.T
+            gamma = 1.0 / (4.0 * math.sqrt(n))
+            lam, _ = nnls(K, np.full(n, gamma), np.ones(n, dtype=bool))
+            alpha, _ = hard_margin_dual(Z)
+            hard = float((K @ alpha).min()) / math.sqrt(float(alpha @ K @ alpha))
+            assert gamma / math.sqrt(lam @ K @ lam) == pytest.approx(hard, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("rel", [1e-9, -1e-9], ids=["above", "below"])
+    def test_largest_margin_is_the_feasibility_edge(self, rel):
+        K = THREE_ROWS @ THREE_ROWS.T
+        alpha, _ = hard_margin_dual(THREE_ROWS)
+        gamma_max = float((K @ alpha).min()) / math.sqrt(float(alpha @ K @ alpha))
+        assert gamma_max == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        gd = GramData(K, THREE_ROW_WEIGHTS, gamma_max * (1.0 + rel))
+        if rel > 0:
+            with pytest.raises(InfeasibleMarginError):
+                min_weighted_beta(gd)
+            return
+        res = min_weighted_beta(gd)
+        margins = K @ res.beta
+        assert res.exact and margins.min() >= gd.gamma * (1.0 - duality.CERT_RTOL)
+        assert float(res.beta @ margins) <= 1.0 + duality.CERT_RTOL
+
     def test_ill_conditioned_gram(self):
         Z = np.array([[1.0, 0.0], [1.0, 1e-9]])
-        gd = GramData(Z, np.array([1, 2]), 0.1, 0.0)
+        gd = GramData(Z @ Z.T, np.array([1.0, 0.0]), 0.1)
         with pytest.raises(IllConditionedGramError):
             min_weighted_beta(gd)
 
@@ -424,7 +469,7 @@ class TestDualValue:
             for _ in range(5):
                 lam = np.abs(rng.standard_normal(gd.n)) * 0.3
                 assert dual_value(gd, lam) <= res.optimum + 1e-8
-            lam_c = canonical_lambda(gd, inst.r_c, inst.r_s)
+            lam_c = canonical_lambda(data.env, inst.r_c, inst.r_s)
             assert dual_value(gd, lam_c) <= res.optimum + 1e-8
 
     def test_rejects_negative_multiplier(self):
@@ -731,11 +776,12 @@ class TestGramData:
         # the former float indicators: u = e1 + theta_2 e2, canonical lambda = alpha e1
         env = np.array(env)
         e1, e2 = (env == 1).astype(np.float64), (env == 2).astype(np.float64)
-        gd = GramData(np.eye(len(env)), env, 0.1, theta_2)
+        data = LabeledDataset(np.eye(len(env)), np.ones(len(env), dtype=int), env)
+        gd = gram_from_dataset(data, 0.1, theta_2)
         assert gd.weights.tobytes() == (e1 + theta_2 * e2).tobytes()
         r_c, r_s = 0.3, 0.7
         alpha = 1.0 / (1.0 + float(e1.sum()) * (r_c**2 + r_s**2))
-        assert canonical_lambda(gd, r_c, r_s).tobytes() == (alpha * e1).tobytes()
+        assert canonical_lambda(env, r_c, r_s).tobytes() == (alpha * e1).tobytes()
 
     def test_derived_gram_is_checked_and_factored_once(self, monkeypatch):
         inst, data, gd = _random_gram_instance(23, n_1=5, n_2=5, d=80, theta_2=-0.4)
@@ -746,5 +792,5 @@ class TestGramData:
         monkeypatch.setattr(duality, "_check_conditioning",
                             lambda K: checks.append(K) or real(K))
         min_weighted_beta(gd)
-        dual_value(gd, canonical_lambda(gd, inst.r_c, inst.r_s))
+        dual_value(gd, canonical_lambda(data.env, inst.r_c, inst.r_s))
         assert len(checks) == 1 and checks[0] is gd.gram

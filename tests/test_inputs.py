@@ -34,6 +34,7 @@ from twoenv.calibrate import (
     two_phase_rate,
 )
 from twoenv.cli import main
+from twoenv.duality import GramData, gram_from_dataset, min_weighted_beta
 from twoenv.errors import ConfigError, TwoEnvError, finite_real, integer_in
 from twoenv.experiments import ExperimentConfig, SigmaRule, build_config
 from twoenv.metrics import error_at_theta, normalized_margin, robust_error
@@ -73,6 +74,12 @@ _METRICS = {  # each closed-form metric, by the sigma it is given
         _MODEL, LabeledDataset(np.eye(2), [1, -1], [1, 2]), sigma),
 }
 _GD_DATA, _GD_CONFIG = LabeledDataset(np.eye(2), [1, -1], [1, 2]), TrainConfig(max_iters=5)
+_PROGRAM = dict(gram=np.eye(2), weights=np.array([1.0, 0.5]), gamma=0.5)
+
+
+def _solve(**fields):
+    """``min_weighted_beta`` on :data:`_PROGRAM` with ``fields`` replaced."""
+    return min_weighted_beta(GramData(**{**_PROGRAM, **fields}))
 
 
 def _constants_from(key, value):
@@ -134,6 +141,18 @@ REAL_SITES = [
     # a warm start whose every entry is the value under test
     ("gd_train-w0", lambda value: gd_train(_GD_DATA, _GD_CONFIG, w0=np.full(2, value)),
      TwoEnvError, "w0", 0.5, ()),
+    # nan ended in a bare ValueError from nnls, inf in an escaping RuntimeWarning,
+    # and True was taken as the margin 1
+    _site("GramData", _solve, {}, "gamma", TwoEnvError, "gamma", 0.5),
+    # weights whose every entry is the value under test
+    ("GramData-weights", lambda value: _solve(weights=np.full(2, value)), TwoEnvError,
+     "weights", 0.5, ()),
+    ("gram_from_dataset-theta_2",
+     lambda value: min_weighted_beta(gram_from_dataset(_GD_DATA, 0.5, value)), TwoEnvError,
+     "theta_2", 0.5, ()),
+    # nan failed as "radii must be positive", inf only after 51 draws
+    _site("bound_chain_study", bound_chain_study, dict(instances=1), "t", TwoEnvError,
+          "t must", 3.0),
 ]
 
 INTEGER_SITES = [
@@ -176,6 +195,9 @@ INTEGER_SITES = [
     ("stream-seed", stream, TwoEnvError, "seed", 3, ZERO_OK),
     _site("bound_chain_study", bound_chain_study, dict(instances=1), "seed_base", TwoEnvError,
           "seed", 3, skip=ZERO_OK),
+    # 2.5 and "3" ended in a bare TypeError, True ran one instance, 0 and -1 returned []
+    _site("bound_chain_study", bound_chain_study, {}, "instances", TwoEnvError,
+          "instances must", 3),
     *[_site(fn.__name__, fn, dict(preset=_SMALL_PRESET), "seeds", TwoEnvError, "seeds", 3)
       for fn in (mean_margin_rate, max_margin_indictment_rate)],
     _site("two_phase_rate", two_phase_rate, dict(preset=_SMALL_PRESET, epsilon=0.1), "seeds",
@@ -218,7 +240,8 @@ def test_every_numeric_field_has_a_row():
     """Deleting a site's own tests cannot leave one of these fields unchecked."""
     rows = {row[0] for row in REAL_SITES + INTEGER_SITES}
     numeric = [f"{cls.__name__}.{field.name}"
-               for cls in (TrainConfig, ExperimentConfig, SigmaRule, PresetParams, ProblemInstance)
+               for cls in (TrainConfig, ExperimentConfig, SigmaRule, PresetParams, ProblemInstance,
+                           GramData)
                for field in dataclasses.fields(cls)
                if typing.get_type_hints(cls)[field.name] in (int, float, tuple[int, ...])]
     assert set(UNCHECKED_FIELDS) <= set(numeric)
@@ -284,6 +307,35 @@ class TestRegressions:
             with pytest.raises(TwoEnvError, match="w0"):
                 gd_train(_GD_DATA, _GD_CONFIG, w0=w0)
             gd_train(_GD_DATA, _GD_CONFIG, w0=[0.5, -0.25])  # a list of floats is an array
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(gamma=-0.5), "gamma"), (dict(gamma=True), "gamma"),
+        (dict(weights=np.ones(3)), "weights"), (dict(weights=[[1.0], []]), "weights"),
+        (dict(weights=["1", "2"]), "weights"), (dict(gram=np.ones((2, 3))), "weights"),
+        (dict(gram=np.ones(2)), "weights")],
+        ids=["negative-gamma", "bool-gamma", "weights-length", "ragged-weights",
+             "string-weights", "non-square-gram", "1-d-gram"])
+    def test_gram_data_rejects_a_malformed_program(self, fields, named):
+        # a negative margin used to be solved, and True reported as "target margin True"
+        with pytest.raises(TwoEnvError, match=named):
+            _solve(**fields)
+
+    @pytest.mark.parametrize("theta_2", [5.0, -1.5])
+    def test_gram_from_dataset_rejects_a_theta_outside_the_unit_interval(self, theta_2):
+        # 5.0 used to be accepted
+        with pytest.raises(TwoEnvError, match="theta_2"):
+            gram_from_dataset(_GD_DATA, 0.5, theta_2)
+
+    @pytest.mark.parametrize("instances, t", [(1, -5.0), (1, 0.0), (1, math.inf), (1, math.nan),
+                                              (True, 3.0), (0, 3.0), (2.5, 3.0)])
+    def test_bound_chain_study_rejects_before_any_draw(self, monkeypatch, instances, t):
+        # t = -5, 0 and inf used to fail only after 51 draws
+        def drawn(*args):
+            raise AssertionError("drew before the arguments were checked")
+
+        monkeypatch.setattr("twoenv.calibrate._chain_instance", drawn)
+        with pytest.raises(TwoEnvError, match="instances" if t == 3.0 else "t must"):
+            bound_chain_study(instances, t)
 
     def test_experiment_config_rejects_a_radius_too_large_for_a_float(self):
         with pytest.raises(ConfigError, match="rc"):
