@@ -26,11 +26,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IllConditionedGramError, InfeasibleMarginError, TwoEnvError, finite_real
-from .model import LabeledDataset, ProblemInstance
+from .errors import (IllConditionedGramError, InfeasibleMarginError, TwoEnvError, finite_real,
+                     integer_in)
+from .metrics import _quotient
+from .model import LabeledDataset, ProblemInstance, _check_radii
 from .training import chol_factor, chol_solve, nnls
 
 MIN_EIG = 0.25  # half the spectral floor the concentration regime guarantees
+
+
+def _real(name: str, value, low: float, high: float = math.inf) -> float:
+    """``value`` as a float if it is a finite real in [low, high], else a TwoEnvError naming it."""
+    if not (finite_real(value) and low <= value <= high):
+        raise TwoEnvError(f"{name} must be a finite real in [{low}, {high}], got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,7 @@ class GramData:
     gamma: float
 
     def __post_init__(self):
-        if not (finite_real(self.gamma) and self.gamma >= 0):
-            raise TwoEnvError(f"gamma must be a nonnegative finite real, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0.0))
         try:
             gram, weights = np.asarray(self.gram), np.asarray(self.weights)
             valid = (weights.ndim == 1 and gram.shape == 2 * weights.shape
@@ -61,7 +69,6 @@ class GramData:
             raise TwoEnvError("weights must be finite reals, one per row of a square gram")
         object.__setattr__(self, "gram", gram.astype(np.float64, copy=False))
         object.__setattr__(self, "weights", weights.astype(np.float64, copy=False))
-        object.__setattr__(self, "gamma", float(self.gamma))
 
     @property
     def n(self) -> int:
@@ -81,8 +88,7 @@ def gram_from_dataset(data: LabeledDataset, gamma: float, theta_2: float) -> Gra
     """The program on a dataset: ``K = Z Z'`` and ``u = e_1 + theta_2 e_2``, where
     ``e_k`` indicates the rows of environment ``k`` (a tag other than 1 is 2), and
     ``theta_2`` is a number in [-1, 1]."""
-    if not (finite_real(theta_2) and -1.0 <= theta_2 <= 1.0):
-        raise TwoEnvError(f"theta_2 must be a number in [-1, 1], got {theta_2!r}")
+    theta_2 = _real("theta_2", theta_2, -1.0, 1.0)
     Z = data.signed()
     return GramData(Z @ Z.T, np.where(data.env == 1, 1.0, theta_2), gamma)
 
@@ -169,10 +175,15 @@ def dual_value(gd: GramData, lam: np.ndarray) -> float:
 
 def canonical_lambda(env: np.ndarray, r_c: float, r_s: float) -> np.ndarray:
     """The analysis' dual point on rows tagged ``env``: ``alpha`` on environment 1
-    and 0 on environment 2, with ``alpha = 1 / (1 + N_1 (r_c^2 + r_s^2))``."""
+    and 0 on environment 2, with ``alpha = 1 / (1 + N_1 (r_c^2 + r_s^2))``.  The
+    radii are positive finite reals, at a scale where that denominator is a normal float."""
+    _check_radii(r_c=r_c, r_s=r_s)
     in_1 = env == 1
-    alpha = 1.0 / (1.0 + float(in_1.sum()) * (r_c**2 + r_s**2))
-    return np.where(in_1, alpha, 0.0)
+    try:
+        den = 1.0 + float(in_1.sum()) * (float(r_c) ** 2 + float(r_s) ** 2)
+    except OverflowError:  # a squared radius beyond the float range
+        den = math.inf
+    return np.where(in_1, _quotient(1.0, den, "alpha"), 0.0)
 
 
 def closed_form_bound(
@@ -182,17 +193,31 @@ def closed_form_bound(
 
     Exactly
     ``((N1 + [th2]+ N2) g - sqrt(2 N2) N1 rc^2 - sqrt(18 N)(sqrt(N)+t)/sqrt(d)
-    - sqrt(8 N2) [-th2]+) / 2``.
+    - sqrt(8 N2) [-th2]+) / 2``, for sizes in [1, 2**53], an integer ``d >= 1``, finite reals
+    ``gamma, t >= 0`` and ``r_c > 0``, ``theta_2`` in [-1, 1], and a finite result.
     """
+    for name, size, high in (("n_1", n_1, 2**53), ("n_2", n_2, 2**53), ("d", d, math.inf)):
+        if not integer_in(size, 1, high):  # d, in a square root only, may pass 2**53
+            raise TwoEnvError(f"{name} must be an integer in [1, {high}], got {size!r}")
+    gamma = _real("gamma", gamma, 0.0)
+    theta_2 = _real("theta_2", theta_2, -1.0, 1.0)
+    t = _real("t", t, 0.0)
+    _check_radii(r_c=r_c)
+    n_1, n_2, d, r_c = int(n_1), int(n_2), int(d), float(r_c)
     n = n_1 + n_2
-    pos = max(theta_2, 0.0)
-    neg = max(-theta_2, 0.0)
-    return 0.5 * (
-        (n_1 + pos * n_2) * gamma
-        - math.sqrt(2.0 * n_2) * n_1 * r_c**2
-        - math.sqrt(18.0 * n) * (math.sqrt(n) + t) / math.sqrt(d)
-        - math.sqrt(8.0 * n_2) * neg
-    )
+    try:
+        bound = 0.5 * (
+            (n_1 + max(theta_2, 0.0) * n_2) * gamma
+            - math.sqrt(2.0 * n_2) * n_1 * r_c**2
+            - math.sqrt(18.0 * n) * (math.sqrt(n) + t) / math.sqrt(d)
+            - math.sqrt(8.0 * n_2) * max(-theta_2, 0.0)
+        )
+    except OverflowError:  # r_c^2 or d beyond the float range
+        bound = math.nan
+    if not math.isfinite(bound):
+        raise TwoEnvError(f"closed_form_bound overflows at gamma={gamma!r}, r_c={r_c!r}, "
+                          f"d={d!r}, t={t!r}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +282,22 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     norm-inactive optimum (the all-margins vertex) is returned directly.
     The program is feasible when that vertex lies in the unit ellipsoid;
     only otherwise is ``gamma`` checked against the largest margin
-    ``gamma / sqrt(lambda'K lambda)``, ``lambda = nnls(K, gamma 1)`` being
-    the minimum-norm point of ``K beta >= gamma 1``, and
-    :class:`InfeasibleMarginError` raised above it.
+    ``1 / sqrt(lambda'K lambda)``, ``lambda = nnls(K, 1)`` being the
+    minimum-norm point of ``K beta >= 1``, and :class:`InfeasibleMarginError`
+    raised above it.  Both tests take their point at margin 1 and scale by
+    ``gamma``, so no large finite ``gamma`` overflows a norm.
     """
-    K = gd.gram
-    u = gd.weights
-    gamma = gd.gamma
-    n = gd.n
-    cho = gd.cho
+    K, u, gamma, n, cho = gd.gram, gd.weights, gd.gamma, gd.n, gd.cho
     ones = np.ones(n)
 
     # feasibility: the equal-margin vertex K beta = gamma 1 inside the unit
-    # ellipsoid is a feasible point; else the minimum-norm point of K beta >=
-    # gamma 1, the NNLS solution lambda, scaled to unit norm has the largest margin
-    beta_vertex = gamma * chol_solve(cho, ones)
-    vertex_norm_sq = float(beta_vertex @ (K @ beta_vertex))
+    # ellipsoid is a feasible point; else the minimum-norm point of K beta >= 1,
+    # the NNLS solution lambda, scaled to unit norm has the largest margin
+    beta_unit = chol_solve(cho, ones)
+    vertex_norm_sq = gamma * gamma * float(beta_unit @ (K @ beta_unit))  # inf, not a warning
     if not vertex_norm_sq <= 1.0:  # a NaN proves nothing
-        lam, _ = nnls(K, np.full(n, gamma), np.ones(n, dtype=bool))
-        gamma_max = gamma / math.sqrt(lam @ (K @ lam))
+        lam, _ = nnls(K, ones, np.ones(n, dtype=bool))
+        gamma_max = 1.0 / math.sqrt(lam @ (K @ lam))
         if gamma > gamma_max:
             raise InfeasibleMarginError(
                 f"target margin {gamma} exceeds achievable margin {gamma_max:.6g}"
@@ -287,15 +309,7 @@ def min_weighted_beta(gd: GramData) -> MinWeightedBetaResult:
     if np.all(q_u >= -1e-12) and vertex_norm_sq <= 1.0 + 1e-12:
         lam = np.maximum(q_u, 0.0)
         value = gamma * float(lam.sum())
-        return MinWeightedBetaResult(
-            optimum=value,
-            beta=beta_vertex,
-            dual_lambda=lam,
-            dual_value=value,
-            gap=0.0,
-            iterations=0,
-            exact=True,
-        )
+        return MinWeightedBetaResult(value, gamma * beta_unit, lam, value, 0.0, 0, True)
 
     nu = math.sqrt(float(u @ q_u))
     active = np.ones(n, dtype=bool)
@@ -347,48 +361,32 @@ def check_spectral_events(
 ) -> SpectralEventReport:
     """Check the singular-value, alignment and Gram events on a draw of ``inst``.
 
-    The noise matrix is reconstructed from the known means:
-    ``G = Z - 1 mu_c' - (theta_1 e_1 + theta_2 e_2) mu_s'``.  With
-    ``Z = G + M`` and rank-2 ``M``, the sample gram expands as
-    ``GG' + GM' + MG' + MM'``, so a single N-by-d product plus two
-    matrix-vector products covers every event.  ``d`` is the data's
-    ambient dimension, so a reduced draw is checked exactly too.  Every
-    noise-matrix quantity is normalized by ``sigma * sqrt(d)``, so the
-    stated bounds apply for any noise scale; each spectral event is one
-    :func:`_spectrum_within` call.
+    Every quantity is normalized by ``scale = sigma * sqrt(d)``, so the
+    stated bounds apply for any noise scale: the rows ``Zn = Z / scale``,
+    the row means ``Mn = (1 mu_c' + theta mu_s') / scale`` (``theta_e`` on
+    the rows of environment ``e``) and the noise ``Gn = Zn - Mn``.  Each
+    event reads the Gram its definition names, formed by one product: the
+    noise Gram ``Gn Gn'``, the sample Gram ``Zn Zn'`` and its mean part
+    ``Mn Mn'``.  None assumes that the means are orthogonal.
+    ``d`` is the data's ambient dimension, so a reduced draw takes the same
+    path exactly.  Each spectral event is one :func:`_spectrum_within` call.
     """
-    Z = data.signed()
     n, d = data.n, data.ambient_d
-    mu_c, mu_s = inst.mu_c, inst.mu_s
     theta_vec = np.where(data.env == 1, inst.theta_1, inst.theta_2).astype(np.float64)
     scale = inst.sigma * math.sqrt(d)
-    Gn = Z - theta_vec[:, None] * mu_s[None, :]
-    Gn -= mu_c[None, :]
-    Gn /= scale
-
-    noise_gram = Gn @ Gn.T
+    Zn = data.signed() / scale
+    Mn = (inst.mu_c + np.outer(theta_vec, inst.mu_s)) / scale
+    Gn = Zn - Mn
+    sample_gram = Zn @ Zn.T
     half_width = (math.sqrt(n) + t) / math.sqrt(d)
     lo, hi = 1.0 - half_width, 1.0 + half_width
-
-    r_c, r_s = inst.r_c, inst.r_s
-    gn_mu_c = Gn @ mu_c
-    gn_mu_s = Gn @ mu_s
-
-    # Zn Zn' assembled from the pieces above; mu_c and mu_s are orthogonal
-    ones = np.ones(n)
-    cross = (
-        np.outer(gn_mu_c, ones) + np.outer(gn_mu_s, theta_vec)
-    ) / scale
-    mean_gram = (
-        r_c**2 * np.outer(ones, ones) + r_s**2 * np.outer(theta_vec, theta_vec)
-    ) / scale**2
-    sample_gram = noise_gram + cross + cross.T + mean_gram
     dev = 3.0 * (math.sqrt(n) + t) / math.sqrt(d)
+    alignment = t * math.sqrt(n / d)
 
     return SpectralEventReport(
-        sval_ok=_spectrum_within(noise_gram, lo * lo if lo > 0 else -math.inf, hi * hi),
-        g_mu_c_ok=bool(np.linalg.norm(gn_mu_c) <= t * math.sqrt(n / d) * r_c),
-        g_mu_s_ok=bool(np.linalg.norm(gn_mu_s) <= t * math.sqrt(n / d) * r_s),
-        gram_dev_ok=_spectrum_within(sample_gram - (np.eye(n) + mean_gram), -dev, dev),
+        sval_ok=_spectrum_within(Gn @ Gn.T, lo * lo if lo > 0 else -math.inf, hi * hi),
+        g_mu_c_ok=bool(np.linalg.norm(Gn @ inst.mu_c) <= alignment * inst.r_c),
+        g_mu_s_ok=bool(np.linalg.norm(Gn @ inst.mu_s) <= alignment * inst.r_s),
+        gram_dev_ok=_spectrum_within(sample_gram - (np.eye(n) + Mn @ Mn.T), -dev, dev),
         gram_bounds_ok=_spectrum_within(sample_gram, 0.5, 2.0),
     )

@@ -36,8 +36,8 @@ def _check_sizes(*sizes) -> None:
             raise TwoEnvError(f"sample sizes must be integers in [1, 2**53], got {n!r}")
 
 
-def _check_radii(r_c: float, r_s: float) -> None:
-    for name, r in (("r_c", r_c), ("r_s", r_s)):
+def _check_radii(**radii: float) -> None:
+    for name, r in radii.items():
         if not (finite_real(r) and r > 0):
             raise TwoEnvError(f"radii must be positive and finite, got {name}={r!r}")
 
@@ -264,7 +264,7 @@ def sample_orthogonal_means(
     """
     if not integer_in(d, 2):
         raise TwoEnvError(f"need an integer d in [2, 2**53] for two orthogonal directions, got {d!r}")
-    _check_radii(r_c, r_s)
+    _check_radii(r_c=r_c, r_s=r_s)
     g1 = rng.standard_normal(d)
     u1 = g1 / np.linalg.norm(g1)
     g2 = rng.standard_normal(d)
@@ -306,7 +306,7 @@ def _reduced_instance(d, r_c, r_s, theta_1, theta_2, n_1, n_2, sigma, seed) -> P
     """The instance of the reduced samplers, checked: ``mu_c = r_c e_1`` and
     ``mu_s = r_s e_2`` in ``2 + min(d-2, N)`` coordinates."""
     _check_sizes(n_1, n_2)
-    _check_radii(r_c, r_s)
+    _check_radii(r_c=r_c, r_s=r_s)
     if not integer_in(d, 2):
         raise TwoEnvError(f"need an integer d in [2, 2**53] for two orthogonal directions, got {d!r}")
     basis = np.eye(2, 2 + min(d - 2, n_1 + n_2))

@@ -547,16 +547,23 @@ class TestSpectralEvents:
         assert not spied[0].any()  # the noise matrix's gram is exactly zero
         assert rep.sval_ok and rep.g_mu_c_ok and rep.g_mu_s_ok
 
-    @pytest.mark.parametrize("draw", ["dense", "reduced"])
+    @pytest.mark.parametrize("draw", ["dense", "reduced", "near_orthogonal"])
     def test_each_event_gets_the_matrix_and_bounds_of_its_definition(self, draw):
         # built here from G = Z - 1 mu_c' - theta mu_s', normalized by sigma sqrt(d):
-        # the dense draw has a lower singular-value bound, the reduced one none
+        # the dense draws have a lower singular-value bound, the reduced one none.
+        # The near-orthogonal means have mu_c.mu_s = 5e-10 r_c r_s, inside
+        # ProblemInstance's tolerance; a Gram that drops the cross term
+        # (mu_c.mu_s)(1 theta' + theta 1') / scale^2 misses by about 1e-10
         n_1, n_2, t, theta_2 = 6, 4, 3.0, -0.5
-        if draw == "dense":
+        if draw != "reduced":
             d = 400
             sigma = 0.7 / math.sqrt(d)
             mu_c, mu_s = sample_orthogonal_means(d, 0.3, 0.5, stream(53, "spy-means"))
+            if draw == "near_orthogonal":
+                mu_s = mu_s + 5e-10 * (0.5 / 0.3) * mu_c
             inst = ProblemInstance(mu_c, mu_s, 1.0, theta_2, n_1, n_2, sigma, 53)
+            cosine = inst.mu_c @ inst.mu_s / (inst.r_c * inst.r_s)
+            assert cosine == pytest.approx(5e-10 if draw == "near_orthogonal" else 0, abs=1e-14)
             data = sample_dataset(inst, stream(53, "spy-data"))
         else:
             d = 30
@@ -569,10 +576,14 @@ class TestSpectralEvents:
         scale = sigma * math.sqrt(d)
         G = (Z - np.outer(np.ones(n), inst.mu_c) - np.outer(theta, inst.mu_s)) / scale
         half = (math.sqrt(n) + t) / math.sqrt(d)
-        assert (half < 1) == (draw == "dense")
+        assert (half < 1) == (draw != "reduced")
         dev = 3.0 * half
         sample = Z @ Z.T / scale**2
-        expected = expected_gram(n_1, n_2, 1.0, theta_2, 0.3, 0.5, sigma, d) / scale**2
+        if draw == "near_orthogonal":
+            M = np.outer(np.ones(n), inst.mu_c) + np.outer(theta, inst.mu_s)
+            expected = (sigma**2 * d * np.eye(n) + M @ M.T) / scale**2
+        else:
+            expected = expected_gram(n_1, n_2, 1.0, theta_2, 0.3, 0.5, sigma, d) / scale**2
         built = [(G @ G.T, (1 - half) ** 2 if half < 1 else -math.inf, (1 + half) ** 2),
                  (sample - expected, -dev, dev), (sample, 0.5, 2.0)]
         spied = []

@@ -26,6 +26,7 @@ import pytest
 
 from twoenv import cli, experiments
 from twoenv.calibrate import (
+    _chain_instance,
     bound_chain_study,
     kappa_interpolation_rate,
     max_margin_indictment_rate,
@@ -34,8 +35,14 @@ from twoenv.calibrate import (
     two_phase_rate,
 )
 from twoenv.cli import main
-from twoenv.duality import GramData, gram_from_dataset, min_weighted_beta
-from twoenv.errors import ConfigError, TwoEnvError, finite_real, integer_in
+from twoenv.duality import (
+    GramData,
+    canonical_lambda,
+    closed_form_bound,
+    gram_from_dataset,
+    min_weighted_beta,
+)
+from twoenv.errors import ConfigError, InfeasibleMarginError, TwoEnvError, finite_real, integer_in
 from twoenv.experiments import ExperimentConfig, SigmaRule, build_config
 from twoenv.metrics import error_at_theta, normalized_margin, robust_error
 from twoenv.model import (
@@ -75,6 +82,8 @@ _METRICS = {  # each closed-form metric, by the sigma it is given
 }
 _GD_DATA, _GD_CONFIG = LabeledDataset(np.eye(2), [1, -1], [1, 2]), TrainConfig(max_iters=5)
 _PROGRAM = dict(gram=np.eye(2), weights=np.array([1.0, 0.5]), gamma=0.5)
+_BOUND = dict(n_1=3, n_2=3, gamma=0.1, theta_2=0.0, r_c=0.1, d=10, t=3.0)
+_CANONICAL = dict(env=np.array([1, 1, 2]), r_c=0.3, r_s=0.5)
 
 
 def _solve(**fields):
@@ -153,6 +162,12 @@ REAL_SITES = [
     # nan failed as "radii must be positive", inf only after 51 draws
     _site("bound_chain_study", bound_chain_study, dict(instances=1), "t", TwoEnvError,
           "t must", 3.0),
+    # nan returned nan, and a bound or a dual point was made for a negative t or radius
+    *[_site("closed_form_bound", closed_form_bound, _BOUND, field, TwoEnvError, named, 0.5)
+      for field, named in (("gamma", "gamma"), ("theta_2", "theta_2"), ("r_c", "r_c"),
+                           ("t", "t must"))],
+    *[_site("canonical_lambda", canonical_lambda, _CANONICAL, field, TwoEnvError, field, 0.5)
+      for field in ("r_c", "r_s")],
 ]
 
 INTEGER_SITES = [
@@ -198,6 +213,11 @@ INTEGER_SITES = [
     # 2.5 and "3" ended in a bare TypeError, True ran one instance, 0 and -1 returned []
     _site("bound_chain_study", bound_chain_study, {}, "instances", TwoEnvError,
           "instances must", 3),
+    # 0 ended in a ZeroDivisionError, True was taken as 1 and 2.5 made a bound; d enters
+    # a square root only, so it may pass 2**53
+    *[_site("closed_form_bound", closed_form_bound, _BOUND, field, TwoEnvError,
+            f"{field} must", 3, skip=("2**70",) if field == "d" else ())
+      for field in ("n_1", "n_2", "d")],
     *[_site(fn.__name__, fn, dict(preset=_SMALL_PRESET), "seeds", TwoEnvError, "seeds", 3)
       for fn in (mean_margin_rate, max_margin_indictment_rate)],
     _site("two_phase_rate", two_phase_rate, dict(preset=_SMALL_PRESET, epsilon=0.1), "seeds",
@@ -336,6 +356,40 @@ class TestRegressions:
         monkeypatch.setattr("twoenv.calibrate._chain_instance", drawn)
         with pytest.raises(TwoEnvError, match="instances" if t == 3.0 else "t must"):
             bound_chain_study(instances, t)
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(n_1=0, n_2=0, gamma=0.1, theta_2=0.0, r_c=0.1, d=0, t=3.0), "n_1"),
+        (dict(gamma=math.nan), "gamma"), (dict(n_1=True), "n_1"), (dict(t=-1e9), "t must"),
+        (dict(r_c=1e200), "overflows"), (dict(gamma=1e308), "overflows"),
+        (dict(d=10**400), "overflows")],
+        ids=["zero-sizes", "nan-gamma", "bool-size", "negative-t", "huge-r_c", "huge-gamma",
+             "huge-d"])
+    def test_closed_form_bound_rejects_a_malformed_argument(self, fields, named):
+        # zero sizes ended in a ZeroDivisionError, a nan gamma returned nan, True was
+        # taken as 1, t = -1e9 gave a bound of 1.6e9, gamma = 1e308 returned inf, and
+        # r_c = 1e200 and d = 10**400 ended in a bare OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TwoEnvError, match=named):
+                closed_form_bound(**{**_BOUND, **fields})
+
+    @pytest.mark.parametrize("r_c, named", [(1e200, "alpha"), (-1.0, "r_c")],
+                             ids=["huge-r_c", "negative-r_c"])
+    def test_canonical_lambda_rejects_a_malformed_radius(self, r_c, named):
+        # 1e200 ended in a bare OverflowError from r_c**2, and -1 made a dual point
+        with pytest.raises(TwoEnvError, match=named):
+            canonical_lambda(_CANONICAL["env"], r_c, 0.1)
+
+    @pytest.mark.parametrize("gamma", [1e300, 1.7e308])
+    def test_min_weighted_beta_at_a_huge_margin_raises_only_its_error(self, gamma):
+        # the vertex norm gamma^2 1'K^{-1}1 overflowed in a matmul, and its
+        # RuntimeWarning escaped before InfeasibleMarginError
+        inst, data = _chain_instance(0, 3.0)
+        gd = gram_from_dataset(data, gamma, inst.theta_2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleMarginError, match="achievable margin 0.135"):
+                min_weighted_beta(gd)
 
     def test_experiment_config_rejects_a_radius_too_large_for_a_float(self):
         with pytest.raises(ConfigError, match="rc"):
